@@ -27,7 +27,8 @@ APPS = ("is", "kmeans")
 
 def _traced_faulty(ft, plan):
     interp = ft.program.fresh_interpreter(trace=True, fault=plan,
-                                          max_instr=ft.faulty_budget)
+                                          max_instr=ft.faulty_budget,
+                                          exec_tier="interp")
     try:
         interp.run(ft.program.entry)
     except (VMError, TypeError, ValueError, OverflowError, MemoryError):

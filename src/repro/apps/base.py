@@ -46,7 +46,7 @@ class Program:
                           max_instr: Optional[int] = None,
                           exec_tier: Optional[str] = None) -> Interpreter:
         """Interpreter on the selected execution tier (explicit arg >
-        ``REPRO_EXEC`` env > interp; see :mod:`repro.vm.exec_tier`)."""
+        ``REPRO_EXEC`` env > compiled; see :mod:`repro.vm.exec_tier`)."""
         return make_interpreter(self.module, exec_tier=exec_tier,
                                 trace=trace, fault=fault,
                                 max_instr=max_instr or self.max_instr)

@@ -657,13 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve region results already in --store-dir "
                         "instead of re-injecting: a modified program "
                         "re-runs only regions whose fingerprint changed")
-    p.add_argument("--exec-tier", choices=("interp", "compiled"),
-                   default=None,
-                   help="VM execution tier (sets REPRO_EXEC for this "
-                        "process and its workers): the flat interpreter "
-                        "loop, or per-function compiled Python — "
-                        "byte-identical observables, compiled is "
-                        "several times faster per faulty run")
     p.add_argument("--warm-start", choices=("on", "off"), default=None,
                    help="golden snapshot-ladder warm start (sets "
                         "REPRO_WARMSTART; default on): faulty runs "
@@ -911,14 +904,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # naming a registry is choosing remote dispatch; an explicit
         # --backend still wins (e.g. force local for a quick check)
         args.backend = "socket"
-    if args.exec_tier is not None:
-        # the environment variable is the tier's cross-process channel:
-        # pool workers and spec-runner engines all inherit it (workers
-        # additionally receive the resolved tier in task payloads)
-        os.environ["REPRO_EXEC"] = args.exec_tier
     if args.warm_start is not None:
-        # same cross-process channel as --exec-tier: engines, pool
-        # workers and shard servers all resolve REPRO_WARMSTART
+        # the environment variable is the cross-process channel:
+        # engines, pool workers and shard servers all resolve
+        # REPRO_WARMSTART
         os.environ["REPRO_WARMSTART"] = args.warm_start
     if args.command != "run":
         # every other command takes the engine flags directly; "run"

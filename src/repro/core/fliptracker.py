@@ -105,7 +105,8 @@ class FlipTracker:
     exec_tier:
         VM execution tier for every run this tracker performs (golden
         trace, traced analyses, campaign shards):
-        ``"interp"``/``"compiled"``; ``None`` defers to ``REPRO_EXEC``.
+        ``"compiled"``/``"interp"``; ``None`` resolves ``REPRO_EXEC``,
+        else ``"compiled"``.
         Byte-identical observables on either tier.
     warm_start:
         Golden snapshot-ladder warm start for campaign and recovery

@@ -70,8 +70,9 @@ class ExecutionEngine:
         ``backend="socket"`` when ``backend`` is ``None``.  Mutually
         exclusive with ``backend_addr``.  See :mod:`repro.service`.
     exec_tier:
-        VM execution tier for faulty runs (``"interp"``/``"compiled"``);
-        ``None`` defers to the ``REPRO_EXEC`` environment variable.
+        VM execution tier for faulty runs (``"compiled"``/``"interp"``);
+        ``None`` resolves ``REPRO_EXEC``, else ``"compiled"`` (see
+        :mod:`repro.vm.exec_tier`).
         Both tiers are byte-identical across all observables, so the
         choice never affects results.  The resolved tier rides the
         local backend's task payloads; protocol workers (async children,

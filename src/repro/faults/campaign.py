@@ -143,7 +143,8 @@ def run_plan(program: Program, plan: FaultPlan,
              ladder=None) -> Manifestation:
     """Execute one faulty run and classify its manifestation.
 
-    ``exec_tier`` picks the VM tier (``None`` defers to ``REPRO_EXEC``);
+    ``exec_tier`` picks the VM tier (``None`` resolves ``REPRO_EXEC``,
+    else ``"compiled"``);
     both tiers produce byte-identical manifestations, so the choice
     never changes a campaign's result, only its wall-clock.  ``ladder``
     optionally warm-starts the run from the golden snapshot ladder

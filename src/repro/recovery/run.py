@@ -28,8 +28,8 @@ an exhausted run stops detecting and coasts to completion (``gave_up``).
 Accounting is tier-invariant by construction: a crash inside a window
 is charged as the whole window (the compiled tier's ``dyn_count`` is
 stale on unanticipated mid-segment exceptions and the session never
-reads it after a crash), so outcomes are byte-identical across
-``REPRO_EXEC=interp|compiled`` and every backend.
+reads it after a crash), so outcomes are byte-identical on the default
+compiled tier, the ``interp`` reference tier and every backend.
 """
 
 from __future__ import annotations

@@ -3,16 +3,18 @@
 Two tiers execute the same finalized modules with byte-identical
 observables:
 
-* ``"interp"`` — the flat dispatch loop in :mod:`repro.vm.interp`
-  (default; also the fallback for anything the compiler cannot lower);
 * ``"compiled"`` — specialized generated Python per function
-  (:mod:`repro.vm.compile`), typically several times faster per run.
+  (:mod:`repro.vm.compile`), several times faster per run (default);
+* ``"interp"`` — the flat dispatch loop in :mod:`repro.vm.interp`:
+  the reference implementation the tier-parity suites compare
+  against, and the fallback for communicator-attached runs and
+  anything the compiler cannot lower.
 
 Selection precedence: an explicit ``exec_tier=`` argument wins,
 otherwise the ``REPRO_EXEC`` environment variable, otherwise
-``"interp"``.  The environment variable is the cross-process channel:
-pool workers (fork *and* spawn) and shard servers inherit it, so a
-single setting covers every engine backend.
+``"compiled"``.  ``REPRO_EXEC=interp`` is the test/CI hook that
+selects the reference tier; pool workers (fork *and* spawn) and shard
+servers inherit it, so a single setting covers every engine backend.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def resolve_exec_tier(exec_tier: Optional[str] = None) -> str:
     """Normalize an explicit choice / the environment to a tier name."""
     tier = exec_tier if exec_tier is not None else os.environ.get(ENV_VAR)
     if tier is None or tier == "":
-        return "interp"
+        return "compiled"
     tier = tier.strip().lower()
     if tier not in EXEC_TIERS:
         raise ValueError(

@@ -229,8 +229,8 @@ class TestAnalysisBackendParity:
 
 #: per-app explicitly-interpreted baseline for the tier-parity class:
 #: {app: (region, outcome_bytes)}.  Pinned to ``exec_tier="interp"`` so
-#: the comparison stays interp-vs-compiled even when the CI tier matrix
-#: sets ``REPRO_EXEC=compiled`` for the whole process.
+#: the comparison stays interp-vs-compiled whatever ``REPRO_EXEC`` the
+#: CI tier matrix sets for the whole process (compiled is the default).
 _TIER_BASELINE: dict = {}
 
 

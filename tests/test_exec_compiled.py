@@ -294,11 +294,15 @@ class TestFallbacks:
         assert b.exec_tier == "interp"
         assert error_b == error_a and error_a is not None
 
-    def test_communicator_runs_interpreted(self):
+    def test_communicator_runs_interpreted(self, monkeypatch):
         from repro.parallel.comm import SimComm
         from repro.parallel.demo import N_LOCAL, build_dot_product
+        monkeypatch.delenv("REPRO_EXEC", raising=False)
         module = build_dot_product()
-        b = CompiledInterpreter(module, comm=SimComm(1), rank=0)
+        # the default tier hands back a CompiledInterpreter, which must
+        # still execute a communicator-attached run interpreted
+        b = make_interpreter(module, comm=SimComm(1), rank=0)
+        assert isinstance(b, CompiledInterpreter)
         b.run()
         assert b.exec_tier == "interp"
         assert b.read_scalar("result") == 2.0 * sum(range(N_LOCAL))
@@ -332,8 +336,14 @@ class TestFallbacks:
 
 
 class TestTierSelection:
-    def test_default_is_interp(self, monkeypatch):
+    def test_default_is_compiled(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXEC", raising=False)
+        assert resolve_exec_tier() == "compiled"
+        module = build("def main() -> int:\n    return 4")
+        assert type(make_interpreter(module)) is CompiledInterpreter
+
+    def test_env_selects_interp_reference(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC", "interp")
         assert resolve_exec_tier() == "interp"
         module = build("def main() -> int:\n    return 4")
         assert type(make_interpreter(module)) is Interpreter
@@ -357,3 +367,22 @@ class TestTierSelection:
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError):
             resolve_exec_tier("turbo")
+
+
+class TestDefaultTierNoSilentFallback:
+    """Default paths run compiled: a regression that quietly routed
+    them back through the interpreter would keep every parity check
+    green while losing the speedup, so assert the tier that executed."""
+
+    @pytest.mark.parametrize("app", ["kmeans", "cg", "lulesh"])
+    def test_default_campaign_runs_compiled(self, app, monkeypatch):
+        from repro.apps import REGISTRY
+        from repro.core import FlipTracker
+        monkeypatch.delenv("REPRO_EXEC", raising=False)
+        with FlipTracker(REGISTRY.build(app), seed=7, workers=1) as ft:
+            result = ft.whole_program_campaign("internal", n=4)
+            assert ft.engine.stats()["exec_tier"] == "compiled"
+            assert result.total == 4
+            probe = ft.program.fresh_interpreter()
+            probe.run(ft.program.entry)
+            assert probe.exec_tier == "compiled"

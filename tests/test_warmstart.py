@@ -10,8 +10,9 @@ This suite enforces it three ways:
 * **property** (Hypothesis) — ``restore rung -> resume_run`` finishes
   byte-identical to the straight run for arbitrary trigger indices on
   both exec tiers, including the materialized output prefix;
-* **all ten kernels** — warm vs cold campaign outcomes and
-  ``FaultRecord`` images are equal across every registered app;
+* **all ten kernels** — warm (default tier) vs cold (``interp``
+  reference tier) campaign outcomes and ``FaultRecord`` images are
+  equal across every registered app;
 * **units** — mode resolution (arg > env > default-on), ladder
   geometry (region-aligned rungs, stride floor), rung selection,
   cold-fallback eligibility rules, stats accounting, the CLI flag,
@@ -188,9 +189,9 @@ def test_warm_resume_equals_straight_run(at, bit, tier):
 
 
 # ------------------------------------------------------- all ten kernels
-def _faulty_run(program, plan, ladder) -> tuple:
+def _faulty_run(program, plan, ladder, exec_tier=None) -> tuple:
     """One faulty run (warm when a rung applies) -> comparable image."""
-    interp = program.fresh_interpreter(fault=plan)
+    interp = program.fresh_interpreter(fault=plan, exec_tier=exec_tier)
     engaged = (ladder is not None
                and warm_start_interp(interp, ladder, plan))
     try:
@@ -210,18 +211,20 @@ def test_warm_equals_cold_every_app(name):
     n_dyn = ladder.total_dyn
     plans = [FaultPlan(trigger=(i * 9973 + 17) % n_dyn, mode="result",
                        bit=(i * 13) % 64) for i in range(3)]
+    # the cold side runs on the interp reference tier, so each check
+    # compares warm default-tier runs against the reference
     for plan in plans:
         # engine-layer outcome value parity
-        cold = execute_plan(ft.program, plan,
+        cold = execute_plan(ft.program, plan, exec_tier="interp",
                             tracker_factory=lambda: ft, warm_start=False)
         warm = execute_plan(ft.program, plan,
                             tracker_factory=lambda: ft, warm_start=True)
         assert cold == warm
         # VM-layer parity: FaultRecord, memory, output, crash surface
-        assert _faulty_run(ft.program, plan, None) \
+        assert _faulty_run(ft.program, plan, None, exec_tier="interp") \
             == _faulty_run(ft.program, plan, ladder)
     assert run_plan(ft.program, plans[0], ladder=ladder) \
-        == run_plan(ft.program, plans[0])
+        == run_plan(ft.program, plans[0], exec_tier="interp")
 
 
 # ---------------------------------------------------------- eligibility

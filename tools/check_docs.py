@@ -34,8 +34,12 @@ Two checks, both fatal on failure:
 7. **Warm-start drift check** — the "Warm-start execution" section of
    ``docs/architecture.md`` must name ``REPRO_WARMSTART``, both modes
    and the ladder constants ``repro.warmstart`` actually exposes, and
-   README's "Global flags" table must carry ``--warm-start`` /
-   ``--exec-tier`` rows agreeing with the resolved defaults.
+   README's "Global flags" table must carry a ``--warm-start`` row
+   agreeing with the resolved default.
+8. **Execution-tier drift check** — the "Execution tiers" section of
+   ``docs/architecture.md`` must name ``compiled`` as the default and
+   ``interp`` as the reference, and ``resolve_exec_tier()`` with
+   ``REPRO_EXEC`` unset must return ``compiled``.
 """
 
 from __future__ import annotations
@@ -360,8 +364,7 @@ def check_warmstart_drift() -> list:
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     rows = section_table(readme, "Global flags", source="README.md")
     flags = {row[0].split()[0]: row for row in rows if row}
-    expected = {"--warm-start": (warmstart.ENV_VAR, "on"),
-                "--exec-tier": ("REPRO_EXEC", "interp")}
+    expected = {"--warm-start": (warmstart.ENV_VAR, "on")}
     for flag, (env, default) in expected.items():
         row = flags.get(flag)
         if row is None:
@@ -382,11 +385,37 @@ def check_warmstart_drift() -> list:
     return errors
 
 
+def check_exec_tier_drift() -> list:
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.vm import exec_tier
+
+    errors = []
+    arch = (REPO / "docs" / "architecture.md").read_text(encoding="utf-8")
+    section = section_text(arch, "Execution tiers", "docs/architecture.md")
+    for marker in ("**`compiled`** (default)", "**`interp`** (reference)",
+                   f"`{exec_tier.ENV_VAR}`"):
+        if marker not in section:
+            errors.append(f"architecture.md Execution tiers: {marker!r} "
+                          f"missing")
+    # the documented default must be what the resolver actually does
+    had = os.environ.pop(exec_tier.ENV_VAR, None)
+    try:
+        default = exec_tier.resolve_exec_tier()
+        if default != "compiled":
+            errors.append(f"exec_tier: resolve_exec_tier() default is "
+                          f"{default!r} but architecture.md documents "
+                          f"'compiled'")
+    finally:
+        if had is not None:
+            os.environ[exec_tier.ENV_VAR] = had
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_protocol_drift()
               + check_experiment_drift() + check_service_drift()
               + check_profiles_drift() + check_recovery_drift()
-              + check_warmstart_drift())
+              + check_warmstart_drift() + check_exec_tier_drift())
     for error in errors:
         print(f"FAIL: {error}", file=sys.stderr)
     if errors:
