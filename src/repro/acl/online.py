@@ -5,12 +5,15 @@ died.  This module turns the same golden evidence into checks cheap
 enough to run *inside* a faulty execution, at region-instance exit
 boundaries (see :mod:`repro.recovery`):
 
-* **boundary images** — one traced golden replay maps every region
-  instance's record-index span to *dynamic-instruction* boundaries
-  (record index != dyn index whenever NOPs execute: a NOP advances the
-  dynamic count but appends no record, so boundaries must be derived by
-  replay, never assumed equal) and captures the stack pointer, frame
-  depth and a checksum of all live state at each exit;
+* **boundary images** — every region instance's record-index span maps
+  to *dynamic-instruction* boundaries, and one untraced golden capture
+  replay on the tracker's own exec tier stops at every instance exit to
+  record the stack pointer, frame depth and a checksum of all live
+  state.  The map is exact for any program: a NOP advances the dynamic
+  count but appends no record, so record index == dyn index only when
+  the golden run executed no NOP (``dyn_count == len(records)``, the
+  case for every registered app); otherwise the NOP positions are
+  recovered from the golden record stream (:func:`record_dyn_map`);
 * **value ranges** — per instance, the memory locations the region
   wrote in the golden run with their finite value range (the ``range``
   detector's evidence, ACL-informed: these are exactly the locations a
@@ -19,6 +22,10 @@ boundaries (see :mod:`repro.recovery`):
   overwrite-dominated in the golden flow (the next access after the
   instance is a write, not a read — Table I's overwrite pattern), which
   the ``forward-correct`` policy may ride through without restoring.
+
+The same replay snapshots the warm-start ladder's rungs on its way
+(:mod:`repro.warmstart`), so the golden execution runs twice per
+program in all — the traced golden run and this untraced capture.
 
 Everything here is a pure function of the program (golden trace +
 region model), so every worker process, shard server and exec tier
@@ -29,10 +36,12 @@ results inherit from campaigns.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.trace.events import R_DLOC, R_DVAL
+from repro.ir import opcodes as oc
+from repro.trace.events import R_DLOC, R_DVAL, R_FN, R_OP, R_PC
 from repro.trace.index import TraceIndex
 from repro.vm.bitops import MASK64, float64_to_bits
 
@@ -133,55 +142,112 @@ def _forward_fraction(index: TraceIndex, locs, end: int) -> float:
     return dead / len(locs)
 
 
+def record_dyn_map(records: Sequence, module, entry: str,
+                   total_dyn: int):
+    """Map a record-index boundary to its dynamic-instruction index.
+
+    Returns ``dyn_at(s)``: the dynamic index at which a golden execution
+    has appended exactly ``s`` records (just after the instruction that
+    appended record ``s - 1``; 0 for ``s == 0``).  Every executed
+    instruction appends one record except NOP, so the map is the
+    identity exactly when ``total_dyn == len(records)``.  Otherwise the
+    NOPs are located from the record stream: each record fixes the next
+    pc its frame executes (fall-through, branch target, callee entry,
+    or the caller's pc after the matching CALL), and any shortfall to
+    the next record's pc was covered by NOPs, which only fall through.
+    """
+    if total_dyn == len(records):
+        return lambda s: s
+    code = {fn.index: fn.code for fn in module.functions.values()}
+    at: list = []        # record indices preceded by NOPs
+    before: list = []    # NOPs executed before each of those records
+    nops = 0
+    calls: list = []     # pc of every CALL whose frame is still live
+    expect = 0           # the entry frame starts at pc 0
+    for j, rec in enumerate(records):
+        pc = rec[R_PC]
+        if pc != expect:
+            nops += pc - expect
+            at.append(j)
+            before.append(nops)
+        op = rec[R_OP]
+        if op == oc.CBR:
+            expect = code[rec[R_FN]][pc][3][0 if rec[R_DVAL] else 1]
+        elif op == oc.BR:
+            expect = code[rec[R_FN]][pc][3]
+        elif op == oc.CALL:
+            calls.append(pc)
+            expect = 0
+        elif op == oc.RET:
+            expect = calls.pop() + 1 if calls else None
+        else:
+            expect = pc + 1
+    if len(records) + nops != total_dyn:
+        raise ValueError(
+            f"record stream of {len(records)} records and {nops} NOPs "
+            f"does not add up to the golden dyn_count {total_dyn}")
+
+    def dyn_at(s: int) -> int:
+        if s == 0:
+            return 0
+        i = bisect_right(at, s - 1)
+        return s + (before[i - 1] if i else 0)
+    return dyn_at
+
+
 def build_recovery_context(program, records: Sequence,
-                           index: TraceIndex,
-                           instances: Sequence) -> RecoveryContext:
-    """Derive the online-check context from one golden replay.
+                           index: TraceIndex, instances: Sequence, *,
+                           total_dyn: int, exec_tier=None):
+    """Derive the online-check context and the warm-start ladder.
 
     ``records``/``index``/``instances`` are the tracker's golden trace,
-    its read/write index and the time-ordered region instances.  The
-    replay walks the program once on the interpreter tier (state is
-    byte-identical on either tier, so the captured checksums match live
-    compiled executions too), stopping at every instance boundary; the
-    record stream is truncated as it goes, so peak memory stays at one
-    boundary span rather than a second full trace.
-    """
-    interp = program.fresh_interpreter(trace=True, exec_tier="interp")
-    interp.start(program.entry)
-    replay = interp.records
-    base = 0  # absolute record index of replay[0]
+    its read/write index and the time-ordered region instances;
+    ``total_dyn`` is the golden run's dynamic instruction count.
+    Boundaries come from :func:`record_dyn_map`, so every stop point is
+    known before anything executes.  One untraced replay on
+    ``exec_tier`` then walks the program once, stopping at every
+    instance exit (stack pointer, frame depth, state checksum) and at
+    every ladder point (a snapshot rung); ``run_to`` stops are
+    byte-identical on either tier, so the result does not depend on it.
 
-    def run_to_record(target: int) -> None:
-        nonlocal base
-        # dyn advances at least one per record appended, so stepping by
-        # the outstanding record count never overshoots the target
-        while base + len(replay) < target:
-            need = target - base - len(replay)
-            if interp.step(need) == "done":
-                break
-        base += len(replay)
-        del replay[:]
+    Returns ``(RecoveryContext, WarmLadder)``.
+    """
+    from repro.warmstart import (Rung, build_warm_ladder, ladder_points,
+                                 ladder_stride)
+    dyn_at = record_dyn_map(records, program.module, program.entry,
+                            total_dyn)
+    ordered = sorted(instances, key=lambda inst: inst.start)
+    spans = [(dyn_at(inst.start), dyn_at(inst.end)) for inst in ordered]
+    stride = ladder_stride(total_dyn)
+    points = set(ladder_points([entry for entry, _exit in spans],
+                               total_dyn, stride))
+    exits = {exit_dyn for _entry, exit_dyn in spans}
+
+    interp = program.fresh_interpreter(exec_tier=exec_tier)
+    interp.start(program.entry)
+    states: dict = {}
+    rungs = []
+    for stop in sorted(exits | points):
+        interp.run_to(stop)
+        if stop in exits:
+            depth = len(interp.frames)
+            states[stop] = (interp.sp, depth,
+                            state_checksum(interp.mem, interp.sp, depth))
+        if stop in points:
+            rungs.append(Rung(stop, interp.snapshot(),
+                              tuple(interp.output)))
 
     invariants = []
-    ordered = sorted(instances, key=lambda inst: inst.start)
-    for inst in ordered:
-        run_to_record(inst.start)
-        entry_dyn = interp.dyn_count
-        run_to_record(inst.end)
-        exit_dyn = interp.dyn_count
+    for inst, (entry_dyn, exit_dyn) in zip(ordered, spans):
+        sp, depth, checksum = states[exit_dyn]
         locs, lo, hi, nonfinite = _instance_values(records, inst.start,
                                                    inst.end)
         invariants.append(BoundaryInvariant(
             region=inst.region.name, kind=inst.region.kind,
             index=inst.index, entry_dyn=entry_dyn, exit_dyn=exit_dyn,
-            sp=interp.sp, depth=len(interp.frames),
-            checksum=state_checksum(interp.mem, interp.sp,
-                                    len(interp.frames)),
+            sp=sp, depth=depth, checksum=checksum,
             locs=tuple(sorted(locs)), lo=lo, hi=hi, nonfinite=nonfinite,
             forward_frac=_forward_fraction(index, locs, inst.end)))
-    while interp.step(1 << 20) != "done":
-        del replay[:]  # keep the tail from re-growing a full trace copy
-    total_dyn = interp.dyn_count
 
     by_region: dict = {}
     for inv in invariants:
@@ -190,8 +256,9 @@ def build_recovery_context(program, records: Sequence,
         name for name, invs in by_region.items()
         if all(inv.locs and inv.forward_frac >= FORWARD_THRESHOLD
                for inv in invs))
-    return RecoveryContext(invariants=tuple(invariants),
-                           forward_ok=forward_ok, total_dyn=total_dyn)
+    ctx = RecoveryContext(invariants=tuple(invariants),
+                          forward_ok=forward_ok, total_dyn=total_dyn)
+    return ctx, build_warm_ladder(program, rungs, stride, total_dyn)
 
 
 def detect(detector: str, inv: BoundaryInvariant, interp) -> bool:

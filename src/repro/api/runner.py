@@ -93,8 +93,8 @@ def run_experiment(experiment: Experiment, *,
     after its dispatches finish.
 
     ``backend_factory`` (no-arg -> Backend instance) overrides the
-    *substrate* each default tracker dispatches on — the service
-    daemon passes registry-resolved socket backends this way — without
+    *substrate* each default tracker dispatches on — ``--registry``
+    CLI runs pass registry-resolved socket backends this way — without
     touching the experiment payload, so the canonical result image
     stays byte-identical to any other substrate.  Ignored when
     ``tracker_factory`` is given (that factory owns backend choice).

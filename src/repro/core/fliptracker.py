@@ -13,6 +13,7 @@ Workflow implemented here, mirroring Sections III-IV:
 
 from __future__ import annotations
 
+import threading
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -65,6 +66,117 @@ class RunAnalysis:
         return out
 
 
+class GoldenArtifacts:
+    """The golden-side state of one program, built lazily and once.
+
+    Everything FlipTracker derives from the fault-free run depends only
+    on the program: the golden trace and ``dyn_count``, the trace
+    index, the region model and instances, the per-instance I/O
+    classification, the recovery context and the warm-start ladder.
+    The bundle builds each on first use under one lock, so trackers
+    and shard-server connection threads can share it.  The recovery
+    context and the ladder come from one untraced capture replay on
+    ``exec_tier`` (:func:`repro.acl.online.build_recovery_context`).
+
+    A plain :class:`FlipTracker` builds a private bundle; long-lived
+    service processes share one per program fingerprint through
+    :func:`repro.golden.shared_golden`.
+    """
+
+    def __init__(self, program: Program, exec_tier: Optional[str] = None):
+        self.program = program
+        self.exec_tier = exec_tier
+        #: the golden trace, ``None`` until the golden run has happened
+        self.trace: Optional[Trace] = None
+        #: the golden run's dynamic instruction count
+        self.dyn_count: Optional[int] = None
+        #: artifacts built so far (a shared bundle's reuse shows as a
+        #: count that stops moving)
+        self.builds = 0
+        self._index: Optional[TraceIndex] = None
+        self._model: Optional[RegionModel] = None
+        self._instances: Optional[list[RegionInstance]] = None
+        self._io: dict[tuple[str, int], RegionIO] = {}
+        self._capture = None
+        self._shared_tracker: Optional["FlipTracker"] = None
+        self._lock = threading.RLock()
+
+    def _lazy(self, attr: str, build):
+        value = getattr(self, attr)
+        if value is None:
+            with self._lock:
+                value = getattr(self, attr)
+                if value is None:
+                    value = build()
+                    setattr(self, attr, value)
+                    self.builds += 1
+        return value
+
+    def fault_free_trace(self) -> Trace:
+        def run() -> Trace:
+            interp = self.program.run_fault_free(trace=True,
+                                                 exec_tier=self.exec_tier)
+            self.dyn_count = interp.dyn_count
+            return Trace(interp.records, self.program.module,
+                         TraceMeta(program=self.program.name))
+        return self._lazy("trace", run)
+
+    def trace_index(self) -> TraceIndex:
+        return self._lazy("_index", lambda: TraceIndex(
+            self.fault_free_trace().records))
+
+    def region_model(self) -> RegionModel:
+        return self._lazy("_model", lambda: detect_regions(
+            self.program.module, self.program.region_fn,
+            self.program.region_prefix))
+
+    def instances(self) -> list[RegionInstance]:
+        return self._lazy("_instances", lambda: split_instances(
+            self.fault_free_trace().records, self.region_model()))
+
+    def io(self, instance: RegionInstance) -> RegionIO:
+        key = (instance.region.name, instance.index)
+        found = self._io.get(key)
+        if found is None:
+            with self._lock:
+                found = self._io.get(key)
+                if found is None:
+                    found = self._io[key] = classify_io(
+                        self.fault_free_trace().records,
+                        self.trace_index(), instance)
+                    self.builds += 1
+        return found
+
+    def _capture_replay(self):
+        from repro.acl.online import build_recovery_context
+
+        def capture():
+            return build_recovery_context(
+                self.program, self.fault_free_trace().records,
+                self.trace_index(), self.instances(),
+                total_dyn=self.dyn_count, exec_tier=self.exec_tier)
+        return self._lazy("_capture", capture)
+
+    def recovery_context(self):
+        return self._capture_replay()[0]
+
+    def warm_ladder(self):
+        return self._capture_replay()[1]
+
+    def shared_tracker(self) -> "FlipTracker":
+        """A ``workers=1`` tracker over this bundle, built once.
+
+        Shard servers of the program in this process serve analyses
+        and recovery runs from it, so a server that stops and rejoins
+        adopts the previous incarnation's tracker.
+        """
+        with self._lock:
+            if self._shared_tracker is None:
+                self._shared_tracker = FlipTracker(self.program, workers=1,
+                                                   golden=self)
+            return self._shared_tracker
+
+
 class FlipTracker:
     """Analysis driver bound to one built program.
 
@@ -113,13 +225,21 @@ class FlipTracker:
         runs (:mod:`repro.warmstart`): ``"on"``/``"off"`` (or a bool);
         ``None`` defers to ``REPRO_WARMSTART`` (default on).
         Byte-identical observables either way.
+    golden:
+        A :class:`GoldenArtifacts` bundle to share, built for this very
+        ``program`` object (service processes pass the process-wide
+        cached one); ``None`` builds a private bundle on this tracker's
+        exec tier.
     """
 
     def __init__(self, program: Program, seed: int = 1234,
                  workers: int = 1, *, cache_dir: Optional[str] = None,
                  resume: bool = True, shard_size: int = 64,
                  backend=None, backend_addr=None, registry=None,
-                 exec_tier: Optional[str] = None, warm_start=None):
+                 exec_tier: Optional[str] = None, warm_start=None,
+                 golden: Optional[GoldenArtifacts] = None):
+        if golden is not None and golden.program is not program:
+            raise ValueError("golden artifacts belong to another program")
         self.program = program
         self.seed = seed
         self.workers = workers
@@ -132,14 +252,9 @@ class FlipTracker:
         self.exec_tier = exec_tier
         self.warm_start = warm_start
         self._engine: Optional[ExecutionEngine] = None
-        self._ff: Optional[Trace] = None
-        self._index: Optional[TraceIndex] = None
-        self._model: Optional[RegionModel] = None
-        self._instances: Optional[list[RegionInstance]] = None
-        self._io_cache: dict[tuple[str, int], RegionIO] = {}
+        self._golden = golden if golden is not None \
+            else GoldenArtifacts(program, exec_tier)
         self._rates: Optional[PatternRates] = None
-        self._recovery_ctx = None
-        self._warm_ladder = None
 
     # ------------------------------------------------------------ engine
     @property
@@ -179,18 +294,22 @@ class FlipTracker:
 
     # ------------------------------------------------------------ fault-free
     def fault_free_trace(self) -> Trace:
-        """Trace the golden run (cached)."""
-        if self._ff is None:
-            interp = self.program.run_fault_free(trace=True,
-                                                 exec_tier=self.exec_tier)
-            self._ff = Trace(interp.records, self.program.module,
-                             TraceMeta(program=self.program.name))
-        return self._ff
+        """Trace the golden run (once per golden bundle)."""
+        return self._golden.fault_free_trace()
+
+    @property
+    def _ff(self) -> Optional[Trace]:
+        """The golden trace if the golden run has happened, else None."""
+        return self._golden.trace
+
+    def _traced_golden(self) -> GoldenArtifacts:
+        # every golden-derived artifact enters through fault_free_trace()
+        # so the golden run has one entry point whoever asks first
+        self.fault_free_trace()
+        return self._golden
 
     def trace_index(self) -> TraceIndex:
-        if self._index is None:
-            self._index = TraceIndex(self.fault_free_trace().records)
-        return self._index
+        return self._traced_golden().trace_index()
 
     @property
     def faulty_budget(self) -> int:
@@ -199,17 +318,10 @@ class FlipTracker:
 
     # ------------------------------------------------------------ regions
     def region_model(self) -> RegionModel:
-        if self._model is None:
-            self._model = detect_regions(self.program.module,
-                                         self.program.region_fn,
-                                         self.program.region_prefix)
-        return self._model
+        return self._golden.region_model()
 
     def instances(self) -> list[RegionInstance]:
-        if self._instances is None:
-            self._instances = split_instances(
-                self.fault_free_trace().records, self.region_model())
-        return self._instances
+        return self._traced_golden().instances()
 
     def instance_of(self, region_name: str,
                     instance_index: int = 0) -> RegionInstance:
@@ -221,12 +333,7 @@ class FlipTracker:
                        f"{region_name!r}")
 
     def io(self, instance: RegionInstance) -> RegionIO:
-        key = (instance.region.name, instance.index)
-        if key not in self._io_cache:
-            self._io_cache[key] = classify_io(
-                self.fault_free_trace().records, self.trace_index(),
-                instance)
-        return self._io_cache[key]
+        return self._traced_golden().io(instance)
 
     def recovery_context(self):
         """Online-check context for protected runs (cached).
@@ -234,14 +341,10 @@ class FlipTracker:
         A pure function of the program — golden boundary images, value
         ranges and forward-safe regions (see :mod:`repro.acl.online`) —
         so every worker process and shard server derives the identical
-        context independently.
+        context independently.  Built together with :meth:`warm_ladder`
+        by one untraced capture replay.
         """
-        if self._recovery_ctx is None:
-            from repro.acl.online import build_recovery_context
-            self._recovery_ctx = build_recovery_context(
-                self.program, self.fault_free_trace().records,
-                self.trace_index(), self.instances())
-        return self._recovery_ctx
+        return self._traced_golden().recovery_context()
 
     def warm_ladder(self):
         """Golden snapshot ladder for warm-started faulty runs (cached).
@@ -252,11 +355,7 @@ class FlipTracker:
         workers and shard servers derive identical ladders
         independently and a pre-fork build is inherited copy-on-write.
         """
-        if self._warm_ladder is None:
-            from repro.warmstart import build_warm_ladder
-            self._warm_ladder = build_warm_ladder(
-                self.program, self.recovery_context())
-        return self._warm_ladder
+        return self._traced_golden().warm_ladder()
 
     # ------------------------------------------------------------ main loop
     def main_loop_iterations(self) -> list[RegionInstance]:

@@ -16,16 +16,17 @@ any shard runs), then a loop of request/reply frames — ``run`` ->
 ``analyzed`` for traced pattern analyses.
 
 Analysis jobs need a :class:`~repro.core.FlipTracker` (golden trace,
-region model, pattern detectors); the server builds one lazily on the
-first ``analyze`` frame and keeps it for its lifetime, so the trace is
-warmed once no matter how many clients send analyses.  Built trackers
-are additionally memoized process-wide by program fingerprint: a
-server that stops and rejoins (registry restart, port move) adopts the
-previous incarnation's tracker — including its memoized recovery
-context and warm-start snapshot ladder — instead of recomputing.  Traced runs
-execute under a lock: they are pure-Python CPU-bound work where thread
-concurrency buys nothing, and serializing them keeps the shared
-tracker's lazy caches race-free.
+region model, pattern detectors); the server resolves one lazily on the
+first frame that needs it.  Its golden side comes from the process-wide
+cache keyed by program fingerprint (:mod:`repro.golden`), shared with
+every other shard server and the registry daemon in the process, and
+the tracker itself is the bundle's shared one — so a server that stops
+and rejoins (registry restart, port move) adopts the previous
+incarnation's tracker, recovery context and warm-start snapshot ladder
+instead of recomputing them.  The bundle builds each artifact once
+under its own lock; traced runs additionally execute under the
+server's analysis lock, since they are pure-Python CPU-bound work
+where thread concurrency buys nothing.
 
 Tests (and embedders) use :meth:`ShardServer.start` /
 :meth:`ShardServer.stop` to run the accept loop on a background
@@ -51,16 +52,14 @@ import threading
 from repro.engine.backends import protocol
 from repro.engine.backends.remote import DEFAULT_PORT
 from repro.engine.keys import program_fingerprint
+from repro.golden import GOLDEN_CACHE, GOLDEN_CACHE_LOCK, shared_golden
 
 _HEARTBEAT_INTERVAL_S = 2.0
 
-#: process-wide analysis-state cache keyed by program fingerprint: a
-#: server that stops and rejoins (registry restart, port move, test
-#: churn) reuses the previous incarnation's warmed tracker — golden
-#: trace, region model, recovery context, snapshot ladder — instead of
-#: recomputing them all from scratch
-_TRACKER_CACHE: dict = {}
-_TRACKER_CACHE_LOCK = threading.Lock()
+#: the process-wide golden cache (:mod:`repro.golden`) under the names
+#: the rejoin test and the traced service benchmark clear it by
+_TRACKER_CACHE = GOLDEN_CACHE
+_TRACKER_CACHE_LOCK = GOLDEN_CACHE_LOCK
 
 
 class ShardServer:
@@ -93,8 +92,9 @@ class ShardServer:
         self._analysis_lock = threading.Lock()
         self._inflight_lock = threading.Lock()
         self._inflight = 0
-        #: True when _analysis_tracker was satisfied from the
-        #: process-wide fingerprint cache (a rejoined server)
+        #: True when _analysis_tracker found the program's golden bundle
+        #: already in the process-wide cache (a rejoined server, or a
+        #: daemon in the same process that ran a job for the program)
         self.tracker_reused = False
         # observability for tests and ops logs
         self.connections = 0
@@ -199,29 +199,12 @@ class ShardServer:
 
     # ------------------------------------------------------------ analyses
     def _analysis_tracker(self):
-        """The server's FlipTracker, built once on first analyze.
-
-        Imported lazily: :mod:`repro.core` imports the engine package,
-        so a module-level import here would be circular.
-        """
+        """The server's FlipTracker: the cached golden bundle's own."""
         with self._analysis_lock:
             if self._tracker is None:
-                with _TRACKER_CACHE_LOCK:
-                    cached = _TRACKER_CACHE.get(self.fingerprint)
-                if cached is not None:
-                    self.tracker_reused = True
-                    self._tracker = cached
-                    return self._tracker
-                from repro.core.fliptracker import FlipTracker
-                self._tracker = FlipTracker(self.program, workers=1)
-                # warm the lazy caches while we hold the lock so
-                # concurrent connections only ever read them
-                self._tracker.fault_free_trace()
-                self._tracker.region_model()
-                self._tracker.instances()
-                with _TRACKER_CACHE_LOCK:
-                    _TRACKER_CACHE.setdefault(self.fingerprint,
-                                              self._tracker)
+                golden, self.tracker_reused = shared_golden(
+                    self.program, self.fingerprint)
+                self._tracker = golden.shared_tracker()
             return self._tracker
 
     # ------------------------------------------------------------ clients
@@ -233,10 +216,10 @@ class ShardServer:
         """
         op = msg.get("op")
         if op == protocol.OP_RUN:
-            # recovery-carrying plans resolve the server's tracker; the
-            # context build is a pure function of the program, so a race
-            # between connection threads is idempotent (no run lock —
-            # protected runs execute concurrently like plain runs)
+            # recovery-carrying plans resolve the server's tracker; its
+            # golden bundle builds the context once under its own lock
+            # (no run lock — protected runs execute concurrently like
+            # plain runs)
             with self._count_inflight():
                 result = protocol.execute_request(
                     self.program, msg,

@@ -18,12 +18,19 @@ falls back to a cold start otherwise.  The parity matrices in
 the contract.
 
 Rung placement: rung spacing is derived from the golden trace length
-(``total_dyn // target_rungs``, floored at :data:`MIN_STRIDE`) and
+(``total_dyn // DEFAULT_RUNGS``, floored at :data:`MIN_STRIDE`) and
 aligned to region-instance entry boundaries where they exist, so the
 recovery session (:mod:`repro.recovery.run`) can source its periodic
 checkpoints from the very same rungs; stretches without boundaries are
 filled with synthetic grid rungs (valid ``run_to`` stop points, simply
 never matched by recovery's exact-boundary lookup).
+
+Capture: the ladder is a by-product of the one untraced golden capture
+replay that also records the recovery context's boundary facts
+(:func:`repro.acl.online.build_recovery_context`).  That replay runs on
+the tracker's own exec tier — ``run_to`` stops are byte-identical on
+either tier — and snapshots at every :func:`ladder_points` point on its
+way; :func:`build_warm_ladder` only seals the captured rungs.
 """
 
 from __future__ import annotations
@@ -126,18 +133,22 @@ class WarmLadder:
         return sum(r.snap.words for r in self.rungs)
 
 
-def ladder_points(ctx, stride: int) -> list:
-    """Choose rung dyn-indices from a recovery context.
+def ladder_stride(total_dyn: int) -> int:
+    """Rung spacing for a golden execution of ``total_dyn`` instructions."""
+    return max(MIN_STRIDE, total_dyn // DEFAULT_RUNGS)
 
-    Greedily picks region-instance entry boundaries at least ``stride``
+
+def ladder_points(entries, total_dyn: int, stride: int) -> list:
+    """Choose rung dyn-indices along a golden execution.
+
+    ``entries`` are the region-instance entry boundaries (dynamic
+    instruction indices).  Greedily picks entries at least ``stride``
     apart (so recovery checkpoints can share rungs), then fills any
     remaining gap of ``2 * stride`` or more — including before the
     first boundary and after the last — with synthetic grid points.
-    All points lie strictly inside ``(0, ctx.total_dyn)``.
+    All points lie strictly inside ``(0, total_dyn)``.
     """
-    total = ctx.total_dyn
-    boundaries = sorted({inv.entry_dyn for inv in ctx.invariants
-                         if 0 < inv.entry_dyn < total})
+    boundaries = sorted({dyn for dyn in entries if 0 < dyn < total_dyn})
     picks = []
     last = 0
     for b in boundaries:
@@ -145,7 +156,7 @@ def ladder_points(ctx, stride: int) -> list:
             picks.append(b)
             last = b
     points = set(picks)
-    for lo, hi in zip([0] + picks, picks + [total]):
+    for lo, hi in zip([0] + picks, picks + [total_dyn]):
         if hi - lo >= 2 * stride:
             p = lo + stride
             while p <= hi - stride:
@@ -154,26 +165,27 @@ def ladder_points(ctx, stride: int) -> list:
     return sorted(points)
 
 
-def build_warm_ladder(program, ctx, *,
-                      target_rungs: int = DEFAULT_RUNGS) -> WarmLadder:
-    """Capture the golden ladder for ``program``.
+def build_warm_ladder(program, rungs: list, stride: int,
+                      total_dyn: int) -> WarmLadder:
+    """Seal the rungs captured along the golden execution into a ladder.
 
-    Replays the golden execution once, untraced, pinned to the
-    interpreter tier (exactly like ``build_recovery_context``), pausing
-    at each chosen point to snapshot.  A pure function of the program:
-    safe to compute pre-fork and share copy-on-write, or to memoize by
-    program fingerprint on a shard server.
+    The rungs come from the golden capture replay
+    (:func:`repro.acl.online.build_recovery_context`), which stops at
+    every :func:`ladder_points` point on the way to the region
+    boundaries it records, so the ladder costs no execution of its own.
+    Rungs must be strictly increasing, lie inside ``(0, total_dyn)``
+    and each snapshot must sit exactly at its rung's index.
     """
-    total = ctx.total_dyn
-    stride = max(MIN_STRIDE, total // max(1, target_rungs))
-    interp = program.fresh_interpreter(exec_tier="interp")
-    interp.start(program.entry)
-    rungs = []
-    for point in ladder_points(ctx, stride):
-        if interp.run_to(point) == "done":
-            break
-        rungs.append(Rung(point, interp.snapshot(), tuple(interp.output)))
-    return WarmLadder(program.name, stride, rungs, total)
+    last = 0
+    for rung in rungs:
+        if not last < rung.dyn < total_dyn or \
+                rung.snap.dyn_count != rung.dyn:
+            raise ValueError(
+                f"{program.name}: rung at dyn {rung.dyn} (snapshot at "
+                f"{rung.snap.dyn_count}) is out of order or outside "
+                f"(0, {total_dyn})")
+        last = rung.dyn
+    return WarmLadder(program.name, stride, rungs, total_dyn)
 
 
 def warm_start_interp(interp, ladder: Optional[WarmLadder],

@@ -17,7 +17,11 @@ Covers the ``repro.service`` control plane end to end:
   after the registry forgets us, leave on stop;
 * ``ServiceDaemon`` — wire membership ops, version gating, job
   submit/watch/fetch, spill-dir restart recovery, and canonical-
-  envelope byte-parity between a queued job and a local run.
+  envelope byte-parity between a queued job and a local run;
+* the process-wide golden cache (``repro.golden``) — jobs and shard
+  servers share one bundle per program fingerprint, a plain
+  ``FlipTracker`` never reads it, and a failed job releases every
+  tracker it opened.
 """
 
 import json
@@ -663,6 +667,149 @@ class TestDaemonJobs:
             with pytest.raises(RegistryError) as err:
                 client.fetch(job["id"])
             assert err.value.code == protocol.ERR_JOB_FAILED
+
+
+# ------------------------------------------------------------ golden cache
+class RecordingDaemon(ServiceDaemon):
+    """A daemon that keeps every job tracker it builds, for inspection."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.trackers = []
+
+    def _job_tracker(self, experiment, app):
+        tracker = super()._job_tracker(experiment, app)
+        self.trackers.append(tracker)
+        return tracker
+
+
+def run_job(daemon, payload) -> dict:
+    """Submit ``payload``, wait for it, return its final watch frame."""
+    client = RegistryClient(f"127.0.0.1:{daemon.port}")
+    return client.watch(client.submit(payload)["id"])
+
+
+def kmeans_fingerprint() -> str:
+    from repro.apps import REGISTRY
+    from repro.engine.keys import program_fingerprint
+    return program_fingerprint(REGISTRY.build("kmeans"))
+
+
+class TestGoldenCache:
+    def test_second_job_builds_nothing(self):
+        from repro.golden import GOLDEN_CACHE
+        with RecordingDaemon(port=0) as daemon:
+            daemon.start()
+            assert run_job(daemon, small_experiment_payload())["state"] \
+                == "done"
+            bundle = GOLDEN_CACHE[kmeans_fingerprint()]
+            builds = bundle.builds
+            reused = daemon.golden_reused
+            assert run_job(daemon, small_experiment_payload())["state"] \
+                == "done"
+            assert daemon.golden_reused == reused + 1
+            assert bundle.builds == builds
+            assert daemon.trackers[-1]._golden is bundle
+
+    def test_jobs_with_different_seeds_share_one_bundle(self):
+        first = small_experiment_payload()
+        second = dict(small_experiment_payload(), seed=7)
+        with RecordingDaemon(port=0) as daemon:
+            daemon.start()
+            assert run_job(daemon, first)["state"] == "done"
+            assert run_job(daemon, second)["state"] == "done"
+        one, two = daemon.trackers
+        assert (one.seed, two.seed) == (first["seed"], 7)
+        assert one._golden is two._golden
+
+    def test_variant_gets_its_own_bundle(self):
+        from repro.apps import REGISTRY
+        from repro.golden import GOLDEN_CACHE, shared_golden
+        base, _ = shared_golden(REGISTRY.build("kmeans"))
+        assert shared_golden(REGISTRY.build("kmeans"))[0] is base
+        tuned = REGISTRY.build("kmeans", variant="tuned")
+        bundle, reused = shared_golden(tuned)
+        try:
+            assert bundle is not base and bundle.program is tuned
+            assert shared_golden(REGISTRY.build(
+                "kmeans", variant="tuned")) == (bundle, True)
+        finally:
+            from repro.engine.keys import program_fingerprint
+            if not reused:
+                GOLDEN_CACHE.pop(program_fingerprint(tuned), None)
+
+    def test_daemon_and_shard_server_share_one_bundle(self):
+        from repro.apps import REGISTRY
+        with RecordingDaemon(port=0) as daemon:
+            daemon.start()
+            assert run_job(daemon, small_experiment_payload())["state"] \
+                == "done"
+        server = ShardServer(REGISTRY.build("kmeans"), port=0)
+        try:
+            assert server._analysis_tracker()._golden is \
+                daemon.trackers[0]._golden
+            assert server.tracker_reused is True
+        finally:
+            server.stop()
+
+    def test_plain_tracker_never_reads_the_cache(self, monkeypatch):
+        import repro.golden
+        from repro.apps import REGISTRY
+        cached, _ = repro.golden.shared_golden(REGISTRY.build("kmeans"))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a plain FlipTracker read the cache")
+
+        monkeypatch.setattr(repro.golden, "shared_golden", forbidden)
+        with FlipTracker(REGISTRY.build("kmeans"), workers=1) as ft:
+            ft.instances()
+            ft.warm_ladder()
+            assert ft._golden is not cached
+
+    def test_failed_job_releases_trackers_then_next_job_succeeds(self):
+        """The second tracker's backend cannot be built: the job fails,
+        the first tracker (which already dispatched) is closed with its
+        engine and backend, and the next job runs on the cached bundle
+        byte-identically to a local run."""
+        from repro.api import Experiment, ExperimentResult, run_experiment
+        from repro.engine.backends import LocalPoolBackend
+        backends = []
+
+        def backend_factory():
+            if len(backends) == 1:
+                backends.append(None)
+                raise RuntimeError("no backend for the second app")
+            backend = LocalPoolBackend()
+            backends.append(backend)
+            return backend
+
+        two_apps = {"schema_version": 1, "name": "svc-two",
+                    "apps": ["kmeans", "ft"], "seed": 20181111,
+                    "specs": [{"type": "campaign", "target": "region",
+                               "app": "kmeans", "region": "k_d",
+                               "kind": "internal", "n": 3}]}
+        payload = small_experiment_payload()
+        local = run_experiment(Experiment.from_dict(payload))
+        with RecordingDaemon(port=0,
+                             backend_factory=backend_factory) as daemon:
+            daemon.start()
+            client = RegistryClient(f"127.0.0.1:{daemon.port}")
+            events = []
+            failed = client.watch(client.submit(two_apps)["id"],
+                                  on_event=events.append)
+            assert failed["state"] == "failed"
+            assert "no backend for the second app" in failed["error"]
+            assert events, "the first app never dispatched"
+            assert len(daemon.trackers) == 1
+            assert daemon.trackers[0]._engine is None
+            job = client.submit(payload)
+            assert client.watch(job["id"])["state"] == "done"
+            fetched = ExperimentResult.from_dict(client.fetch(job["id"]))
+        assert all(t._engine is None for t in daemon.trackers)
+        assert all(b is None or b._pool is None for b in backends)
+        assert daemon.trackers[1]._golden is daemon.trackers[0]._golden
+        assert_canonical_match(local, fetched,
+                               context="job after a failed job vs local")
 
 
 # -------------------------------------------------------------------- CLI

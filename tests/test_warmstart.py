@@ -136,7 +136,8 @@ class TestLadderGeometry:
     def test_ladder_points_empty_context(self):
         ft = ft_for("kmeans")
         ctx = ft.recovery_context()
-        pts = ladder_points(ctx, stride=ctx.total_dyn * 2)
+        pts = ladder_points([inv.entry_dyn for inv in ctx.invariants],
+                            ctx.total_dyn, stride=ctx.total_dyn * 2)
         assert pts == []
 
     def test_memoized_on_tracker(self):
