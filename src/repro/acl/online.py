@@ -142,8 +142,7 @@ def _forward_fraction(index: TraceIndex, locs, end: int) -> float:
     return dead / len(locs)
 
 
-def record_dyn_map(records: Sequence, module, entry: str,
-                   total_dyn: int):
+def record_dyn_map(records: Sequence, module, total_dyn: int):
     """Map a record-index boundary to its dynamic-instruction index.
 
     Returns ``dyn_at(s)``: the dynamic index at which a golden execution
@@ -214,8 +213,7 @@ def build_recovery_context(program, records: Sequence,
     """
     from repro.warmstart import (Rung, build_warm_ladder, ladder_points,
                                  ladder_stride)
-    dyn_at = record_dyn_map(records, program.module, program.entry,
-                            total_dyn)
+    dyn_at = record_dyn_map(records, program.module, total_dyn)
     ordered = sorted(instances, key=lambda inst: inst.start)
     spans = [(dyn_at(inst.start), dyn_at(inst.end)) for inst in ordered]
     stride = ladder_stride(total_dyn)

@@ -63,26 +63,39 @@ TrackerFactory = Callable[[str], "object"]
 #: whatever this returns, so the canonical envelope is unchanged.
 BackendFactory = Callable[[], "object"]
 
+#: maps an app's program to the golden bundle its tracker adopts
+#: (service tier: the process-wide cache keyed by fingerprint).  The
+#: tracker runs on the bundle's program object.
+GoldenFactory = Callable[["object"], "object"]
+
 
 def _default_tracker(experiment: Experiment, app: str,
-                     backend_factory: Optional[BackendFactory] = None):
+                     backend_factory: Optional[BackendFactory] = None,
+                     golden_factory: Optional[GoldenFactory] = None):
     from repro.apps import REGISTRY
     from repro.core import FlipTracker
+    program = REGISTRY.build(app)
+    golden = None
+    if golden_factory is not None:
+        golden = golden_factory(program)
+        program = golden.program
     backend = experiment.backend if backend_factory is None \
         else backend_factory()
-    return FlipTracker(REGISTRY.build(app), seed=experiment.seed,
+    return FlipTracker(program, seed=experiment.seed,
                        workers=experiment.workers,
                        cache_dir=experiment.cache_dir,
                        resume=experiment.resume,
                        shard_size=experiment.shard_size,
                        backend=backend,
-                       backend_addr=experiment.backend_addr)
+                       backend_addr=experiment.backend_addr,
+                       golden=golden)
 
 
 def run_experiment(experiment: Experiment, *,
                    on_progress: Optional[ProgressCallback] = None,
                    tracker_factory: Optional[TrackerFactory] = None,
                    backend_factory: Optional[BackendFactory] = None,
+                   golden_factory: Optional[GoldenFactory] = None,
                    store=None) -> ExperimentResult:
     """Execute every spec of ``experiment`` with batched dispatches.
 
@@ -93,11 +106,14 @@ def run_experiment(experiment: Experiment, *,
     after its dispatches finish.
 
     ``backend_factory`` (no-arg -> Backend instance) overrides the
-    *substrate* each default tracker dispatches on — ``--registry``
-    CLI runs pass registry-resolved socket backends this way — without
-    touching the experiment payload, so the canonical result image
-    stays byte-identical to any other substrate.  Ignored when
-    ``tracker_factory`` is given (that factory owns backend choice).
+    *substrate* each default tracker dispatches on — the service
+    daemon and ``--registry`` CLI runs pass registry-resolved socket
+    backends this way — without touching the experiment payload, so
+    the canonical result image stays byte-identical to any other
+    substrate.  ``golden_factory`` (program -> golden bundle) hands
+    each default tracker a prebuilt golden bundle — the service daemon
+    passes its process-wide cache this way.  Both are ignored when
+    ``tracker_factory`` is given (that factory owns construction).
 
     ``store`` (a :class:`~repro.profiles.ResultStore`) overrides the
     cross-experiment profile store — the service daemon shares one
@@ -118,14 +134,15 @@ def run_experiment(experiment: Experiment, *,
             owned = tracker_factory is None
             if not owned:
                 tracker = tracker_factory(app)
-            elif backend_factory is None:
-                # keep the two-argument call shape: tests (and any
-                # caller) may wrap _default_tracker without the
-                # substrate override
-                tracker = _default_tracker(experiment, app)
             else:
-                tracker = _default_tracker(
-                    experiment, app, backend_factory=backend_factory)
+                # pass only the overrides given: tests (and any caller)
+                # may wrap _default_tracker with the two-argument shape
+                overrides = {}
+                if backend_factory is not None:
+                    overrides["backend_factory"] = backend_factory
+                if golden_factory is not None:
+                    overrides["golden_factory"] = golden_factory
+                tracker = _default_tracker(experiment, app, **overrides)
             try:
                 _run_app(experiment, app, tracker, results, dispatches,
                          on_progress, store)

@@ -16,18 +16,19 @@ One :class:`ServiceDaemon` is the whole service control plane:
   restarted daemon resumes with every submitted job intact.
 * **Executor** — one background thread drains the queue FIFO, running
   each job through :func:`~repro.api.runner.run_experiment`.  Each
-  job's per-app trackers are built by the daemon: the job's seed and
-  engine config, a registry-resolved :class:`~repro.engine.backends.
-  remote.SocketBackend` (capacity-aware placement, quarantine, mid-run
+  app's tracker gets the job's seed and engine config, a
+  registry-resolved :class:`~repro.engine.backends.remote.
+  SocketBackend` (capacity-aware placement, quarantine, mid-run
   re-placement; with no live host it falls back to local execution, so
   an empty cluster degrades to a slower daemon instead of a dead one),
   and the program's golden artifacts from the process-wide cache keyed
   by program fingerprint (:mod:`repro.golden`) — so only the first job
   for a program pays for its golden run, capture replay and region
-  analysis.  Every job tracker is closed when its job ends, failed or
-  not, releasing its engine and backend.  Results are stored with
-  provenance; the canonical image a client derives from ``fetch`` is
-  byte-identical to a static ``--backend-addr`` run of the same spec.
+  analysis.  Each app's tracker is closed as soon as that app is done,
+  failed or not, releasing its engine and backend.  Results are
+  stored with provenance; the canonical image a client derives from
+  ``fetch`` is byte-identical to a static ``--backend-addr`` run of
+  the same spec.
 
 Connection handling mirrors :class:`~repro.engine.backends.server.
 ShardServer`: thread per connection, frames until EOF/``bye``, every
@@ -36,7 +37,6 @@ request gated by the ``pv``/``v`` version pair.
 
 from __future__ import annotations
 
-import contextlib
 import socket
 import threading
 from dataclasses import asdict
@@ -87,8 +87,8 @@ class ServiceDaemon:
         # observability for tests and ops logs
         self.connections = 0
         self.jobs_run = 0
-        #: per-app job trackers whose golden bundle was new to the
-        #: process cache / already cached
+        #: per-app golden lookups that found the program's bundle new
+        #: to the process cache / already cached
         self.golden_built = 0
         self.golden_reused = 0
 
@@ -159,45 +159,31 @@ class ServiceDaemon:
         from repro.engine.backends import SocketBackend
         return SocketBackend(registry=self.registry)
 
-    def _job_tracker(self, experiment, app: str):
-        """One job's tracker for ``app`` over the cached golden bundle."""
-        from repro.apps import REGISTRY
-        from repro.core import FlipTracker
+    def _golden_for(self, program):
+        """The process-wide golden bundle for one app's program."""
         from repro.golden import shared_golden
-        golden, reused = shared_golden(REGISTRY.build(app))
+        golden, reused = shared_golden(program)
         if reused:
             self.golden_reused += 1
         else:
             self.golden_built += 1
-        return FlipTracker(golden.program, seed=experiment.seed,
-                           workers=experiment.workers,
-                           cache_dir=experiment.cache_dir,
-                           resume=experiment.resume,
-                           shard_size=experiment.shard_size,
-                           backend=self._make_backend(),
-                           backend_addr=experiment.backend_addr,
-                           golden=golden)
+        return golden
 
     def _run_job(self, job) -> None:
         from repro.api import Experiment, run_experiment
         self.jobs_run += 1
         try:
-            # the stack closes every tracker the job opened — engine,
-            # pool and backend sockets — however the job ends
-            with contextlib.ExitStack() as trackers:
-                experiment = Experiment.from_dict(job.spec)
+            experiment = Experiment.from_dict(job.spec)
 
-                def tracker_for(app):
-                    return trackers.enter_context(
-                        self._job_tracker(experiment, app))
+            def on_progress(event):
+                self.queue.record_event(job.id, asdict(event))
 
-                def on_progress(event):
-                    self.queue.record_event(job.id, asdict(event))
-
-                result = run_experiment(experiment,
-                                        on_progress=on_progress,
-                                        tracker_factory=tracker_for,
-                                        store=self.store)
+            # run_experiment closes each app's tracker (engine, pool,
+            # backend sockets) as soon as that app is done, failed or not
+            result = run_experiment(experiment, on_progress=on_progress,
+                                    backend_factory=self._make_backend,
+                                    golden_factory=self._golden_for,
+                                    store=self.store)
             self.queue.finish(job.id, result.to_dict(provenance=True))
         except Exception as exc:  # job failures are data, not crashes
             self.queue.fail(job.id, f"{type(exc).__name__}: {exc}")

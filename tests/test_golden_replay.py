@@ -132,11 +132,11 @@ def test_record_dyn_map_is_exact_with_nops(monkeypatch):
     observed.append(interp.dyn_count)
     assert len(observed) == len(interp.records) + 1
     assert interp.dyn_count > len(interp.records)  # NOPs executed
-    dyn_at = record_dyn_map(interp.records, program.module, program.entry,
+    dyn_at = record_dyn_map(interp.records, program.module,
                             interp.dyn_count)
     assert [dyn_at(s) for s in range(len(observed))] == observed
     with pytest.raises(ValueError):
-        record_dyn_map(interp.records, program.module, program.entry,
+        record_dyn_map(interp.records, program.module,
                        interp.dyn_count + 1)
 
 

@@ -37,7 +37,8 @@ from test_engine import loop_instance, tiny_program
 
 from repro.core import FlipTracker
 from repro.engine import EngineError, ExecutionEngine
-from repro.engine.backends import ShardServer, SocketBackend, protocol
+from repro.engine.backends import (LocalPoolBackend, ShardServer,
+                                    SocketBackend, protocol)
 from repro.service import (DEFAULT_REGISTRY_PORT, HostRecord,
                            HostRegistry, JobQueue, Placement,
                            RegistryClient, RegistryError, ServiceDaemon,
@@ -670,17 +671,34 @@ class TestDaemonJobs:
 
 
 # ------------------------------------------------------------ golden cache
-class RecordingDaemon(ServiceDaemon):
-    """A daemon that keeps every job tracker it builds, for inspection."""
+@pytest.fixture
+def job_trackers(monkeypatch):
+    """Every tracker a daemon's jobs build (the ones handed a golden
+    bundle), in build order."""
+    import repro.api.runner as runner_mod
+    original = runner_mod._default_tracker
+    built = []
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.trackers = []
-
-    def _job_tracker(self, experiment, app):
-        tracker = super()._job_tracker(experiment, app)
-        self.trackers.append(tracker)
+    def recording(experiment, app, **overrides):
+        tracker = original(experiment, app, **overrides)
+        if "golden_factory" in overrides:
+            built.append(tracker)
         return tracker
+
+    monkeypatch.setattr(runner_mod, "_default_tracker", recording)
+    return built
+
+
+class ProbedBackend(LocalPoolBackend):
+    """A local backend that calls ``probe()`` before every dispatch."""
+
+    def __init__(self, probe):
+        super().__init__()
+        self._probe = probe
+
+    def run_shards(self, shards, max_instr):
+        self._probe()
+        yield from super().run_shards(shards, max_instr)
 
 
 def run_job(daemon, payload) -> dict:
@@ -696,9 +714,9 @@ def kmeans_fingerprint() -> str:
 
 
 class TestGoldenCache:
-    def test_second_job_builds_nothing(self):
+    def test_second_job_builds_nothing(self, job_trackers):
         from repro.golden import GOLDEN_CACHE
-        with RecordingDaemon(port=0) as daemon:
+        with ServiceDaemon(port=0) as daemon:
             daemon.start()
             assert run_job(daemon, small_experiment_payload())["state"] \
                 == "done"
@@ -709,16 +727,16 @@ class TestGoldenCache:
                 == "done"
             assert daemon.golden_reused == reused + 1
             assert bundle.builds == builds
-            assert daemon.trackers[-1]._golden is bundle
+            assert job_trackers[-1]._golden is bundle
 
-    def test_jobs_with_different_seeds_share_one_bundle(self):
+    def test_jobs_with_different_seeds_share_one_bundle(self, job_trackers):
         first = small_experiment_payload()
         second = dict(small_experiment_payload(), seed=7)
-        with RecordingDaemon(port=0) as daemon:
+        with ServiceDaemon(port=0) as daemon:
             daemon.start()
             assert run_job(daemon, first)["state"] == "done"
             assert run_job(daemon, second)["state"] == "done"
-        one, two = daemon.trackers
+        one, two = job_trackers
         assert (one.seed, two.seed) == (first["seed"], 7)
         assert one._golden is two._golden
 
@@ -738,16 +756,16 @@ class TestGoldenCache:
             if not reused:
                 GOLDEN_CACHE.pop(program_fingerprint(tuned), None)
 
-    def test_daemon_and_shard_server_share_one_bundle(self):
+    def test_daemon_and_shard_server_share_one_bundle(self, job_trackers):
         from repro.apps import REGISTRY
-        with RecordingDaemon(port=0) as daemon:
+        with ServiceDaemon(port=0) as daemon:
             daemon.start()
             assert run_job(daemon, small_experiment_payload())["state"] \
                 == "done"
         server = ShardServer(REGISTRY.build("kmeans"), port=0)
         try:
             assert server._analysis_tracker()._golden is \
-                daemon.trackers[0]._golden
+                job_trackers[0]._golden
             assert server.tracker_reused is True
         finally:
             server.stop()
@@ -766,13 +784,13 @@ class TestGoldenCache:
             ft.warm_ladder()
             assert ft._golden is not cached
 
-    def test_failed_job_releases_trackers_then_next_job_succeeds(self):
+    def test_failed_job_releases_trackers_then_next_job_succeeds(
+            self, job_trackers):
         """The second tracker's backend cannot be built: the job fails,
         the first tracker (which already dispatched) is closed with its
         engine and backend, and the next job runs on the cached bundle
         byte-identically to a local run."""
         from repro.api import Experiment, ExperimentResult, run_experiment
-        from repro.engine.backends import LocalPoolBackend
         backends = []
 
         def backend_factory():
@@ -790,8 +808,8 @@ class TestGoldenCache:
                                "kind": "internal", "n": 3}]}
         payload = small_experiment_payload()
         local = run_experiment(Experiment.from_dict(payload))
-        with RecordingDaemon(port=0,
-                             backend_factory=backend_factory) as daemon:
+        with ServiceDaemon(port=0,
+                           backend_factory=backend_factory) as daemon:
             daemon.start()
             client = RegistryClient(f"127.0.0.1:{daemon.port}")
             events = []
@@ -800,16 +818,42 @@ class TestGoldenCache:
             assert failed["state"] == "failed"
             assert "no backend for the second app" in failed["error"]
             assert events, "the first app never dispatched"
-            assert len(daemon.trackers) == 1
-            assert daemon.trackers[0]._engine is None
+            assert len(job_trackers) == 1
+            assert job_trackers[0]._engine is None
             job = client.submit(payload)
             assert client.watch(job["id"])["state"] == "done"
             fetched = ExperimentResult.from_dict(client.fetch(job["id"]))
-        assert all(t._engine is None for t in daemon.trackers)
+        assert all(t._engine is None for t in job_trackers)
         assert all(b is None or b._pool is None for b in backends)
-        assert daemon.trackers[1]._golden is daemon.trackers[0]._golden
+        assert job_trackers[1]._golden is job_trackers[0]._golden
         assert_canonical_match(local, fetched,
                                context="job after a failed job vs local")
+
+    def test_each_app_tracker_closes_before_the_next_app_runs(
+            self, job_trackers):
+        """In a two-app job the first app's tracker has released its
+        engine by the time the second app dispatches."""
+        open_at_dispatch = []
+
+        def probe():
+            open_at_dispatch.append(
+                [t._engine is not None for t in job_trackers])
+
+        two_apps = {"schema_version": 1, "name": "svc-two",
+                    "apps": ["kmeans", "ft"], "seed": 20181111,
+                    "specs": [{"type": "campaign", "target": "region",
+                               "app": app, "region": region,
+                               "kind": "internal", "n": 3}
+                              for app, region in (("kmeans", "k_d"),
+                                                  ("ft", "ft_b"))]}
+        with ServiceDaemon(port=0, backend_factory=lambda: ProbedBackend(
+                probe)) as daemon:
+            daemon.start()
+            assert run_job(daemon, two_apps)["state"] == "done"
+        assert [True] in open_at_dispatch          # kmeans dispatched
+        second = [seen for seen in open_at_dispatch if len(seen) == 2]
+        assert second and all(seen == [False, True] for seen in second)
+        assert all(t._engine is None for t in job_trackers)
 
 
 # -------------------------------------------------------------------- CLI
