@@ -13,7 +13,8 @@ boundaries (see :mod:`repro.recovery`):
   count but appends no record, so record index == dyn index only when
   the golden run executed no NOP (``dyn_count == len(records)``, the
   case for every registered app); otherwise the NOP positions are
-  recovered from the golden record stream (:func:`record_dyn_map`);
+  recovered from the golden record stream (:func:`record_dyn_map`),
+  and the same map gives each warm-start rung its record count;
 * **value ranges** — per instance, the memory locations the region
   wrote in the golden run with their finite value range (the ``range``
   detector's evidence, ACL-informed: these are exactly the locations a
@@ -142,21 +143,55 @@ def _forward_fraction(index: TraceIndex, locs, end: int) -> float:
     return dead / len(locs)
 
 
-def record_dyn_map(records: Sequence, module, total_dyn: int):
-    """Map a record-index boundary to its dynamic-instruction index.
+class RecordDynMap:
+    """Exact record-index <-> dyn-index map of one golden execution.
 
-    Returns ``dyn_at(s)``: the dynamic index at which a golden execution
-    has appended exactly ``s`` records (just after the instruction that
-    appended record ``s - 1``; 0 for ``s == 0``).  Every executed
-    instruction appends one record except NOP, so the map is the
-    identity exactly when ``total_dyn == len(records)``.  Otherwise the
-    NOPs are located from the record stream: each record fixes the next
-    pc its frame executes (fall-through, branch target, callee entry,
-    or the caller's pc after the matching CALL), and any shortfall to
-    the next record's pc was covered by NOPs, which only fall through.
+    Every executed instruction appends one record except NOP, so the
+    two indices coincide exactly when the golden run executed no NOP
+    (``total_dyn == n_records``).  Otherwise ``at`` lists the record
+    indices preceded by NOPs and ``before`` the running NOP count up
+    to each of them.
+    """
+
+    __slots__ = ("n_records", "total_dyn", "_at", "_before")
+
+    def __init__(self, n_records: int, total_dyn: int,
+                 at: Sequence = (), before: Sequence = ()):
+        self.n_records = n_records
+        self.total_dyn = total_dyn
+        self._at = at
+        self._before = before
+
+    def dyn_at(self, s: int) -> int:
+        """The dynamic index at which exactly ``s`` records exist (just
+        after the instruction that appended record ``s - 1``; 0 for
+        ``s == 0``)."""
+        if s == 0 or not self._at:
+            return s
+        i = bisect_right(self._at, s - 1)
+        return s + (self._before[i - 1] if i else 0)
+
+    def records_at(self, dyn: int) -> int:
+        """Records appended before the instruction at ``dyn`` executes:
+        the record index of that instruction, or of the first record
+        after it when it is a NOP."""
+        return bisect_right(range(self.n_records + 1), dyn,
+                            key=self.dyn_at) - 1
+
+
+def record_dyn_map(records: Sequence, module,
+                   total_dyn: int) -> RecordDynMap:
+    """The :class:`RecordDynMap` of a golden execution.
+
+    The map is the identity exactly when ``total_dyn == len(records)``.
+    Otherwise the NOPs are located from the record stream: each record
+    fixes the next pc its frame executes (fall-through, branch target,
+    callee entry, or the caller's pc after the matching CALL), and any
+    shortfall to the next record's pc was covered by NOPs, which only
+    fall through.
     """
     if total_dyn == len(records):
-        return lambda s: s
+        return RecordDynMap(len(records), total_dyn)
     code = {fn.index: fn.code for fn in module.functions.values()}
     at: list = []        # record indices preceded by NOPs
     before: list = []    # NOPs executed before each of those records
@@ -185,35 +220,30 @@ def record_dyn_map(records: Sequence, module, total_dyn: int):
         raise ValueError(
             f"record stream of {len(records)} records and {nops} NOPs "
             f"does not add up to the golden dyn_count {total_dyn}")
-
-    def dyn_at(s: int) -> int:
-        if s == 0:
-            return 0
-        i = bisect_right(at, s - 1)
-        return s + (before[i - 1] if i else 0)
-    return dyn_at
+    return RecordDynMap(len(records), total_dyn, at, before)
 
 
 def build_recovery_context(program, records: Sequence,
                            index: TraceIndex, instances: Sequence, *,
-                           total_dyn: int, exec_tier=None):
+                           record_map: RecordDynMap, exec_tier=None):
     """Derive the online-check context and the warm-start ladder.
 
     ``records``/``index``/``instances`` are the tracker's golden trace,
     its read/write index and the time-ordered region instances;
-    ``total_dyn`` is the golden run's dynamic instruction count.
-    Boundaries come from :func:`record_dyn_map`, so every stop point is
-    known before anything executes.  One untraced replay on
-    ``exec_tier`` then walks the program once, stopping at every
-    instance exit (stack pointer, frame depth, state checksum) and at
-    every ladder point (a snapshot rung); ``run_to`` stops are
+    ``record_map`` is the golden run's :func:`record_dyn_map`.
+    Boundaries and each rung's record count come from that map, so
+    every stop point is known before anything executes.  One untraced
+    replay on ``exec_tier`` then walks the program once, stopping at
+    every instance exit (stack pointer, frame depth, state checksum)
+    and at every ladder point (a snapshot rung); ``run_to`` stops are
     byte-identical on either tier, so the result does not depend on it.
 
     Returns ``(RecoveryContext, WarmLadder)``.
     """
     from repro.warmstart import (Rung, build_warm_ladder, ladder_points,
                                  ladder_stride)
-    dyn_at = record_dyn_map(records, program.module, total_dyn)
+    total_dyn = record_map.total_dyn
+    dyn_at = record_map.dyn_at
     ordered = sorted(instances, key=lambda inst: inst.start)
     spans = [(dyn_at(inst.start), dyn_at(inst.end)) for inst in ordered]
     stride = ladder_stride(total_dyn)
@@ -232,8 +262,8 @@ def build_recovery_context(program, records: Sequence,
             states[stop] = (interp.sp, depth,
                             state_checksum(interp.mem, interp.sp, depth))
         if stop in points:
-            rungs.append(Rung(stop, interp.snapshot(),
-                              tuple(interp.output)))
+            rungs.append(Rung(stop, record_map.records_at(stop),
+                              interp.snapshot(), tuple(interp.output)))
 
     invariants = []
     for inst, (entry_dyn, exit_dyn) in zip(ordered, spans):

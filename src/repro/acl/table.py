@@ -38,6 +38,7 @@ Death causes (consumed by the pattern detectors):
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -109,6 +110,9 @@ class ACLResult:
     #: read index over the corrupted locations of the faulty trace
     #: (a FocusedReadIndex when build_acl built it, else the caller's)
     read_index: object = None
+    #: loc -> (sorted births, running max of deaths), built on first use
+    _spans: Optional[dict] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def peak(self) -> int:
@@ -121,11 +125,21 @@ class ACLResult:
         return out
 
     def corrupted_at(self, loc: int, t: int) -> bool:
-        """Was ``loc`` alive-corrupted after record ``t``?"""
-        for iloc, b, d in self.intervals:
-            if iloc == loc and b <= t < d:
-                return True
-        return False
+        """Was ``loc`` alive-corrupted after record ``t``?
+
+        Some interval of ``loc`` with ``birth <= t`` must reach past
+        ``t``: one bisect over the location's births, then the largest
+        death among those intervals.
+        """
+        if self._spans is None:
+            self._spans = {}
+            for iloc, b, d in sorted(self.intervals):
+                births, reach = self._spans.setdefault(iloc, ([], []))
+                births.append(b)
+                reach.append(max(d, reach[-1]) if reach else d)
+        births, reach = self._spans.get(loc, ((), ()))
+        i = bisect_right(births, t)
+        return i > 0 and reach[i - 1] > t
 
 
 def _frame_locs(corrupted: dict, dead_uid: int, stack_lo: int,
@@ -147,7 +161,7 @@ def build_acl(ff: Trace, faulty: Trace,
               injected_loc: Optional[int] = None,
               injected_time: Optional[int] = None,
               faulty_index: Optional[TraceIndex] = None,
-              taint_only: bool = False) -> ACLResult:
+              taint_only: bool = False, start: int = 0) -> ACLResult:
     """Run the hybrid corrupted-location pass (see module docstring).
 
     Parameters
@@ -172,11 +186,18 @@ def build_acl(ff: Trace, faulty: Trace,
         observable.  This is the ablation baseline showing why the
         hybrid matters — taint alone cannot see a shift/truncation/
         conditional kill a corruption (Section III-C's motivation).
+    start:
+        First record to scan; at most ``injected_time``, or the trace
+        length when the fault never fired.  Before the injection the
+        faulty trace *is* the golden one record for record, so the
+        prefix is provably inert: nothing is corrupted yet, no value
+        differs (no birth, no masking, no death) and no write is
+        redirected.  Skipping it changes no field of the result.
     """
     frecs = faulty.records
     frecs_n = len(frecs)
     ffrecs = ff.records
-    div = ff.first_divergence(faulty)
+    div = ff.first_divergence(faulty, start)
     aligned_until = div if div is not None else min(frecs_n, len(ffrecs))
     if taint_only:
         aligned_until = 0  # the taint fallback path handles every record
@@ -210,7 +231,7 @@ def build_acl(ff: Trace, faulty: Trace,
     pending_injection = (injected_loc is not None
                          and injected_time is not None)
 
-    for t in range(frecs_n):
+    for t in range(start, frecs_n):
         if pending_injection and t == injected_time:
             birth_loc(injected_loc, t)
             pending_injection = False
@@ -305,9 +326,14 @@ def build_acl(ff: Trace, faulty: Trace,
 
     # close out locations still corrupted at the end of the trace:
     # alive until their last read (never referenced again -> 'dead'
-    # at that point; alive-through-the-end when read near the end)
+    # at that point; alive-through-the-end when read near the end).
+    # Every read query here and in the DCL detector starts at or after
+    # a birth, so the focused index can skip everything before the
+    # earliest one.
     index = faulty_index if faulty_index is not None \
-        else FocusedReadIndex(frecs, [loc for loc, _t in births])
+        else FocusedReadIndex(frecs, [loc for loc, _t in births],
+                              min((t for _loc, t in births),
+                                  default=frecs_n))
     end_set = set(corrupted)
     for loc, birth in list(corrupted.items()):
         last_read = index.last_read_in(loc, birth + 1, frecs_n)

@@ -19,6 +19,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.acl.online import record_dyn_map
 from repro.acl.table import ACLResult, build_acl
 from repro.api.compile import (aggregate_patterns, compile_analysis,
                                compile_campaign)
@@ -46,6 +47,7 @@ from repro.trace.index import TraceIndex
 from repro.util.rng import DeterministicRNG
 from repro.vm.errors import VMError
 from repro.vm.fault import FaultPlan
+from repro.warmstart import resolve_warmstart, warm_start_interp
 
 
 @dataclass
@@ -90,6 +92,8 @@ class GoldenArtifacts:
         self.trace: Optional[Trace] = None
         #: the golden run's dynamic instruction count
         self.dyn_count: Optional[int] = None
+        #: the golden run's exact record <-> dyn index map
+        self.record_map = None
         #: artifacts built so far (a shared bundle's reuse shows as a
         #: count that stops moving)
         self.builds = 0
@@ -117,6 +121,8 @@ class GoldenArtifacts:
             interp = self.program.run_fault_free(trace=True,
                                                  exec_tier=self.exec_tier)
             self.dyn_count = interp.dyn_count
+            self.record_map = record_dyn_map(
+                interp.records, self.program.module, interp.dyn_count)
             return Trace(interp.records, self.program.module,
                          TraceMeta(program=self.program.name))
         return self._lazy("trace", run)
@@ -154,7 +160,7 @@ class GoldenArtifacts:
             return build_recovery_context(
                 self.program, self.fault_free_trace().records,
                 self.trace_index(), self.instances(),
-                total_dyn=self.dyn_count, exec_tier=self.exec_tier)
+                record_map=self.record_map, exec_tier=self.exec_tier)
         return self._lazy("_capture", capture)
 
     def recovery_context(self):
@@ -221,9 +227,10 @@ class FlipTracker:
         else ``"compiled"``.
         Byte-identical observables on either tier.
     warm_start:
-        Golden snapshot-ladder warm start for campaign and recovery
-        runs (:mod:`repro.warmstart`): ``"on"``/``"off"`` (or a bool);
-        ``None`` defers to ``REPRO_WARMSTART`` (default on).
+        Golden snapshot-ladder warm start for campaign, recovery and
+        traced analysis runs (:mod:`repro.warmstart`): ``"on"``/
+        ``"off"`` (or a bool); ``None`` defers to ``REPRO_WARMSTART``
+        (default on).
         Byte-identical observables either way.
     golden:
         A :class:`GoldenArtifacts` bundle to share, built for this very
@@ -490,13 +497,27 @@ class FlipTracker:
 
     # ------------------------------------------------------------ analysis
     def analyze_injection(self, plan: FaultPlan) -> RunAnalysis:
-        """Trace one faulty run and extract ACL + pattern instances."""
+        """Trace one faulty run and extract ACL + pattern instances.
+
+        With warm start on, the run restores the golden ladder rung
+        below its trigger, splices in the golden record prefix and
+        executes only the suffix (:func:`~repro.warmstart.
+        warm_start_interp`); the ACL pass then starts at the injection
+        record, since the prefix before it is the golden trace.
+        """
+        golden = self._traced_golden()
+        ff = golden.trace
+        ladder = self.warm_ladder() if resolve_warmstart(self.warm_start) \
+            else None
         interp = self.program.fresh_interpreter(
             trace=True, fault=plan, max_instr=self.faulty_budget,
             exec_tier=self.exec_tier)
         crashed = False
         try:
-            interp.run(self.program.entry)
+            if warm_start_interp(interp, ladder, plan, ff.records):
+                interp.resume_run(self.program.entry)
+            else:
+                interp.run(self.program.entry)
         except VMError:
             crashed = True
         except (TypeError, ValueError, OverflowError, MemoryError):
@@ -511,15 +532,21 @@ class FlipTracker:
             # the checker mean FAILED; checker bugs raise CheckerError
             manifestation = classify_check(self.program, interp)
         frec = interp.fault_record
-        injected_loc = frec.loc if frec.fired else None
-        injected_time = frec.dyn_index if frec.fired else None
-        acl = build_acl(self.fault_free_trace(), faulty,
-                        injected_loc=injected_loc,
-                        injected_time=injected_time)
+        if frec.fired:
+            # the prefix up to the flip is golden, so the golden map
+            # turns the flip's dyn index into its record index
+            injected_loc = frec.loc
+            injected_time = golden.record_map.records_at(frec.dyn_index)
+            start = injected_time
+        else:
+            injected_loc = injected_time = None
+            start = len(faulty.records)
+        acl = build_acl(ff, faulty, injected_loc=injected_loc,
+                        injected_time=injected_time, start=start)
         model = self.region_model()
         faulty_instances = split_instances(faulty.records, model)
-        patterns = detect_all(self.fault_free_trace(), faulty, acl,
-                              acl.read_index, faulty_instances)
+        patterns = detect_all(ff, faulty, acl, acl.read_index,
+                              faulty_instances)
         return RunAnalysis(plan, manifestation, faulty, acl, patterns)
 
     def probe_plans(self, instance: RegionInstance,

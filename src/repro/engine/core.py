@@ -420,6 +420,10 @@ class ExecutionEngine:
 
         unique, shards, group_shard_base, group_shards, shard_plans = \
             self._shard_groups(groups, owner)
+        if self.warm_start and any(shard_plans):
+            # traced runs warm-start from the golden ladder too: build
+            # it before the fork, as run_plan_groups does
+            self._tracker_for_analysis().warm_ladder()
 
         totals = [len(plans) for _label, plans in groups]
         done = [0] * len(groups)
@@ -451,7 +455,8 @@ class ExecutionEngine:
     def _tracker_for_analysis(self):
         if self._tracker is None:
             from repro.core.fliptracker import FlipTracker
-            self._tracker = FlipTracker(self.program, workers=1)
+            self._tracker = FlipTracker(self.program, workers=1,
+                                        warm_start=self.warm_start)
         return self._tracker
 
     def _cache_manifestation(self, plan: FaultPlan, value: str,

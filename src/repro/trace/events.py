@@ -76,16 +76,18 @@ class Trace:
         return iter(self.records)
 
     # -- divergence ---------------------------------------------------------
-    def first_divergence(self, other: "Trace") -> Optional[int]:
+    def first_divergence(self, other: "Trace",
+                         start: int = 0) -> Optional[int]:
         """First index where control flow differs from ``other``.
 
         Compares the static-instruction stream ``(fn, pc)``; returns
         ``None`` when one trace is a prefix of the other's control path
-        (including identical traces).
+        (including identical traces).  The comparison begins at record
+        ``start``: the caller vouches that the records before it match.
         """
         a, b = self.records, other.records
         n = min(len(a), len(b))
-        for i in range(n):
+        for i in range(start, n):
             ra, rb = a[i], b[i]
             if ra[R_FN] != rb[R_FN] or ra[R_PC] != rb[R_PC]:
                 return i

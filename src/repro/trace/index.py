@@ -9,6 +9,7 @@ ends this corrupted interval?") becomes a :mod:`bisect` query.
 from __future__ import annotations
 
 import bisect
+from itertools import islice
 from typing import Optional, Sequence
 
 from repro.ir import opcodes as oc
@@ -59,13 +60,16 @@ class FocusedReadIndex(_ReadQueries):
     The ACL pass and the DCL detector only ever query the locations
     that became corrupted — a handful out of hundreds of thousands —
     so indexing just those is ~10x cheaper than a full
-    :class:`TraceIndex` per faulty trace.
+    :class:`TraceIndex` per faulty trace.  Reads before record
+    ``start`` are left out, so every query whose window begins at or
+    after ``start`` answers exactly like the full index (the ACL starts
+    it at the earliest birth; its queries never look before a birth).
     """
 
-    def __init__(self, records: Sequence, locs):
+    def __init__(self, records: Sequence, locs, start: int = 0):
         focus = frozenset(locs)
         reads: dict[int, list[int]] = {}
-        for t, rec in enumerate(records):
+        for t, rec in enumerate(islice(records, start, None), start):
             for sloc in rec[R_SLOCS]:
                 if sloc is not None and sloc in focus:
                     lst = reads.get(sloc)

@@ -7,13 +7,17 @@ module amortizes that prefix across a campaign: a **ladder** of
 :class:`~repro.vm.interp.VMSnapshot` rungs is captured once per
 program along the golden execution, and each faulty run restores the
 highest rung at or below its trigger and executes only the suffix.
+A traced run (a Table I analysis) also needs the records of the
+prefix; they are the golden trace's records up to the rung, so the
+run splices those in instead of re-executing them.
 
 Invisibility contract: warm-start must not change a single observable —
 record stream, ``dyn_count``, output, memory, :class:`FaultRecord`,
 crash surface, ``RecoveryOutcome`` bytes, cache keys.  It is therefore
-engaged only when equivalence is provable by construction (untraced,
-communicator-free runs with a rung strictly below the hang budget) and
-falls back to a cold start otherwise.  The parity matrices in
+engaged only when equivalence is provable by construction
+(communicator-free runs with a rung strictly below the hang budget,
+given the golden records when traced) and falls back to a cold start
+otherwise.  The parity matrices in
 ``tests/test_determinism.py`` and CI's ``REPRO_WARMSTART`` axis lock
 the contract.
 
@@ -92,13 +96,16 @@ class Rung:
     Carries the snapshot plus a materialized copy of the golden output
     prefix: ``VMSnapshot`` records stream *lengths* only (restore
     truncates), so restoring into a fresh interpreter needs the prefix
-    installed explicitly.
+    installed explicitly.  ``n_records`` is the number of golden trace
+    records appended before ``dyn`` (it differs from ``dyn`` once a NOP
+    has executed), the prefix a traced run splices in.
     """
 
-    __slots__ = ("dyn", "snap", "output")
+    __slots__ = ("dyn", "n_records", "snap", "output")
 
-    def __init__(self, dyn: int, snap, output: tuple):
+    def __init__(self, dyn: int, n_records: int, snap, output: tuple):
         self.dyn = dyn
+        self.n_records = n_records
         self.snap = snap
         self.output = output
 
@@ -189,20 +196,24 @@ def build_warm_ladder(program, rungs: list, stride: int,
 
 
 def warm_start_interp(interp, ladder: Optional[WarmLadder],
-                      plan) -> bool:
+                      plan, records: Optional[list] = None) -> bool:
     """Engage warm-start on a fresh (un-started) interpreter, if valid.
 
     Returns True when a rung was restored — the caller must then drive
-    the interpreter with ``resume_run`` instead of ``run``.  Returns
-    False (cold start) whenever equivalence is not guaranteed: traced
-    runs (the record stream must be complete from instruction 0), runs
-    attached to a communicator/scheduler, no rung at or below the
-    trigger, or a rung at/past the hang budget (the cold run would
-    raise ``HangError`` from inside the prefix).
+    the interpreter with ``resume_run`` instead of ``run``.  A traced
+    interpreter also receives the golden record prefix
+    ``records[:rung.n_records]`` (``records`` is the golden trace's
+    record list), so its record stream still covers the whole run.
+    Returns False (cold start) whenever equivalence is not guaranteed:
+    traced runs without ``records``, runs attached to a
+    communicator/scheduler, no rung at or below the trigger, or a rung
+    at/past the hang budget (the cold run would raise ``HangError``
+    from inside the prefix).
     """
     if ladder is None or plan is None:
         return False
-    if interp.comm is not None or interp.records is not None:
+    if interp.comm is not None or \
+            (interp.records is not None and records is None):
         return False
     trigger = plan.trigger
     if trigger < 0:
@@ -215,6 +226,8 @@ def warm_start_interp(interp, ladder: Optional[WarmLadder],
     # the snapshot only records the output length; install the prefix
     # in place (restore's truncation on a fresh interpreter is a no-op)
     interp.output[:] = rung.output
+    if interp.records is not None:
+        interp.records[:] = records[:rung.n_records]
     # the rung is golden (trigger -1); re-arm this plan's trigger
     interp._ftrig = trigger
     WARM_STATS["hits"] += 1

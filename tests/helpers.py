@@ -120,18 +120,26 @@ def oracle_recovery_context(program, records, index, instances):
 
 
 def oracle_warm_ladder(program, ctx):
-    """Reference warm-start ladder from a separate untraced replay."""
+    """Reference warm-start ladder from a separate replay.
+
+    The replay is traced so each rung's record count is observed, not
+    derived; the snapshot itself is taken untraced, like the real
+    ladder's.
+    """
     from repro.warmstart import (Rung, WarmLadder, ladder_points,
                                  ladder_stride)
     stride = ladder_stride(ctx.total_dyn)
-    interp = program.fresh_interpreter(exec_tier="interp")
+    interp = program.fresh_interpreter(trace=True, exec_tier="interp")
     interp.start(program.entry)
     rungs = []
     for point in ladder_points([inv.entry_dyn for inv in ctx.invariants],
                                ctx.total_dyn, stride):
         if interp.run_to(point) == "done":
             break
-        rungs.append(Rung(point, interp.snapshot(), tuple(interp.output)))
+        records, interp.records = interp.records, None
+        rungs.append(Rung(point, len(records), interp.snapshot(),
+                          tuple(interp.output)))
+        interp.records = records
     return WarmLadder(program.name, stride, rungs, ctx.total_dyn)
 
 
@@ -139,7 +147,8 @@ def rung_image(rung) -> tuple:
     """Every restorable field of a ladder rung, as one comparable value
     (``repr`` so nan-valued memory compares equal to itself)."""
     snap = rung.snap
-    return (rung.dyn, rung.output, snap.words, snap.dyn_count, snap.sp,
+    return (rung.dyn, rung.n_records, rung.output, snap.words,
+            snap.dyn_count, snap.sp,
             snap.next_uid, snap.n_output, snap.n_records, repr(snap.mem),
             repr([(fn.name, regs, pc, uid, ret_slot, mark)
                   for fn, regs, pc, uid, ret_slot, mark in snap.frames]),

@@ -26,6 +26,7 @@ import os
 
 import pytest
 
+from repro import warmstart
 from repro.apps import REGISTRY
 from repro.core import FlipTracker
 from repro.engine.backends import AsyncBackend, ShardServer, SocketBackend
@@ -166,14 +167,18 @@ class TestBackendParity:
         assert r_resumed.cached == N
 
 
-#: sequential (workers=1, local) kmeans traced-sweep baseline bytes
+#: sequential (workers=1, local) kmeans traced-sweep baseline bytes,
+#: pinned cold so that under ``REPRO_WARMSTART=on`` (default, and one
+#: leg of CI's backend-parity matrix) every backend's warm-started
+#: analyses are checked against cold ones, and under ``off`` cold
+#: against cold
 _PATTERNS_BASELINE: dict = {}
 
 
 def patterns_baseline() -> bytes:
     if "kmeans" not in _PATTERNS_BASELINE:
         with FlipTracker(REGISTRY.build("kmeans"), seed=SEED,
-                         workers=1) as ft:
+                         workers=1, warm_start="off") as ft:
             _PATTERNS_BASELINE["kmeans"] = patterns_bytes(
                 ft.region_patterns(runs_per_kind=1, loop_only=True))
     return _PATTERNS_BASELINE["kmeans"]
@@ -440,6 +445,19 @@ def cold_baseline(app):
     return _WARM_BASELINE[app]
 
 
+#: per-app cold reference-interpreter traced-sweep baseline bytes
+_COLD_PATTERNS: dict = {}
+
+
+def cold_patterns_baseline(app) -> bytes:
+    if app not in _COLD_PATTERNS:
+        with FlipTracker(REGISTRY.build(app), seed=SEED, workers=1,
+                         exec_tier="interp", warm_start="off") as ft:
+            _COLD_PATTERNS[app] = patterns_bytes(
+                ft.region_patterns(runs_per_kind=1, loop_only=True))
+    return _COLD_PATTERNS[app]
+
+
 @pytest.mark.parametrize("app", APPS)
 class TestWarmStartParity:
     """The snapshot-ladder warm start is byte-identical to cold
@@ -465,6 +483,18 @@ class TestWarmStartParity:
                          warm_start="on") as ft:
             result = ft.region_campaign(region, "internal", n=N)
         assert outcome_bytes(result) == baseline
+
+    def test_traced_patterns_match_cold_interp(self, app):
+        """Traced analyses warm-start too (restored rung + spliced golden
+        record prefix, ACL scan from the injection); the pattern table
+        equals a cold reference-interpreter sweep."""
+        baseline = cold_patterns_baseline(app)
+        warmstart.reset_stats()
+        with FlipTracker(REGISTRY.build(app), seed=SEED, workers=1,
+                         warm_start="on") as ft:
+            found = ft.region_patterns(runs_per_kind=1, loop_only=True)
+        assert patterns_bytes(found) == baseline
+        assert warmstart.WARM_STATS["hits"] > 0
 
     def test_warm_cache_resumes_cold(self, app, tmp_path):
         cache_dir = str(tmp_path / app)

@@ -31,11 +31,14 @@ from repro.apps.base import Program
 import repro.golden
 from repro.core import FlipTracker
 from repro.engine.keys import program_fingerprint
+from repro import warmstart
 from repro.frontend import ProgramBuilder
 from repro.ir import opcodes as oc
 from repro.ir.function import Function
 from repro.ir.instructions import Instr
 from repro.ir.types import F64, I64
+from repro.trace.events import R_DLOC
+from repro.vm.fault import FaultPlan
 from repro.vm.exec_tier import ENV_VAR
 from repro.vm.interp import Interpreter
 
@@ -132,9 +135,14 @@ def test_record_dyn_map_is_exact_with_nops(monkeypatch):
     observed.append(interp.dyn_count)
     assert len(observed) == len(interp.records) + 1
     assert interp.dyn_count > len(interp.records)  # NOPs executed
-    dyn_at = record_dyn_map(interp.records, program.module,
-                            interp.dyn_count)
-    assert [dyn_at(s) for s in range(len(observed))] == observed
+    record_map = record_dyn_map(interp.records, program.module,
+                                interp.dyn_count)
+    assert [record_map.dyn_at(s) for s in range(len(observed))] == observed
+    # the inverse: records appended before each dyn index executes
+    for s, dyn in enumerate(observed[:-1]):
+        assert record_map.records_at(dyn) == s
+        assert record_map.records_at(observed[s + 1] - 1) == s
+    assert record_map.records_at(interp.dyn_count) == len(interp.records)
     with pytest.raises(ValueError):
         record_dyn_map(interp.records, program.module,
                        interp.dyn_count + 1)
@@ -148,6 +156,48 @@ def test_capture_matches_oracle_with_nops(monkeypatch, tier_env):
                    zip(ft.recovery_context().invariants, ft.instances()))
         assert ft.warm_ladder().rungs
         assert_matches_oracle(ft)
+
+
+def analysis_image(analysis) -> str:
+    acl = analysis.acl
+    return repr((analysis.manifestation, analysis.faulty.records,
+                 [(p.pattern, p.time, p.loc, p.region)
+                  for p in analysis.patterns],
+                 acl.births, acl.intervals, acl.divergence,
+                 acl.counts.tolist(), sorted(acl.corrupted_at_end),
+                 [(d.loc, d.time, d.cause, d.birth) for d in acl.deaths],
+                 [(m.time, m.op) for m in acl.maskings]))
+
+
+def test_warm_traced_analysis_with_nops(monkeypatch):
+    """The injected birth sits on the trigger's record even where NOPs
+    make record and dyn indices drift, and a warm traced analysis
+    equals a cold interpreter one."""
+    program = nop_program(monkeypatch)
+    with FlipTracker(program, workers=1, warm_start="on") as warm, \
+            FlipTracker(program, workers=1, exec_tier="interp",
+                        warm_start="off") as cold:
+        records = warm.fault_free_trace().records
+        record_map = warm._golden.record_map
+        ladder = warm.warm_ladder()
+        assert any(r.n_records != r.dyn for r in ladder.rungs)
+        # late definitions of a[] (memory writes), each past a rung
+        sites = [t for t, rec in enumerate(records)
+                 if rec[R_DLOC] is not None and rec[R_DLOC] >= 0
+                 and record_map.dyn_at(t + 1) - 1 > ladder.rungs[0].dyn]
+        assert sites
+        for t in sites[len(sites) // 2::max(1, len(sites) // 4)]:
+            trigger = record_map.dyn_at(t + 1) - 1
+            assert trigger != t
+            for plan in (FaultPlan(trigger=trigger, mode="result", bit=52),
+                         FaultPlan(trigger=trigger, mode="loc", bit=52,
+                                   loc=records[t][R_DLOC])):
+                warmstart.reset_stats()
+                got = warm.analyze_injection(plan)
+                assert warmstart.WARM_STATS["hits"] == 1
+                want = cold.analyze_injection(plan)
+                assert analysis_image(got) == analysis_image(want)
+                assert got.acl.births[0] == (records[t][R_DLOC], t)
 
 
 # ------------------------------------------------------- one traced run
@@ -172,7 +222,7 @@ def test_replay_entry_point_returns_context_and_ladder():
         records = ft.fault_free_trace().records
         ctx, ladder = build_recovery_context(
             ft.program, records, ft.trace_index(), ft.instances(),
-            total_dyn=ft._golden.dyn_count)
+            record_map=ft._golden.record_map)
         assert ctx == ft.recovery_context()
         assert [rung_image(r) for r in ladder.rungs] == \
             [rung_image(r) for r in ft.warm_ladder().rungs]

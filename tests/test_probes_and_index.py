@@ -145,3 +145,23 @@ class TestFocusedReadIndex:
                 == full.last_read_in(loc, a, b)
             assert focused.first_read_at_or_after(loc, a) \
                 == full.first_read_at_or_after(loc, a)
+
+    @given(st.integers(min_value=0, max_value=80),
+           st.integers(min_value=0, max_value=80),
+           st.integers(min_value=0, max_value=80))
+    @settings(max_examples=60, deadline=None)
+    def test_start_offset_answers_like_full_index(self, start, a, b):
+        """``FocusedReadIndex(records, locs, start)`` answers every query
+        whose window begins at or after ``start`` like the full index."""
+        a, b = sorted((a, b))
+        a = max(a, start)
+        full = TraceIndex(self.trace.records)
+        locs = self.all_locs()
+        focused = FocusedReadIndex(self.trace.records, locs, start)
+        for loc in locs:
+            assert focused.has_read_in(loc, a, b) \
+                == full.has_read_in(loc, a, b)
+            assert focused.last_read_in(loc, a, b) \
+                == full.last_read_in(loc, a, b)
+            assert focused.first_read_at_or_after(loc, a) \
+                == full.first_read_at_or_after(loc, a)

@@ -5,7 +5,7 @@ The warm-start contract (``repro.warmstart``, ``docs/architecture.md``
 executing only the suffix of a faulty run is *invisible* on every
 observable: manifestation value, ``FaultRecord``, output, memory,
 dynamic instruction count, crash surface, recovery-outcome bytes.
-This suite enforces it three ways:
+This suite enforces it four ways:
 
 * **property** (Hypothesis) — ``restore rung -> resume_run`` finishes
   byte-identical to the straight run for arbitrary trigger indices on
@@ -13,6 +13,9 @@ This suite enforces it three ways:
 * **all ten kernels** — warm (default tier) vs cold (``interp``
   reference tier) campaign outcomes and ``FaultRecord`` images are
   equal across every registered app;
+* **traced runs** — a warm traced run holds exactly the golden record
+  prefix after the restore, and after ``resume_run`` its records,
+  output, ``dyn_count`` and ``FaultRecord`` equal a cold traced run;
 * **units** — mode resolution (arg > env > default-on), ladder
   geometry (region-aligned rungs, stride floor), rung selection,
   cold-fallback eligibility rules, stats accounting, the CLI flag,
@@ -26,7 +29,10 @@ from hypothesis import strategies as st
 from repro.apps import ALL_APPS, REGISTRY
 from repro.core import FlipTracker
 from repro.faults.campaign import execute_plan, run_plan
+from repro.parallel.comm import SimComm
+from repro.trace.events import R_DLOC
 from repro.vm.fault import FaultPlan
+from repro.vm.interp import Interpreter
 from repro import warmstart
 from repro.warmstart import (
     WARM_STATS, WarmLadder, build_warm_ladder, ladder_points,
@@ -228,9 +234,52 @@ def test_warm_equals_cold_every_app(name):
         == run_plan(ft.program, plans[0], exec_tier="interp")
 
 
+# ------------------------------------------------------- traced runs
+def _traced_image(interp) -> tuple:
+    return (repr(interp.records),) + final_image(interp)
+
+
+def _drive(interp, warm: bool) -> tuple:
+    try:
+        if warm:
+            interp.resume_run(PROGRAM.entry)
+        else:
+            interp.run(PROGRAM.entry)
+    except Exception as exc:
+        return ("crash", type(exc).__name__) + _traced_image(interp)
+    return ("done",) + _traced_image(interp)
+
+
+@pytest.mark.parametrize("tier", ["interp", "compiled"])
+@pytest.mark.parametrize("mode", ["result", "loc"])
+def test_traced_warm_start_splices_golden_prefix(tier, mode):
+    """A traced run restores the rung, receives the golden record prefix
+    and, after ``resume_run``, equals a cold traced run: records,
+    output, ``dyn_count`` and ``FaultRecord``."""
+    ft = ft_for("kmeans")
+    ladder = ft.warm_ladder()
+    golden = ft.fault_free_trace().records
+    for rung in ladder.rungs[1::len(ladder.rungs) // 3]:
+        trigger = rung.dyn + 5
+        # loc mode: the next heap cell the golden run writes
+        target = next(rec[R_DLOC] for rec in golden[trigger:]
+                      if rec[R_DLOC] is not None and rec[R_DLOC] >= 0)
+        plan = FaultPlan(trigger=trigger, mode=mode, bit=51,
+                         loc=target if mode == "loc" else None)
+        interp = PROGRAM.fresh_interpreter(trace=True, fault=plan,
+                                           exec_tier=tier)
+        assert warm_start_interp(interp, ladder, plan, golden) is True
+        assert interp.records == golden[:rung.n_records]
+        assert interp.dyn_count == rung.dyn
+        cold = PROGRAM.fresh_interpreter(trace=True, fault=plan,
+                                         exec_tier="interp")
+        assert _drive(interp, True) == _drive(cold, False)
+        assert interp.fault_record.fired
+
+
 # ---------------------------------------------------------- eligibility
 class TestColdFallback:
-    def test_traced_run_stays_cold(self):
+    def test_traced_run_without_golden_records_stays_cold(self):
         ft = ft_for("kmeans")
         ladder = ft.warm_ladder()
         plan = FaultPlan(trigger=ladder.rungs[-1].dyn, mode="result",
@@ -239,15 +288,32 @@ class TestColdFallback:
         assert warm_start_interp(interp, ladder, plan) is False
         assert interp.dyn_count == 0
 
-    def test_early_trigger_stays_cold(self):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_early_trigger_stays_cold(self, traced):
         ft = ft_for("kmeans")
         ladder = ft.warm_ladder()
         plan = FaultPlan(trigger=ladder.rungs[0].dyn - 1, mode="result",
                          bit=1)
-        interp = PROGRAM.fresh_interpreter(fault=plan)
+        interp = PROGRAM.fresh_interpreter(trace=traced, fault=plan)
         warmstart.reset_stats()
-        assert warm_start_interp(interp, ladder, plan) is False
+        assert warm_start_interp(interp, ladder, plan,
+                                 ft.fault_free_trace().records) is False
         assert WARM_STATS["misses"] == 1
+        assert interp.dyn_count == 0
+        assert not interp.records
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_communicator_run_stays_cold(self, traced):
+        ft = ft_for("kmeans")
+        ladder = ft.warm_ladder()
+        plan = FaultPlan(trigger=ladder.rungs[-1].dyn, mode="result",
+                         bit=1)
+        interp = Interpreter(PROGRAM.module, trace=traced, fault=plan,
+                             comm=SimComm(1))
+        assert warm_start_interp(interp, ladder, plan,
+                                 ft.fault_free_trace().records) is False
+        assert interp.dyn_count == 0
+        assert not interp.records
 
     def test_no_fault_stays_cold(self):
         ft = ft_for("kmeans")
@@ -255,15 +321,18 @@ class TestColdFallback:
         interp = PROGRAM.fresh_interpreter()
         assert warm_start_interp(interp, ladder, None) is False
 
-    def test_tight_budget_stays_cold(self):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_tight_budget_stays_cold(self, traced):
         """A rung at/past max_instr must not dodge the hang surface."""
         ft = ft_for("kmeans")
         ladder = ft.warm_ladder()
         rung = ladder.rungs[-1]
         plan = FaultPlan(trigger=rung.dyn, mode="result", bit=1)
-        interp = PROGRAM.fresh_interpreter(fault=plan,
+        interp = PROGRAM.fresh_interpreter(trace=traced, fault=plan,
                                            max_instr=rung.dyn)
-        assert warm_start_interp(interp, ladder, plan) is False
+        assert warm_start_interp(interp, ladder, plan,
+                                 ft.fault_free_trace().records) is False
+        assert not interp.records
 
     def test_engage_counts_saved_instructions(self):
         ft = ft_for("kmeans")
