@@ -48,7 +48,6 @@ from repro.ir import opcodes as oc
 from repro.ir.function import SLOT_LIMIT
 from repro.trace.events import (R_DLOC, R_DVAL, R_EXTRA, R_FN, R_LINE, R_OP,
                                 R_PC, R_SLOCS, R_SVALS, Trace)
-from repro.trace.index import FocusedReadIndex, TraceIndex
 
 
 def same_value(a, b) -> bool:
@@ -71,6 +70,8 @@ class DeathEvent:
     fn: int = -1
     pc: int = -1
     birth: int = 0
+    #: read at some record in [birth, time] (the birth record included)
+    read: bool = False
 
     def __str__(self) -> str:
         opn = oc.op_name(self.op) if self.op >= 0 else "-"
@@ -107,9 +108,12 @@ class ACLResult:
     intervals: list[tuple[int, int, int]] = field(default_factory=list)
     # (loc, birth, death) alive spans, death exclusive
     maskings: list[MaskEvent] = field(default_factory=list)
-    #: read index over the corrupted locations of the faulty trace
-    #: (a FocusedReadIndex when build_acl built it, else the caller's)
-    read_index: object = None
+    #: first record of the pass: the faulty trace equals the golden
+    #: one before it, and no birth precedes it
+    start: int = 0
+    #: end of the control-aligned prefix: the divergence, else the
+    #: shorter trace's length
+    aligned: int = 0
     #: loc -> (sorted births, running max of deaths), built on first use
     _spans: Optional[dict] = field(default=None, init=False, repr=False,
                                    compare=False)
@@ -160,7 +164,6 @@ def _frame_locs(corrupted: dict, dead_uid: int, stack_lo: int,
 def build_acl(ff: Trace, faulty: Trace,
               injected_loc: Optional[int] = None,
               injected_time: Optional[int] = None,
-              faulty_index: Optional[TraceIndex] = None,
               taint_only: bool = False, start: int = 0) -> ACLResult:
     """Run the hybrid corrupted-location pass (see module docstring).
 
@@ -174,11 +177,6 @@ def build_acl(ff: Trace, faulty: Trace,
         "loc"-mode injections, whose flip leaves no trace record;
         "result"-mode flips are visible in the value comparison, but
         passing them is still recommended for exact birth attribution.
-    faulty_index:
-        Optional pre-built :class:`TraceIndex` of the faulty trace.
-        When omitted, a :class:`FocusedReadIndex` over exactly the
-        corrupted locations is built after the main pass — an order of
-        magnitude cheaper on long traces.
     taint_only:
         Disable the value-alignment hybrid and run classic forward
         taint propagation throughout: any operation with a corrupted
@@ -193,34 +191,48 @@ def build_acl(ff: Trace, faulty: Trace,
         prefix is provably inert: nothing is corrupted yet, no value
         differs (no birth, no masking, no death) and no write is
         redirected.  Skipping it changes no field of the result.
+
+    Reads are tracked in the same pass: each record marks the
+    corrupted locations it reads, and a birth marks its location when
+    the birth record itself reads it.  That gives every death its
+    ``read`` flag (read at some record in ``[birth, time]``), and
+    every location still corrupted at the end its last read — no
+    second scan of the trace and no read index.
     """
     frecs = faulty.records
     frecs_n = len(frecs)
     ffrecs = ff.records
     div = ff.first_divergence(faulty, start)
-    aligned_until = div if div is not None else min(frecs_n, len(ffrecs))
-    if taint_only:
-        aligned_until = 0  # the taint fallback path handles every record
+    aligned = div if div is not None else min(frecs_n, len(ffrecs))
+    # under taint_only the taint fallback path handles every record
+    aligned_until = 0 if taint_only else aligned
 
     corrupted: dict[int, int] = {}   # loc -> birth time
     births: list[tuple[int, int]] = []
     deaths: list[DeathEvent] = []
     intervals: list[tuple[int, int, int]] = []
     maskings: list[MaskEvent] = []
+    # loc -> latest record that read it while corrupted, or that read
+    # it at its birth record (the read happens before the write)
+    last_read: dict[int, int] = {}
 
     def kill(loc: int, time: int, cause: str, rec=None) -> None:
         birth = corrupted.pop(loc)
+        read = last_read.get(loc, -1) >= birth
         if rec is not None:
             deaths.append(DeathEvent(loc, time, cause, rec[R_OP], rec[R_LINE],
-                                     rec[R_FN], rec[R_PC], birth))
+                                     rec[R_FN], rec[R_PC], birth, read))
         else:
-            deaths.append(DeathEvent(loc, time, cause, birth=birth))
+            deaths.append(DeathEvent(loc, time, cause, birth=birth,
+                                     read=read))
         intervals.append((loc, birth, time))
 
-    def birth_loc(loc: int, time: int) -> None:
+    def birth_loc(loc: int, time: int, slocs) -> None:
         if loc not in corrupted:
             corrupted[loc] = time
             births.append((loc, time))
+            if loc in slocs:
+                last_read[loc] = time
 
     # The injected birth is registered when the scan *reaches* the
     # injection time, not up front: a clean write to the target
@@ -232,18 +244,18 @@ def build_acl(ff: Trace, faulty: Trace,
                          and injected_time is not None)
 
     for t in range(start, frecs_n):
-        if pending_injection and t == injected_time:
-            birth_loc(injected_loc, t)
-            pending_injection = False
         rec = frecs[t]
         op = rec[R_OP]
         slocs = rec[R_SLOCS]
+        if pending_injection and t == injected_time:
+            birth_loc(injected_loc, t, slocs)
+            pending_injection = False
         corrupted_src = False
         if corrupted and slocs:
             for sloc in slocs:
-                if sloc is not None and sloc in corrupted:
+                if sloc in corrupted:
                     corrupted_src = True
-                    break
+                    last_read[sloc] = t
 
         if op == oc.RET:
             extra = rec[R_EXTRA]
@@ -283,7 +295,7 @@ def build_acl(ff: Trace, faulty: Trace,
                     # that *should* have been written (it kept stale data)
                     is_corrupt = True
                     if ff_dloc is not None:
-                        birth_loc(ff_dloc, t)
+                        birth_loc(ff_dloc, t, slocs)
             else:
                 # taint fallback; a "result"-mode flip corrupts the
                 # trigger record's destination by fiat (its sources are
@@ -294,7 +306,7 @@ def build_acl(ff: Trace, faulty: Trace,
                 maskings.append(MaskEvent(t, op, rec[R_LINE], rec[R_FN],
                                           rec[R_PC]))
             if is_corrupt:
-                birth_loc(dloc, t)
+                birth_loc(dloc, t, slocs)
             elif dloc in corrupted:
                 kill(dloc, t, "masked" if corrupted_src else "overwrite", rec)
 
@@ -314,7 +326,7 @@ def build_acl(ff: Trace, faulty: Trace,
                     sloc = slocs[i] if i < len(slocs) else None
                     arg_corrupt = sloc is not None and sloc in corrupted
                 if arg_corrupt:
-                    birth_loc(ploc, t)
+                    birth_loc(ploc, t, slocs)
                 elif ploc in corrupted:
                     kill(ploc, t, "overwrite", rec)
 
@@ -322,27 +334,24 @@ def build_acl(ff: Trace, faulty: Trace,
     # first) never fired; record it if the caller says it did fire at
     # exactly the trace end
     if pending_injection and injected_time == frecs_n:
-        birth_loc(injected_loc, frecs_n - 1 if frecs_n else 0)
+        t = frecs_n - 1 if frecs_n else 0
+        birth_loc(injected_loc, t, frecs[t][R_SLOCS] if frecs else ())
+        start = min(start, t)
 
     # close out locations still corrupted at the end of the trace:
     # alive until their last read (never referenced again -> 'dead'
     # at that point; alive-through-the-end when read near the end).
-    # Every read query here and in the DCL detector starts at or after
-    # a birth, so the focused index can skip everything before the
-    # earliest one.
-    index = faulty_index if faulty_index is not None \
-        else FocusedReadIndex(frecs, [loc for loc, _t in births],
-                              min((t for _loc, t in births),
-                                  default=frecs_n))
+    # A location has been corrupted since its birth, so its latest
+    # read while corrupted is its last read in (birth, end).
     end_set = set(corrupted)
     for loc, birth in list(corrupted.items()):
-        last_read = index.last_read_in(loc, birth + 1, frecs_n)
-        if last_read is None:
+        read = last_read.get(loc, -1)
+        if read <= birth:
             kill(loc, birth + 1, "dead")
-        elif last_read >= frecs_n - 1:
+        elif read >= frecs_n - 1:
             kill(loc, frecs_n, "end")
         else:
-            kill(loc, last_read + 1, "dead")
+            kill(loc, read + 1, "dead")
 
     counts = np.zeros(frecs_n + 1, dtype=np.int32)
     for _loc, b, d in intervals:
@@ -356,4 +365,4 @@ def build_acl(ff: Trace, faulty: Trace,
     return ACLResult(counts=counts, births=births, deaths=deaths,
                      divergence=div, corrupted_at_end=end_set,
                      injected_loc=injected_loc, intervals=intervals,
-                     maskings=maskings, read_index=index)
+                     maskings=maskings, start=start, aligned=aligned)

@@ -502,8 +502,12 @@ class FlipTracker:
         With warm start on, the run restores the golden ladder rung
         below its trigger, splices in the golden record prefix and
         executes only the suffix (:func:`~repro.warmstart.
-        warm_start_interp`); the ACL pass then starts at the injection
-        record, since the prefix before it is the golden trace.
+        warm_start_interp`).  The analyses then scan only the records
+        their answers depend on: the ACL pass starts at the injection
+        record, since the prefix before it is the golden trace; the
+        region split reuses the golden instances up to the divergence;
+        and the accumulator scan covers the injection to the
+        divergence, taking earlier defs from the golden index.
         """
         golden = self._traced_golden()
         ff = golden.trace
@@ -543,10 +547,11 @@ class FlipTracker:
             start = len(faulty.records)
         acl = build_acl(ff, faulty, injected_loc=injected_loc,
                         injected_time=injected_time, start=start)
-        model = self.region_model()
-        faulty_instances = split_instances(faulty.records, model)
-        patterns = detect_all(ff, faulty, acl, acl.read_index,
-                              faulty_instances)
+        faulty_instances = split_instances(
+            faulty.records, self.region_model(), golden.instances(),
+            acl.aligned)
+        patterns = detect_all(ff, faulty, acl, faulty_instances,
+                              golden.trace_index())
         return RunAnalysis(plan, manifestation, faulty, acl, patterns)
 
     def probe_plans(self, instance: RegionInstance,

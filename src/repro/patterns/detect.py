@@ -17,6 +17,7 @@ from repro.patterns.base import PatternInstance
 from repro.regions.model import RegionInstance
 from repro.trace.events import (R_DLOC, R_DVAL, R_LINE, R_FN, R_OP, R_PC,
                                 R_SLOCS, Trace)
+from repro.trace.index import TraceIndex
 from repro.acl.table import same_value
 
 
@@ -65,7 +66,7 @@ def detect_masking_patterns(acl: ACLResult,
     return out
 
 
-def detect_dcl(acl: ACLResult, faulty_index,
+def detect_dcl(acl: ACLResult,
                region_of: Callable[[int], Optional[str]]
                ) -> list[PatternInstance]:
     """Pattern 1: corrupted values were consumed, then their homes died.
@@ -73,13 +74,14 @@ def detect_dcl(acl: ACLResult, faulty_index,
     A `dead`/`free` death qualifies as DCL evidence when the location
     was *read at least once while corrupted* — its value flowed into an
     aggregation (LULESH's ``hourgam -> hxx -> hgfz``) — distinguishing
-    it from a value that simply was never used.
+    it from a value that simply was never used.  The ACL pass records
+    that as the death's ``read`` flag.
     """
     out = []
     for d in acl.deaths:
         if d.cause not in ("dead", "free"):
             continue
-        if faulty_index.has_read_in(d.loc, d.birth, d.time + 1):
+        if d.read:
             out.append(PatternInstance("DCL", d.time, d.line, d.fn, d.pc,
                                        loc=d.loc, region=region_of(d.time),
                                        details={"cause": d.cause,
@@ -87,47 +89,70 @@ def detect_dcl(acl: ACLResult, faulty_index,
     return out
 
 
-def find_accumulator_updates(faulty: Trace) -> dict[int, list[int]]:
+def find_accumulator_updates(faulty: Trace, start: int = 0,
+                             stop: Optional[int] = None,
+                             golden_index: Optional[TraceIndex] = None
+                             ) -> dict[int, list[int]]:
     """Locations updated via ``x = x + ...`` chains -> update times.
 
     One forward scan tracking each register's latest def; a STORE (or
     MOV) whose value derives from an FADD/ADD whose chain includes a
     LOAD of the destination itself is an accumulator update.
+
+    The scan covers records ``[start, stop)``.  The register defs
+    before ``start``, which the chains may reach, are looked up lazily
+    in the ``writes`` of ``golden_index``: the :class:`TraceIndex` of a
+    trace equal to ``faulty`` before ``start`` (the golden trace, for a
+    window starting at or before the injection).  The lookup skips the
+    CALL-parameter entries there, which the scan never counts as defs.
     """
+    if start > 0 and golden_index is None:
+        raise ValueError("a scan from start > 0 needs the golden index")
     records = faulty.records
+    stop = len(records) if stop is None else min(stop, len(records))
+    writes = golden_index.writes if golden_index is not None else None
+    # loc -> record of its latest def so far, -1 when it has none
     last_def: dict[int, int] = {}
     updates: dict[int, list[int]] = {}
 
-    for t, rec in enumerate(records):
+    def def_of(loc: int) -> int:
+        t_def = last_def.get(loc)
+        if t_def is None:
+            t_def = -1
+            if writes is not None and loc < 0:
+                lst = writes.get(loc, ())
+                for i in range(bisect.bisect_left(lst, start) - 1, -1, -1):
+                    if records[lst[i]][R_DLOC] == loc:
+                        t_def = lst[i]
+                        break
+            last_def[loc] = t_def
+        return t_def
+
+    for t in range(start, stop):
+        rec = records[t]
         op = rec[R_OP]
-        if op == oc.STORE:
+        if op == oc.STORE or op == oc.MOV:
             vloc = rec[R_SLOCS][0]
             target = rec[R_DLOC]
-            if vloc is not None and vloc in last_def and target is not None:
-                t_def = last_def[vloc]
-                drec = records[t_def]
-                if drec[R_OP] in oc.ACCUM_CANDIDATES:
-                    # snapshot the chain defs for the walk
-                    if _walk(records, last_def, t_def, target):
+            if vloc is not None and target is not None:
+                t_def = def_of(vloc)
+                drec = records[t_def] if t_def >= 0 else None
+                if drec is not None and drec[R_OP] in oc.ACCUM_CANDIDATES:
+                    if op == oc.MOV:
+                        hit = target in (drec[R_SLOCS] or ())
+                    else:
+                        hit = _walk(records, def_of, t_def, target)
+                    if hit:
                         updates.setdefault(target, []).append(t)
-        elif op == oc.MOV:
-            vloc = rec[R_SLOCS][0]
-            target = rec[R_DLOC]
-            if vloc is not None and vloc in last_def and target is not None:
-                t_def = last_def[vloc]
-                drec = records[t_def]
-                if drec[R_OP] in oc.ACCUM_CANDIDATES and \
-                        target in (drec[R_SLOCS] or ()):
-                    updates.setdefault(target, []).append(t)
         dloc = rec[R_DLOC]
         if dloc is not None and dloc < 0:
             last_def[dloc] = t
     return updates
 
 
-def _walk(records, last_def, t_def: int, target_loc: int,
+def _walk(records, def_of, t_def: int, target_loc: int,
           depth: int = 6) -> bool:
-    """Depth-limited def-chain walk using the *current* last_def map.
+    """Depth-limited def-chain walk over the *current* latest defs.
 
     Sound for the straight-line accumulator idiom (load -> adds ->
     store all adjacent), which is the shape the frontend emits for
@@ -147,16 +172,16 @@ def _walk(records, last_def, t_def: int, target_loc: int,
         if d == 0:
             continue
         for sloc in rec[R_SLOCS]:
-            if sloc is not None and sloc < 0 and sloc in last_def:
-                prev = last_def[sloc]
-                if prev < t:  # only walk defs that happened earlier
+            if sloc is not None and sloc < 0:
+                prev = def_of(sloc)
+                if 0 <= prev < t:  # only walk defs that happened earlier
                     stack.append((prev, d - 1))
     return False
 
 
 def detect_repeated_additions(ff: Trace, faulty: Trace, acl: ACLResult,
                               region_of: Callable[[int], Optional[str]],
-                              min_updates: int = 2
+                              ff_index: TraceIndex, min_updates: int = 2
                               ) -> list[PatternInstance]:
     """Pattern 2: corrupted accumulators whose error magnitude shrinks.
 
@@ -164,18 +189,22 @@ def detect_repeated_additions(ff: Trace, faulty: Trace, acl: ACLResult,
     while corrupted, compare the stored values against the aligned
     fault-free run; a (weakly) decreasing error-magnitude series is the
     RA signature (Table II's behaviour in MG).
+
+    Only updates in ``[acl.start, acl.aligned)`` can count: nothing is
+    corrupted before the ACL's first record, and values are compared
+    only while the runs are aligned.  The accumulator scan covers just
+    that window, taking earlier register defs from the golden
+    ``ff_index``.
     """
-    aligned = acl.divergence if acl.divergence is not None \
-        else min(len(ff), len(faulty))
-    updates = find_accumulator_updates(faulty)
+    updates = find_accumulator_updates(faulty, acl.start, acl.aligned,
+                                       ff_index)
     out = []
     for loc, times in updates.items():
-        corrupted_times = [t for t in times
-                           if acl.corrupted_at(loc, t) and t < aligned]
+        corrupted_times = [t for t in times if acl.corrupted_at(loc, t)]
         if len(corrupted_times) < min_updates:
             continue
         # was the corruption eventually fully absorbed by an update?
-        absorbed = any(t < aligned and not acl.corrupted_at(loc, t)
+        absorbed = any(not acl.corrupted_at(loc, t)
                        for t in times if t > corrupted_times[-1])
         mags = []
         abs_errs = []
@@ -220,15 +249,19 @@ def detect_repeated_additions(ff: Trace, faulty: Trace, acl: ACLResult,
     return out
 
 
-def detect_all(ff: Trace, faulty: Trace, acl: ACLResult, faulty_index,
-               instances: Sequence[RegionInstance]
+def detect_all(ff: Trace, faulty: Trace, acl: ACLResult,
+               instances: Sequence[RegionInstance], ff_index: TraceIndex
                ) -> list[PatternInstance]:
-    """Run every detector; returns all pattern instances found."""
+    """Run every detector; returns all pattern instances found.
+
+    ``ff_index`` is the golden trace's :class:`TraceIndex`.
+    """
     region_of = region_locator(instances)
     out: list[PatternInstance] = []
     out.extend(detect_overwriting(acl, region_of))
     out.extend(detect_masking_patterns(acl, region_of))
-    out.extend(detect_dcl(acl, faulty_index, region_of))
-    out.extend(detect_repeated_additions(ff, faulty, acl, region_of))
+    out.extend(detect_dcl(acl, region_of))
+    out.extend(detect_repeated_additions(ff, faulty, acl, region_of,
+                                         ff_index))
     out.sort(key=lambda p: p.time)
     return out

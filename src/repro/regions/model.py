@@ -15,7 +15,9 @@ the paper's per-region instruction counts (e.g. 31.7M instructions for
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
 
 from repro.ir import opcodes as oc
@@ -133,22 +135,35 @@ def detect_regions(module: Module, fn_name: str,
     return RegionModel(fn, regions, block_to_region, cfg)
 
 
-def split_instances(records: Sequence, model: RegionModel) -> list[RegionInstance]:
+def split_instances(records: Sequence, model: RegionModel,
+                    golden: Sequence[RegionInstance] = (),
+                    aligned: int = 0) -> list[RegionInstance]:
     """Split a trace into dynamic region instances.
 
     A record belongs to region R when (a) it executes in the region
     function inside R's blocks, or (b) it executes in a callee invoked
     while R was current.  A RET of the region function closes the
     current instance.
+
+    ``golden`` are the instances of another trace whose records match
+    ``records`` in fn, pc and op — all the split reads — before
+    ``aligned`` (a faulty trace and its golden one, up to their
+    divergence).  The instances opened before ``aligned`` are then the
+    golden ones up to the last such instance, whose opening record
+    closes whatever was open in both traces alike; the scan starts at
+    that record, and the earlier golden instance objects are reused.
     """
     fn = model.fn
     fn_idx = fn.index
     block_of_pc = fn.block_of_pc
     b2r = model.block_to_region
-    instances: list[RegionInstance] = []
+    # the last golden instance opened before `aligned` is re-scanned
+    last = bisect_left(golden, aligned, key=lambda inst: inst.start) - 1
+    instances: list[RegionInstance] = list(golden[:max(last, 0)])
     cur_rid: Optional[int] = None
-    start = 0
-    per_region_count: dict[int, int] = {}
+    start = golden[last].start if last >= 0 else 0
+    per_region_count: dict[int, int] = {
+        inst.region.rid: inst.index + 1 for inst in instances}
 
     def close(end: int) -> None:
         nonlocal cur_rid
@@ -159,7 +174,7 @@ def split_instances(records: Sequence, model: RegionModel) -> list[RegionInstanc
             instances.append(RegionInstance(region, start, end, idx))
             cur_rid = None
 
-    for t, rec in enumerate(records):
+    for t, rec in enumerate(islice(records, start, None), start):
         if rec[R_FN] != fn_idx:
             continue  # callee work stays attributed to cur_rid
         rid = b2r.get(block_of_pc[rec[R_PC]])

@@ -9,7 +9,6 @@ ends this corrupted interval?") becomes a :mod:`bisect` query.
 from __future__ import annotations
 
 import bisect
-from itertools import islice
 from typing import Optional, Sequence
 
 from repro.ir import opcodes as oc
@@ -20,69 +19,7 @@ from repro.ir.function import SLOT_LIMIT
 INF = 1 << 62
 
 
-class _ReadQueries:
-    """Bisect queries over per-location sorted read-position lists."""
-
-    reads: dict
-    n: int
-
-    def last_read_in(self, loc: int, a: int, b: int) -> Optional[int]:
-        """Last read of ``loc`` in [a, b), or None."""
-        lst = self.reads.get(loc)
-        if not lst:
-            return None
-        i = bisect.bisect_left(lst, b) - 1
-        if i >= 0 and lst[i] >= a:
-            return lst[i]
-        return None
-
-    def has_read_in(self, loc: int, a: int, b: int) -> bool:
-        lst = self.reads.get(loc)
-        if not lst:
-            return False
-        i = bisect.bisect_left(lst, a)
-        return i < len(lst) and lst[i] < b
-
-    def first_read_at_or_after(self, loc: int, t: int) -> int:
-        lst = self.reads.get(loc)
-        if not lst:
-            return INF
-        i = bisect.bisect_left(lst, t)
-        return lst[i] if i < len(lst) else INF
-
-    def read_count(self, loc: int) -> int:
-        return len(self.reads.get(loc, ()))
-
-
-class FocusedReadIndex(_ReadQueries):
-    """Read positions for a chosen location set only.
-
-    The ACL pass and the DCL detector only ever query the locations
-    that became corrupted — a handful out of hundreds of thousands —
-    so indexing just those is ~10x cheaper than a full
-    :class:`TraceIndex` per faulty trace.  Reads before record
-    ``start`` are left out, so every query whose window begins at or
-    after ``start`` answers exactly like the full index (the ACL starts
-    it at the earliest birth; its queries never look before a birth).
-    """
-
-    def __init__(self, records: Sequence, locs, start: int = 0):
-        focus = frozenset(locs)
-        reads: dict[int, list[int]] = {}
-        for t, rec in enumerate(islice(records, start, None), start):
-            for sloc in rec[R_SLOCS]:
-                if sloc is not None and sloc in focus:
-                    lst = reads.get(sloc)
-                    if lst is None:
-                        reads[sloc] = [t]
-                    else:
-                        lst.append(t)
-        self.focus = focus
-        self.reads = reads
-        self.n = len(records)
-
-
-class TraceIndex(_ReadQueries):
+class TraceIndex:
     """Sorted read/write positions per location for one trace."""
 
     def __init__(self, records: Sequence):
@@ -118,6 +55,34 @@ class TraceIndex(_ReadQueries):
         self.reads = reads
         self.writes = writes
         self.n = len(records)
+
+    # -- read queries ---------------------------------------------------------
+    def last_read_in(self, loc: int, a: int, b: int) -> Optional[int]:
+        """Last read of ``loc`` in [a, b), or None."""
+        lst = self.reads.get(loc)
+        if not lst:
+            return None
+        i = bisect.bisect_left(lst, b) - 1
+        if i >= 0 and lst[i] >= a:
+            return lst[i]
+        return None
+
+    def has_read_in(self, loc: int, a: int, b: int) -> bool:
+        lst = self.reads.get(loc)
+        if not lst:
+            return False
+        i = bisect.bisect_left(lst, a)
+        return i < len(lst) and lst[i] < b
+
+    def first_read_at_or_after(self, loc: int, t: int) -> int:
+        lst = self.reads.get(loc)
+        if not lst:
+            return INF
+        i = bisect.bisect_left(lst, t)
+        return lst[i] if i < len(lst) else INF
+
+    def read_count(self, loc: int) -> int:
+        return len(self.reads.get(loc, ()))
 
     # -- write queries --------------------------------------------------------
     def next_write_at_or_after(self, loc: int, t: int) -> int:

@@ -13,16 +13,34 @@ program, the ACL result must satisfy its structural contract:
   flip never fired) changes no field of the result;
 * the indexed ``corrupted_at`` agrees with a linear scan over every
   interval, on real ACL results and on arbitrary interval lists.
+
+The windowed scans of a traced analysis each match a full-scan oracle:
+
+* the accumulator scan over ``[injection, aligned)``, seeded from the
+  golden index, equals ``find_accumulator_updates`` over the whole
+  faulty trace restricted to that window;
+* the region split seeded with the golden instances up to the
+  divergence equals the full ``split_instances``;
+* each death's ``read`` flag, and the end-of-trace ``dead``/``end``
+  deaths, equal the faulty trace's ``TraceIndex`` read queries.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.acl.table import ACLResult, build_acl
 from repro.frontend import ProgramBuilder
+from repro.ir import opcodes as oc
+from repro.ir.builder import IRBuilder
+from repro.ir.function import Function
+from repro.ir.instructions import reg
+from repro.ir.module import Module
 from repro.ir.types import F64, I64
-from repro.trace.events import R_DLOC, Trace
+from repro.patterns.detect import find_accumulator_updates
+from repro.regions.model import detect_regions, split_instances
+from repro.trace.events import R_DLOC, R_OP, R_SLOCS, Trace
+from repro.trace.index import TraceIndex
 from repro.vm import FaultPlan, Interpreter
 
 SRC = """
@@ -55,21 +73,93 @@ _FF = Trace(_CLEAN.records, _MODULE)
 _N = len(_FF)
 _DEF_SITES = [t for t, r in enumerate(_FF.records) if r[R_DLOC] is not None]
 
+# u[1] is a real accumulator; u[0] = x + 1.0 reaches the LOAD of u[0]
+# only through bump's second parameter, which its CALL record writes
+# without naming it as the record's destination
+CALL_SRC = """
+def bump(y: float, x: float) -> None:
+    u[0] = x + 1.0
 
-def _acl_for(trigger: int, bit: int):
-    plan = FaultPlan(trigger=trigger, mode="result", bit=bit)
-    interp = Interpreter(_MODULE, trace=True, fault=plan,
-                         max_instr=10 * _N + 1000)
+def main() -> float:
+    u[0] = 2.0
+    u[1] = 0.0
+    for i in range(3):
+        bump(0.5, u[0])
+        u[1] = u[1] + u[0]
+    return u[1]
+"""
+
+
+def _call_module():
+    pb = ProgramBuilder("c")
+    pb.array("u", F64, (2,))
+    pb.func_source(CALL_SRC)
+    return pb.build()
+
+
+def _self_update_module():
+    """``x = x + float(k)`` in one record, then a load from address k.
+
+    A flip of k corrupts x at the FADD, which also reads x: a birth
+    whose own record reads the location.  A high-bit flip also makes
+    the load fault, so the FADD is the last record of the faulty trace.
+    """
+    module = Module("s")
+    module.add_scalar("g", F64, 1.0)
+    b = IRBuilder(module.add_function(Function("main", [])))
+    x = b.mov(3.0, rtype=F64)
+    k = b.mov(0, rtype=I64)
+    y = b.unop(oc.SITOFP, reg(k), rtype=F64)
+    b.binop(oc.FADD, reg(x), reg(y), dest=x, rtype=F64)
+    b.load(reg(k))
+    b.ret()
+    module.finalize("main")
+    return module
+
+
+def _golden(module):
+    clean = Interpreter(module, trace=True)
+    clean.run()
+    ff = Trace(clean.records, module)
+    return module, ff, TraceIndex(ff.records)
+
+
+_PROGRAMS = {"loops": (_MODULE, _FF, TraceIndex(_FF.records)),
+             "calls": _golden(_call_module()),
+             "self": _golden(_self_update_module())}
+_MODEL = detect_regions(_MODULE, "main", "r")
+_GOLDEN_INSTANCES = split_instances(_FF.records, _MODEL)
+
+
+def _faulty_run(trigger: int, bit: int, mode: str, program: str = "loops"):
+    module, ff, _index = _PROGRAMS[program]
+    loc = ff.records[trigger][R_DLOC] if mode == "loc" else None
+    plan = FaultPlan(trigger=trigger, mode=mode, bit=bit, loc=loc)
+    interp = Interpreter(module, trace=True, fault=plan,
+                         max_instr=10 * len(ff) + 1000)
     try:
         interp.run()
     except Exception:
         pass
-    faulty = Trace(interp.records, _MODULE)
-    rec = interp.fault_record
+    return Trace(interp.records, module), interp.fault_record
+
+
+def _windowed_acl(faulty, rec, program: str = "loops",
+                  taint_only: bool = False):
+    """The ACL as a traced analysis builds it: from the injection."""
+    return build_acl(_PROGRAMS[program][1], faulty,
+                     injected_loc=rec.loc if rec.fired else None,
+                     injected_time=rec.dyn_index if rec.fired else None,
+                     taint_only=taint_only,
+                     start=rec.dyn_index if rec.fired else len(faulty))
+
+
+def _acl_for(trigger: int, bit: int):
+    faulty, rec = _faulty_run(trigger, bit, "result")
     return build_acl(_FF, faulty,
                      injected_loc=rec.loc if rec.fired else None,
                      injected_time=rec.dyn_index if rec.fired else None), \
-        interp
+        rec
 
 
 @given(st.sampled_from(_DEF_SITES), st.integers(min_value=0, max_value=63))
@@ -90,12 +180,12 @@ def test_counts_equal_interval_cover(trigger, bit):
 @given(st.sampled_from(_DEF_SITES), st.integers(min_value=0, max_value=63))
 @settings(max_examples=80, deadline=None)
 def test_deaths_after_births_and_counts_nonnegative(trigger, bit):
-    acl, interp = _acl_for(trigger, bit)
+    acl, rec = _acl_for(trigger, bit)
     assert (acl.counts >= 0).all()
     for d in acl.deaths:
         assert d.time >= d.birth
-    if interp.fault_record.fired:
-        t0 = interp.fault_record.dyn_index
+    if rec.fired:
+        t0 = rec.dyn_index
         assert all(t >= t0 for _loc, t in acl.births)
         assert (acl.counts[:t0] == 0).all()
 
@@ -120,7 +210,7 @@ def _acl_fields(acl) -> str:
                  acl.divergence, sorted(acl.corrupted_at_end),
                  acl.injected_loc, acl.intervals,
                  [(m.time, m.op, m.line, m.fn, m.pc) for m in acl.maskings],
-                 acl.read_index.reads))
+                 [d.read for d in acl.deaths]))
 
 
 @given(st.sampled_from(_DEF_SITES), st.integers(min_value=0, max_value=63),
@@ -128,16 +218,7 @@ def _acl_fields(acl) -> str:
 @settings(max_examples=80, deadline=None)
 def test_scan_from_injection_equals_full_scan(trigger, bit, mode,
                                               taint_only):
-    loc = _FF.records[trigger][R_DLOC] if mode == "loc" else None
-    plan = FaultPlan(trigger=trigger, mode=mode, bit=bit, loc=loc)
-    interp = Interpreter(_MODULE, trace=True, fault=plan,
-                         max_instr=10 * _N + 1000)
-    try:
-        interp.run()
-    except Exception:
-        pass
-    faulty = Trace(interp.records, _MODULE)
-    rec = interp.fault_record
+    faulty, rec = _faulty_run(trigger, bit, mode)
     kwargs = dict(injected_loc=rec.loc if rec.fired else None,
                   injected_time=rec.dyn_index if rec.fired else None,
                   taint_only=taint_only)
@@ -179,3 +260,108 @@ def test_indexed_corrupted_at_matches_scan_any_intervals(spans, loc, t):
                     intervals=intervals)
     assert acl.corrupted_at(loc, t) == \
         _corrupted_at_oracle(intervals, loc, t)
+
+
+# ------------------------------------------------ windowed scans vs oracles
+_SITES = st.one_of(*(
+    st.tuples(st.just(name),
+              st.sampled_from([t for t, r in enumerate(ff.records)
+                               if r[R_DLOC] is not None]))
+    for name, (_m, ff, _i) in _PROGRAMS.items()))
+_MODES = st.sampled_from(["result", "loc"])
+_BITS = st.integers(min_value=0, max_value=63)
+
+
+@given(_SITES, _BITS, _MODES, st.booleans())
+@example(("calls", 8), 3, "result", False)    # window opens inside bump
+@example(("calls", 12), 3, "result", False)   # chain def before window
+@settings(max_examples=120, deadline=None)
+def test_windowed_accumulator_updates_equal_full_scan(site, bit, mode,
+                                                      taint_only):
+    program, trigger = site
+    _module, ff, ff_index = _PROGRAMS[program]
+    faulty, rec = _faulty_run(trigger, bit, mode, program)
+    acl = _windowed_acl(faulty, rec, program, taint_only)
+    lo, hi = acl.start, acl.aligned
+    assert hi == (acl.divergence if acl.divergence is not None
+                  else min(len(ff), len(faulty)))
+    oracle = {}
+    for loc, times in find_accumulator_updates(faulty).items():
+        window = [t for t in times if lo <= t < hi]
+        if window:
+            oracle[loc] = window
+    assert find_accumulator_updates(faulty, lo, hi, ff_index) == oracle
+
+
+def _split_image(instances):
+    return [(i.region.name, i.start, i.end, i.index) for i in instances]
+
+
+@given(st.sampled_from(_DEF_SITES), _BITS, _MODES, st.booleans())
+@example(1, 63, "result", False)    # crashes after 8 records
+@example(10, 0, "result", False)    # diverges where golden r_c starts
+@settings(max_examples=120, deadline=None)
+def test_divergence_seeded_split_equals_full_split(trigger, bit, mode,
+                                                   taint_only):
+    faulty, rec = _faulty_run(trigger, bit, mode)
+    acl = _windowed_acl(faulty, rec, taint_only=taint_only)
+    seeded = split_instances(faulty.records, _MODEL, _GOLDEN_INSTANCES,
+                             acl.aligned)
+    assert _split_image(seeded) == \
+        _split_image(split_instances(faulty.records, _MODEL))
+
+
+@given(_SITES, _BITS, _MODES, st.booleans())
+@example(("self", 1), 40, "result", False)  # x read only at its birth
+@example(("self", 3), 3, "loc", False)      # injected birth, read there
+@settings(max_examples=120, deadline=None)
+def test_read_flags_equal_index_queries(site, bit, mode, taint_only):
+    program, trigger = site
+    faulty, rec = _faulty_run(trigger, bit, mode, program)
+    acl = _windowed_acl(faulty, rec, program, taint_only)
+    index = TraceIndex(faulty.records)
+    n = len(faulty)
+    for d in acl.deaths:
+        assert d.read == index.has_read_in(d.loc, d.birth, d.time + 1)
+    # the close-out deaths come last, one per location alive at the end
+    tail = acl.deaths[len(acl.deaths) - len(acl.corrupted_at_end):]
+    assert {d.loc for d in tail} == acl.corrupted_at_end
+    for d in tail:
+        last = index.last_read_in(d.loc, d.birth + 1, n)
+        if last is None:
+            want = ("dead", d.birth + 1)
+        elif last >= n - 1:
+            want = ("end", n)
+        else:
+            want = ("dead", last + 1)
+        assert (d.cause, d.time) == want
+
+
+def test_pinned_examples_reach_the_edge_cases():
+    """The ``@example`` cases above exercise what they claim to."""
+    # the window opens between bump's CALL and the STORE whose chain
+    # runs through the second parameter, which the CALL record writes
+    # without naming it as its destination
+    call_ff = _PROGRAMS["calls"][1]
+    call, fadd = call_ff.records[7], call_ff.records[8]
+    assert call[R_OP] == oc.CALL and fadd[R_SLOCS][0] == call[R_DLOC] - 1
+    # crashed, shorter trace
+    faulty, _rec = _faulty_run(1, 63, "result")
+    assert len(faulty) < _N
+    # divergence exactly at the start of a golden instance
+    faulty, _rec = _faulty_run(10, 0, "result")
+    assert _FF.first_divergence(faulty) in \
+        {i.start for i in _GOLDEN_INSTANCES}
+    # a location born at the last record, which reads it, and never
+    # read again: dead just past the trace end, read flag set
+    faulty, frec = _faulty_run(1, 40, "result", "self")
+    acl = _windowed_acl(faulty, frec, "self")
+    last = faulty.records[-1]
+    assert len(faulty) == 4 and last[R_DLOC] in last[R_SLOCS]
+    assert [(d.loc, d.birth, d.time, d.cause, d.read) for d in acl.deaths
+            if d.loc == last[R_DLOC]] == [(last[R_DLOC], 3, 4, "dead", True)]
+    # an injected birth, read at its record
+    faulty, frec = _faulty_run(3, 3, "loc", "self")
+    acl = _windowed_acl(faulty, frec, "self")
+    assert any(d.loc == frec.loc and d.birth == frec.dyn_index == 3
+               and d.read for d in acl.deaths)

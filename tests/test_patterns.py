@@ -34,14 +34,13 @@ def analyze(src, picker, arrays=(), scalars=(), region_fn=None):
         pass
     faulty = Trace(fi.records, module)
     rec = fi.fault_record
-    findex = TraceIndex(faulty.records)
     acl = build_acl(ff, faulty,
                     injected_loc=rec.loc if rec.fired else None,
-                    injected_time=rec.dyn_index if rec.fired else None,
-                    faulty_index=findex)
+                    injected_time=rec.dyn_index if rec.fired else None)
     model = detect_regions(module, region_fn or "main", "r")
     instances = split_instances(faulty.records, model)
-    patterns = detect_all(ff, faulty, acl, findex, instances)
+    patterns = detect_all(ff, faulty, acl, instances,
+                          TraceIndex(ff.records))
     return patterns, acl, fi
 
 
