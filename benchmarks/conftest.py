@@ -32,13 +32,27 @@ WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS",
 
 
 def tracker(app: str, **params) -> FlipTracker:
-    """Session-cached FlipTracker (fault-free traces are expensive)."""
+    """FlipTracker cached for the current module (golden traces are
+    expensive); ``_close_trackers`` releases it when the module ends."""
     key = app + repr(sorted(params.items()))
     if key not in _trackers:
         _trackers[key] = FlipTracker(REGISTRY.build(app, **params),
                                      seed=20181111,  # SC'18 dates
                                      workers=WORKERS)
     return _trackers[key]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_trackers():
+    """Close every cached tracker (and its worker pool) after each module.
+
+    A pytest session that goes on to other directories would otherwise
+    keep every tracker's pool and golden trace until the session ends.
+    """
+    yield
+    for ft in _trackers.values():
+        ft.close()
+    _trackers.clear()
 
 
 @pytest.fixture(scope="session")

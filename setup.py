@@ -1,9 +1,9 @@
-"""Setuptools shim.
+"""Package metadata for ``repro``.
 
-The primary metadata lives in pyproject.toml; this file exists so that
-``pip install -e .`` / ``python setup.py develop`` work on environments
-whose setuptools predates PEP 660 editable installs (no ``wheel``
-package available offline).
+This file is the only packaging configuration (there is no
+``pyproject.toml``).  It keeps ``pip install -e .`` and ``python
+setup.py develop`` working on setuptools versions that predate PEP 660
+editable installs (no ``wheel`` package available offline).
 """
 
 from setuptools import find_packages, setup

@@ -49,7 +49,7 @@ control the unified execution engine (see :mod:`repro.engine`):
 ``--cache-dir`` spills every executed plan's result to a JSON-lines
 file, and ``--resume`` replays it so a repeated or interrupted campaign
 skips injections that already ran.  ``--backend`` picks the shard
-substrate (``local``/``async``/``socket`` — see
+substrate (``local``/``socket`` — see
 :mod:`repro.engine.backends`) for campaigns *and* traced analyses;
 with ``socket``, ``--backend-addr`` names the shard server(s) started
 via ``serve``, which execute both ``RUN`` and ``ANALYZE`` jobs
@@ -65,6 +65,7 @@ from typing import Optional, Sequence
 
 from repro.apps import ALL_APPS, REGISTRY
 from repro.core import FlipTracker
+from repro.engine.backends import BACKENDS
 from repro.util.tables import format_table
 
 
@@ -630,13 +631,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard-size", type=_positive_int, default=None,
                    help="campaign checkpoint/progress granularity "
                         "(default 64)")
-    p.add_argument("--backend", choices=("local", "async", "socket"),
-                   default=None,
+    p.add_argument("--backend", choices=sorted(BACKENDS), default=None,
                    help="shard-execution backend for campaigns and "
-                        "traced analyses: in-host pool (local, the "
-                        "default), asyncio worker fan-out, or remote "
-                        "TCP shard servers (byte-identical results "
-                        "either way)")
+                        "traced analyses, one of "
+                        f"{', '.join(sorted(BACKENDS))} (default local; "
+                        "byte-identical results either way)")
     p.add_argument("--backend-addr", default=None, metavar="HOST:PORT[,..]",
                    help="shard server address(es) for --backend socket "
                         "(default 127.0.0.1:7453; start one with "

@@ -210,7 +210,7 @@ class FlipTracker:
         Campaign checkpoint/progress granularity.
     backend:
         Shard-execution substrate for campaigns: ``"local"`` (the
-        in-host pool, default), ``"async"``, ``"socket"``, or a
+        in-host pool, default), ``"socket"``, or a
         pre-built :class:`~repro.engine.backends.Backend` instance
         (see :mod:`repro.engine.backends`).
     backend_addr:
@@ -596,8 +596,8 @@ class FlipTracker:
         configured backend exactly like campaigns: the default local
         pool fans out across fork children inheriting the cached
         fault-free trace copy-on-write (needs ``self.workers > 1``),
-        while ``backend="async"``/``"socket"`` ship the analyses to
-        protocol workers or remote shard servers as ``ANALYZE`` frames
+        while ``backend="socket"`` ships the analyses to remote shard
+        servers as ``ANALYZE`` frames
         (see ``docs/protocol.md``) — results are byte-identical either
         way.  Regions whose site populations are empty (a straight
         region with no internal defs, say) are skipped rather than

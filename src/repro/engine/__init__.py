@@ -16,9 +16,8 @@ campaigns (Figs. 5/6, Tables III/IV) and traced pattern analyses
   :class:`ProgressEvent` callbacks — each finished shard is durable in
   the cache, so an interrupted campaign resumes where it stopped;
 * **pluggable shard backends** (:mod:`repro.engine.backends`): the
-  same shard loop runs on the in-host process pool (``local``), on
-  asyncio-coordinated forked workers (``async``) or on remote TCP
-  shard servers (``socket``) — all feeding the one cache and all
+  same shard loop runs on the in-host process pool (``local``) or on
+  remote TCP shard servers (``socket``) — both feeding the one cache and
   byte-identical to ``workers=1``, for untraced campaigns (``RUN``)
   and traced pattern analyses (``ANALYZE``) alike; the wire protocol
   is specified in ``docs/protocol.md``.
@@ -28,9 +27,9 @@ regardless of worker count, shard size, or arrival order; the
 determinism suite (``tests/test_determinism.py``) locks this in.
 """
 
-from repro.engine.backends import (BACKENDS, AsyncBackend, Backend,
-                                   LocalPoolBackend, ShardServer,
-                                   SocketBackend, resolve_backend)
+from repro.engine.backends import (BACKENDS, Backend, LocalPoolBackend,
+                                   ShardServer, SocketBackend,
+                                   resolve_backend)
 from repro.engine.cache import PlanCache
 from repro.engine.core import EngineError, ExecutionEngine
 from repro.engine.keys import (KEY_VERSION, decode_plan, encode_plan,
@@ -43,5 +42,5 @@ __all__ = [
     "KEY_VERSION", "encode_plan", "decode_plan", "plan_key",
     "module_fingerprint", "program_fingerprint",
     "Backend", "BACKENDS", "resolve_backend", "LocalPoolBackend",
-    "AsyncBackend", "SocketBackend", "ShardServer",
+    "SocketBackend", "ShardServer",
 ]

@@ -5,17 +5,12 @@ execute (cache filtering, shard boundaries, plan-order assembly); a
 backend decides *where* (see :mod:`.base` for the contract).  Every
 backend implements both shard operations — ``RUN`` (untraced campaign
 shards) and ``ANALYZE`` (traced pattern analyses, shipped as
-sorted-list pattern tables).  Three substrates ship:
+sorted-list pattern tables).  Two substrates ship:
 
 ``local``  :class:`LocalPoolBackend`
     The seed engine's persistent fork/spawn process pool,
     behavior-preserving (plus worker-death detection instead of a
     silent hang).
-
-``async``  :class:`AsyncBackend`
-    Asyncio dispatch to forked subprocess workers over socketpairs —
-    bounded in-flight shards, out-of-order completion, in-order
-    reassembly.
 
 ``socket`` :class:`SocketBackend`
     TCP client for one or more :class:`ShardServer` processes
@@ -23,19 +18,18 @@ sorted-list pattern tables).  Three substrates ship:
     handshake, single retry per shard, worker failover, and local
     fallback when no server is reachable.
 
-All three feed the same content-addressed
+Both feed the same content-addressed
 :class:`~repro.engine.cache.PlanCache` through the engine and are
 byte-identical to ``workers=1`` for campaigns *and* analyses
-(``tests/test_determinism.py``).  The wire protocol the async and
-socket substrates share is specified normatively in
-``docs/protocol.md`` (:mod:`.protocol` implements it).
+(``tests/test_determinism.py``).  The wire protocol the socket
+substrate speaks is specified normatively in ``docs/protocol.md``
+(:mod:`.protocol` implements it).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from repro.engine.backends.aio import AsyncBackend
 from repro.engine.backends.base import Backend
 from repro.engine.backends.local import LocalPoolBackend
 from repro.engine.backends.remote import (DEFAULT_PORT, SocketBackend,
@@ -45,7 +39,6 @@ from repro.engine.backends.server import ShardServer
 #: CLI / config names -> backend classes
 BACKENDS = {
     "local": LocalPoolBackend,
-    "async": AsyncBackend,
     "socket": SocketBackend,
 }
 
@@ -78,6 +71,5 @@ def resolve_backend(spec: BackendSpec = None, *,
 
 __all__ = [
     "Backend", "BACKENDS", "resolve_backend", "LocalPoolBackend",
-    "AsyncBackend", "SocketBackend", "ShardServer", "DEFAULT_PORT",
-    "parse_addresses",
+    "SocketBackend", "ShardServer", "DEFAULT_PORT", "parse_addresses",
 ]

@@ -4,7 +4,7 @@
 :meth:`ExecutionEngine.analyze_plans` own *what* runs (cache lookups,
 shard boundaries, result assembly, progress, checkpointing) and a
 :class:`Backend` owns *where* it runs.  The contract is deliberately
-tiny so that scaling work — remote shards, async fan-out, batching —
+tiny so that scaling work — remote shards, batching —
 is a new backend, not an engine rewrite:
 
 * the engine hands over the pending shards (plan order, already

@@ -27,6 +27,7 @@ import multiprocessing as mp
 import os
 import threading
 import warnings
+import weakref
 from typing import Iterator, Optional, Sequence
 
 from repro.engine import worker as worker_mod
@@ -49,6 +50,7 @@ class LocalPoolBackend(Backend):
     def __init__(self) -> None:
         super().__init__()
         self._pool = None
+        self._pool_finalizer = None
         self._worker_pids: set = set()
 
     # ------------------------------------------------------------ pool
@@ -85,6 +87,9 @@ class LocalPoolBackend(Backend):
                 engine.workers, initializer=worker_mod.init_spawn_worker,
                 initargs=(engine.program.name, engine.program.params))
         self._worker_pids = {w.pid for w in self._pool._pool}
+        # an engine dropped without close() still terminates its
+        # workers; the finalizer holds the pool, never the backend
+        self._pool_finalizer = weakref.finalize(self, self._pool.terminate)
         engine.pool_starts += 1
         return self._pool
 
@@ -179,6 +184,7 @@ class LocalPoolBackend(Backend):
         if self._pool is None:
             return
         pool, self._pool = self._pool, None
+        self._pool_finalizer.detach()
         if self.failed_shard is None:
             pool.terminate()
             pool.join()

@@ -1,4 +1,4 @@
-"""Length-prefixed JSON shard protocol (async + socket backends).
+"""Length-prefixed JSON shard protocol (socket backend, shard servers).
 
 The normative specification of this protocol — frame format, handshake,
 operations, error codes, retry/failover semantics — lives in
@@ -43,10 +43,9 @@ object.  The conversation between a shard client and a shard worker:
     Polite shutdown; either side may also just close the socket
     between frames.
 
-The same frames travel over a forked worker's socketpair
-(:class:`~repro.engine.backends.aio.AsyncBackend`) and over TCP
-(:class:`~repro.engine.backends.remote.SocketBackend` +
-:class:`~repro.engine.backends.server.ShardServer`).
+The frames travel over TCP between
+:class:`~repro.engine.backends.remote.SocketBackend` and
+:class:`~repro.engine.backends.server.ShardServer`.
 
 Version 3 extends the vocabulary with the **service tier** ops
 (:mod:`repro.service`): shard servers join a registry with
@@ -182,36 +181,6 @@ def recv_msg(sock: socket.socket) -> Optional[dict]:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
 
 
-# ------------------------------------------------------------ asyncio side
-async def async_send(loop, sock: socket.socket, obj: dict) -> None:
-    """Frame write over a non-blocking socket via ``loop.sock_sendall``."""
-    body = json.dumps(obj, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    await loop.sock_sendall(sock, _HEADER.pack(len(body)) + body)
-
-
-async def _async_recv_exact(loop, sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = await loop.sock_recv(sock, remaining)
-        if not chunk:
-            raise ProtocolError(
-                f"connection closed mid-frame ({n - remaining}/{n} bytes)")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-async def async_recv(loop, sock: socket.socket) -> dict:
-    header = await _async_recv_exact(loop, sock, _HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds MAX_FRAME")
-    body = await _async_recv_exact(loop, sock, length)
-    return json.loads(body.decode("utf-8"))
-
-
 # ------------------------------------------------------------- handshakes
 def client_hello(sock: socket.socket, fingerprint: str) -> dict:
     """Run the client side of the handshake; raise on rejection."""
@@ -342,9 +311,9 @@ def decode_analysis_results(reply: dict, n_plans: int
 
     Raises :class:`ProtocolError` on any malformed reply — wrong
     count, non-object entries, missing/ill-typed ``m`` or ``patterns``
-    — so every client (async worker, socket connection) rejects it
-    identically and its transport-failure handling (retry/failover)
-    applies instead of an uncaught ``KeyError`` killing the client.
+    — so every socket connection rejects it identically and its
+    transport-failure handling (retry/failover) applies instead of an
+    uncaught ``KeyError`` killing the client.
     """
     results = reply.get("results")
     if not isinstance(results, list) or len(results) != n_plans:

@@ -52,14 +52,14 @@ import threading
 from repro.engine.backends import protocol
 from repro.engine.backends.remote import DEFAULT_PORT
 from repro.engine.keys import program_fingerprint
-from repro.golden import GOLDEN_CACHE, GOLDEN_CACHE_LOCK, shared_golden
+from repro.golden import GOLDEN_CACHE, shared_golden
 
 _HEARTBEAT_INTERVAL_S = 2.0
 
-#: the process-wide golden cache (:mod:`repro.golden`) under the names
-#: the rejoin test and the traced service benchmark clear it by
+#: the process-wide golden cache (:mod:`repro.golden`) under the name
+#: ``perfbench/workloads.py`` clears it by; new code uses
+#: ``repro.golden.GOLDEN_CACHE``
 _TRACKER_CACHE = GOLDEN_CACHE
-_TRACKER_CACHE_LOCK = GOLDEN_CACHE_LOCK
 
 
 class ShardServer:

@@ -6,8 +6,8 @@ and every :class:`~repro.core.FlipTracker` campaign/analysis method
 delegate here.
 
 Where a shard *executes* is a :class:`~repro.engine.backends.Backend`
-(``local`` process pool, ``async`` event-loop fan-out, ``socket``
-remote shard servers — see :mod:`repro.engine.backends`) — and that
+(``local`` process pool or ``socket`` remote shard servers — see
+:mod:`repro.engine.backends`) — and that
 holds for **both** shard operations: untraced campaign shards
 (:meth:`ExecutionEngine.run_plans`) and traced pattern analyses
 (:meth:`ExecutionEngine.analyze_plans`).  The engine keeps sole
@@ -57,8 +57,8 @@ class ExecutionEngine:
         Smallest pending batch worth fanning out to the pool
         (local backend only).
     backend:
-        Shard-execution substrate: a name (``"local"``, ``"async"``,
-        ``"socket"``), a pre-built
+        Shard-execution substrate: a name (``"local"``, ``"socket"``),
+        a pre-built
         :class:`~repro.engine.backends.Backend` instance, or ``None``
         for local.  See :mod:`repro.engine.backends`.
     backend_addr:
@@ -75,17 +75,15 @@ class ExecutionEngine:
         :mod:`repro.vm.exec_tier`).
         Both tiers are byte-identical across all observables, so the
         choice never affects results.  The resolved tier rides the
-        local backend's task payloads; protocol workers (async children,
-        shard servers) resolve ``REPRO_EXEC`` in their own process —
-        inherited from the parent for in-host backends.
+        local backend's task payloads; shard servers resolve
+        ``REPRO_EXEC`` in their own process.
     warm_start:
         Warm-start faulty runs from the golden snapshot ladder
         (:mod:`repro.warmstart`); ``None`` defers to ``REPRO_WARMSTART``
         (default on).  Byte-identical to cold starts on every
         observable — cache keys are unchanged, so spills and stores
         written either way stay valid.  Resolved like ``exec_tier``:
-        rides local-pool task payloads, env-resolved by protocol
-        workers and shard servers.
+        rides local-pool task payloads, env-resolved by shard servers.
     """
 
     def __init__(self, program, *, workers: Optional[int] = 1,
@@ -224,8 +222,8 @@ class ExecutionEngine:
         RecoveryResult` for a group of recovery plans (protected runs;
         cached/shipped as encoded outcome strings, so the cache, demux
         and alias machinery below are plan-kind agnostic).  The whole batch fans out through a
-        single :meth:`Backend.run_shards` call, so the async/socket
-        substrates overlap shards *across* groups instead of placing a
+        single :meth:`Backend.run_shards` call, so the socket
+        substrate overlaps shards *across* groups instead of placing a
         barrier between consecutive campaigns.
 
         Demux contract (what makes the batch path byte-identical to
@@ -367,8 +365,7 @@ class ExecutionEngine:
         Dispatches sharded analysis plans through ``self.backend``
         exactly like :meth:`run_plans` — the local pool runs them on
         fork children sharing the tracker's golden trace copy-on-write,
-        the ``async`` backend fans them out to its forked protocol
-        workers, and the ``socket`` backend ships them to shard servers
+        and the ``socket`` backend ships them to shard servers
         as ``ANALYZE`` frames (same handshake, per-shard retry,
         failover and local fallback as campaigns; see
         ``docs/protocol.md``).  Duplicate plans are analyzed once and

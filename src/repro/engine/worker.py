@@ -16,8 +16,7 @@ results in plan order no matter the arrival order — the root of the
 workers=1 vs workers=N determinism guarantee.
 
 These tasks serve the :class:`~repro.engine.backends.local.
-LocalPoolBackend`; protocol workers (async backend children, shard
-servers) execute the equivalent request bodies in
+LocalPoolBackend`; shard servers execute the equivalent request bodies in
 :mod:`repro.engine.backends.protocol` instead — both sort pattern
 sets into lists so the two paths produce byte-identical tables.
 """

@@ -12,7 +12,7 @@ The paper applies three resilience patterns to CG at the source level:
 The transformed sources live in :mod:`repro.apps.cg` as build variants;
 this module is the evaluation harness producing Table III: for each
 variant, the application success rate under fault injection plus
-fault-free execution times over repeated runs.
+fault-free execution times (process CPU time) over repeated runs.
 
 Two campaign designs are provided:
 
@@ -37,6 +37,7 @@ Two campaign designs are provided:
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 
 from repro.apps.base import REGISTRY
@@ -136,58 +137,77 @@ def evaluate_variant(variant: str, *, n_injections: int = 80,
     the module docstring, splitting ``n_injections`` evenly between
     them and recording per-window rates in ``extra``.
     """
-    if variant not in TABLE3_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if campaign not in ("whole", "focused"):
-        raise ValueError(f"campaign must be whole|focused, got {campaign!r}")
-    program = REGISTRY.build("cg", variant=variant)
-    extra: dict = {"campaign": campaign}
+    return run_table3((variant,), n_injections=n_injections,
+                      timing_runs=timing_runs, seed=seed, workers=workers,
+                      campaign=campaign)[0]
 
+
+def _resilience(program, variant: str, *, n_injections: int, seed: int,
+                workers: int, campaign: str):
+    """One variant's injection campaign -> ``(result, extra)``."""
+    extra: dict = {"campaign": campaign}
     with FlipTracker(program, seed=seed, workers=workers) as ft:
         if campaign == "whole":
-            result = ft.whole_program_campaign("internal", n=n_injections)
-        else:
-            windows = data_resident_plans(program, ft.fault_free_trace(),
-                                          seed, max(1, n_injections // 2))
-            result = None
-            for key, plans in windows.items():
-                # the tracker's persistent engine serves both windows
-                # with one worker pool (and caches every executed plan)
-                res = ft.engine.run_plans(plans,
-                                          max_instr=ft.faulty_budget,
-                                          label=f"cg-{variant}/{key}")
-                extra[f"{key}_sr"] = res.success_rate
-                extra[f"{key}_n"] = res.total
-                result = res if result is None else result.merge(res)
+            return (ft.whole_program_campaign("internal", n=n_injections),
+                    extra)
+        windows = data_resident_plans(program, ft.fault_free_trace(),
+                                      seed, max(1, n_injections // 2))
+        result = None
+        for key, plans in windows.items():
+            # the tracker's persistent engine serves both windows
+            # with one worker pool (and caches every executed plan)
+            res = ft.engine.run_plans(plans,
+                                      max_instr=ft.faulty_budget,
+                                      label=f"cg-{variant}/{key}")
+            extra[f"{key}_sr"] = res.success_rate
+            extra[f"{key}_n"] = res.total
+            result = res if result is None else result.merge(res)
+    return result, extra
 
-    # untimed warm-up: the compiled tier lowers the module on its first
-    # run in this process, a one-time set-up cost, not execution time
-    program.fresh_interpreter().run(program.entry)
-    timer = Timer()
+
+def _time_fault_free(programs, timing_runs: int) -> list[Timer]:
+    """Process-CPU-time laps of ``timing_runs`` fault-free runs each.
+
+    Each program first gets an untimed warm-up: the compiled tier
+    lowers the module on its first run in this process, a one-time
+    set-up cost, not execution time.  The timed runs then go
+    round-robin over the programs, so a slow phase of a shared machine,
+    which inflates CPU time too, lands on every variant alike.
+    """
+    for program in programs:
+        program.fresh_interpreter().run(program.entry)
+    timers = [Timer(clock=time.process_time) for _ in programs]
     for _ in range(timing_runs):
-        with timer:
-            program.fresh_interpreter().run(program.entry)
-
-    return UseCase1Row(
-        variant=variant,
-        label=TABLE3_VARIANTS[variant],
-        success_rate=result.success_rate,
-        time_min=timer.min,
-        time_max=timer.max,
-        time_avg=timer.mean,
-        injections=result.total,
-        crashes=result.crashed,
-        sdc=result.failed,
-        extra=extra,
-    )
+        for program, timer in zip(programs, timers):
+            with timer:
+                program.fresh_interpreter().run(program.entry)
+    return timers
 
 
 def run_table3(variants=tuple(TABLE3_VARIANTS), *, n_injections: int = 80,
                timing_runs: int = 20, seed: int = 77,
                workers: int = 1,
                campaign: str = "focused") -> list[UseCase1Row]:
-    """Regenerate every Table III row."""
-    return [evaluate_variant(v, n_injections=n_injections,
-                             timing_runs=timing_runs, seed=seed,
-                             workers=workers, campaign=campaign)
-            for v in variants]
+    """Regenerate every Table III row (see :func:`evaluate_variant`)."""
+    for variant in variants:
+        if variant not in TABLE3_VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+    if campaign not in ("whole", "focused"):
+        raise ValueError(f"campaign must be whole|focused, got {campaign!r}")
+    programs = [REGISTRY.build("cg", variant=v) for v in variants]
+    measured = [_resilience(program, variant, n_injections=n_injections,
+                            seed=seed, workers=workers, campaign=campaign)
+                for variant, program in zip(variants, programs)]
+    timers = _time_fault_free(programs, timing_runs)
+    return [UseCase1Row(variant=variant,
+                        label=TABLE3_VARIANTS[variant],
+                        success_rate=result.success_rate,
+                        time_min=timer.min,
+                        time_max=timer.max,
+                        time_avg=timer.mean,
+                        injections=result.total,
+                        crashes=result.crashed,
+                        sdc=result.failed,
+                        extra=extra)
+            for variant, (result, extra), timer
+            in zip(variants, measured, timers)]

@@ -1,14 +1,19 @@
-"""Wall-clock timing helpers used by the overhead experiments (Fig. 4)."""
+"""Timing helpers used by the overhead experiments (Fig. 4, Table III)."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 @dataclass
 class Timer:
-    """Context-manager stopwatch accumulating elapsed wall time.
+    """Context-manager stopwatch accumulating elapsed time.
+
+    ``clock`` defaults to wall time (``time.perf_counter``); pass
+    ``time.process_time`` to measure this process's CPU time, which
+    other load on the machine does not inflate.
 
     Example
     -------
@@ -22,13 +27,15 @@ class Timer:
     elapsed: float = 0.0
     laps: list[float] = field(default_factory=list)
     _start: float = field(default=0.0, repr=False)
+    clock: Callable[[], float] = field(default=time.perf_counter,
+                                       repr=False)
 
     def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
+        self._start = self.clock()
         return self
 
     def __exit__(self, *exc) -> None:
-        lap = time.perf_counter() - self._start
+        lap = self.clock() - self._start
         self.elapsed += lap
         self.laps.append(lap)
 

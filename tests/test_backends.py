@@ -25,10 +25,10 @@ from test_engine import loop_instance, tiny_program
 from repro.apps import REGISTRY
 from repro.core import FlipTracker
 from repro.engine import EngineError, ExecutionEngine
-from repro.engine.backends import (AsyncBackend, ShardServer,
-                                   SocketBackend, parse_addresses,
-                                   resolve_backend)
+from repro.engine.backends import (ShardServer, SocketBackend,
+                                   parse_addresses, resolve_backend)
 from repro.engine.backends import protocol
+from repro.engine.backends.base import reassemble
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="worker processes need fork here")
@@ -94,21 +94,35 @@ class TestProtocol:
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("carrier-pigeon")
 
+    def test_reassemble_orders_out_of_order_completions(self):
+        completions = [(2, ["c"]), (0, ["a"]), (3, ["d"]), (1, ["b"])]
+        assert list(reassemble(iter(completions), 4)) == \
+            [(0, ["a"]), (1, ["b"]), (2, ["c"]), (3, ["d"])]
+
 
 # ----------------------------------------------------------- socket happy
 class TestSocketBackend:
-    def test_end_to_end_matches_sequential(self):
+    @pytest.mark.parametrize("n_servers", [1, 2])
+    def test_end_to_end_matches_sequential(self, n_servers):
+        """With two servers, shards outnumber connections and complete
+        out of order across them; results still match in plan order."""
         prog = tiny_program()
         ft = FlipTracker(prog, seed=9)
         plans = ft.make_plans(loop_instance(ft), "internal", 8)
         baseline = sequential_outcome(prog, plans, ft.faulty_budget)
-        with ShardServer(tiny_program(), port=0).start() as server:
-            backend = SocketBackend([("127.0.0.1", server.port)],
-                                    fallback=False)
+        servers = [ShardServer(tiny_program(), port=0).start()
+                   for _ in range(n_servers)]
+        try:
+            backend = SocketBackend([("127.0.0.1", srv.port)
+                                     for srv in servers], fallback=False)
             with ExecutionEngine(tiny_program(), shard_size=3,
                                  backend=backend) as eng:
                 r = eng.run_plans(plans, max_instr=ft.faulty_budget)
-            assert server.shards_served == r.details["shards"] > 1
+            assert sum(srv.shards_served for srv in servers) == \
+                r.details["shards"] > n_servers
+        finally:
+            for srv in servers:
+                srv.stop()
         assert (r.success, r.failed, r.crashed) == baseline
         assert r.details["backend"] == "socket"
 
@@ -368,17 +382,6 @@ class TestAnalyzeOp:
             with pytest.raises(EngineError, match="failed"):
                 eng.close()
 
-    @needs_fork
-    def test_async_analyze_matches_sequential(self):
-        prog = tiny_program()
-        ft = FlipTracker(prog, seed=9)
-        plans = ft.make_plans(loop_instance(ft), "internal", 6)
-        baseline = sequential_analyses(plans)
-        with ExecutionEngine(tiny_program(), workers=2, shard_size=2,
-                             backend=AsyncBackend()) as eng:
-            results = eng.analyze_plans(plans, max_instr=ft.faulty_budget)
-        assert results == baseline
-
     def test_duplicate_plans_analyzed_once(self):
         prog = tiny_program()
         ft = FlipTracker(prog, seed=9)
@@ -431,49 +434,6 @@ class TestHandshakeVersioning:
             assert reply["code"] == protocol.ERR_BAD_OP
         finally:
             srv.stop()
-
-
-# ------------------------------------------------------------------ async
-@needs_fork
-class TestAsyncBackend:
-    def test_matches_sequential_with_more_shards_than_workers(self):
-        prog = tiny_program()
-        ft = FlipTracker(prog, seed=9)
-        plans = ft.make_plans(loop_instance(ft), "internal", 12)
-        baseline = sequential_outcome(prog, plans, ft.faulty_budget)
-        with ExecutionEngine(tiny_program(), workers=2, shard_size=2,
-                             backend=AsyncBackend()) as eng:
-            r = eng.run_plans(plans, max_instr=ft.faulty_budget)
-            stats = eng.stats()
-        assert (r.success, r.failed, r.crashed) == baseline
-        assert r.details["backend"] == "async"
-        assert stats["backend"] == "async"
-        assert r.details["shards"] > 2  # out-of-order reassembly exercised
-
-    def test_workers_persist_across_campaigns(self):
-        prog = tiny_program()
-        ft = FlipTracker(prog, seed=9)
-        inst = loop_instance(ft)
-        with ExecutionEngine(tiny_program(), workers=2, shard_size=2,
-                             backend=AsyncBackend()) as eng:
-            eng.run_plans(ft.make_plans(inst, "internal", 6),
-                          max_instr=ft.faulty_budget)
-            r2 = eng.run_plans(ft.make_plans(inst, "input", 6),
-                               max_instr=ft.faulty_budget)
-            assert eng.pool_starts == 1  # one worker fleet, reused
-        assert r2.total == 6
-
-    def test_fully_cached_run_never_touches_workers(self):
-        prog = tiny_program()
-        ft = FlipTracker(prog, seed=9)
-        plans = ft.make_plans(loop_instance(ft), "internal", 5)
-        with ExecutionEngine(tiny_program(),
-                             backend=AsyncBackend()) as eng:
-            eng.run_plans(plans, max_instr=ft.faulty_budget)
-            starts = eng.pool_starts
-            r = eng.run_plans(plans, max_instr=ft.faulty_budget)
-            assert eng.pool_starts == starts  # no new fleet for a no-op
-        assert r.details["executed"] == 0
 
 
 # -------------------------------------------------- pool-death regression
@@ -553,10 +513,3 @@ class TestCliBackendFlag:
         args = build_parser().parse_args(
             ["serve", "kmeans", "--host", "0.0.0.0", "--port", "0"])
         assert args.command == "serve" and args.port == 0
-
-    def test_async_backend_flag(self, capsys):
-        from repro.cli import main
-        code = main(["--seed", "3", "--backend", "async", "--workers",
-                     "2", "campaign", "kmeans", "k_d", "-n", "4"])
-        out = capsys.readouterr().out
-        assert code == 0 and "success_rate" in out

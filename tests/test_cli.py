@@ -246,10 +246,10 @@ class TestRunSpec:
                                                          tmp_path):
         import json
         spec = json.loads(self.SPEC)
-        spec["backend"] = "async"
+        spec["backend"] = "socket"
         path = self.spec_file(tmp_path, text=json.dumps(spec))
         # --backend local equals the built-in default but was explicit,
-        # so it must beat the spec's async backend
+        # so it must beat the spec's socket backend
         _, out = run(capsys, "--backend", "local", "run", path, "--json")
         payload = json.loads(out)
         assert payload["experiment"]["backend"] == "local"

@@ -13,7 +13,7 @@ byte-parity across backends too.
 
 The backend-parity classes run for every backend named in
 ``REPRO_PARITY_BACKENDS`` (comma-separated; default
-``local,async,socket``) — CI's ``backend-parity`` matrix sets it to
+``local,socket``) — CI's ``backend-parity`` matrix sets it to
 one backend per job.
 
 "Byte-identical" is enforced by comparing a canonical JSON
@@ -29,7 +29,7 @@ import pytest
 from repro import warmstart
 from repro.apps import REGISTRY
 from repro.core import FlipTracker
-from repro.engine.backends import AsyncBackend, ShardServer, SocketBackend
+from repro.engine.backends import ShardServer, SocketBackend
 from repro.recovery import RecoveryPlan
 
 APPS = ("cg", "kmeans", "lulesh")
@@ -39,7 +39,7 @@ N = 8
 PARITY_BACKENDS = tuple(
     name.strip()
     for name in os.environ.get("REPRO_PARITY_BACKENDS",
-                               "local,async,socket").split(",")
+                               "local,socket").split(",")
     if name.strip())
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -114,8 +114,6 @@ def make_backend(backend_name, app):
         server = ShardServer(REGISTRY.build(app), port=0).start()
         return SocketBackend([("127.0.0.1", server.port)],
                              fallback=False), server
-    if backend_name == "async":
-        return AsyncBackend(), None
     if backend_name == "local":
         return "local", None
     raise ValueError(f"unknown parity backend {backend_name!r}")
@@ -126,9 +124,9 @@ def make_backend(backend_name, app):
 class TestBackendParity:
     """Every backend is byte-identical to the sequential engine.
 
-    ``shard_size=2`` forces several shards per campaign so the async
-    and socket backends exercise out-of-order completion + in-order
-    reassembly, not just a single round-trip.
+    ``shard_size=2`` forces several shards per campaign so the socket
+    backend exercises many round-trips and in-order reassembly, not
+    just a single one.
     """
 
     def test_campaign_matches_sequential(self, app, backend_name):
@@ -191,8 +189,8 @@ class TestAnalysisBackendParity:
     ``region_patterns`` dispatches ``ANALYZE`` shards through the
     engine's backend (pattern tables travel as sorted lists — see
     ``docs/protocol.md``); ``shard_size=2`` forces several analysis
-    shards so out-of-order completion + in-order reassembly is
-    exercised, exactly as in the campaign parity class.
+    shards so in-order reassembly is exercised, exactly as in the
+    campaign parity class.
     """
 
     def test_region_patterns_matches_sequential(self, backend_name):
@@ -366,9 +364,9 @@ class TestRecoveryWorkerInvariance:
 @pytest.mark.parametrize("backend_name", PARITY_BACKENDS)
 @pytest.mark.parametrize("app", APPS)
 class TestRecoveryBackendParity:
-    """Every backend substrate (fork pool, async protocol workers, TCP
-    shard servers) yields byte-identical recovery counts — each remote
-    end rebuilds the same RecoveryContext from the same program."""
+    """Every backend substrate (fork pool, TCP shard servers) yields
+    byte-identical recovery counts — each remote end rebuilds the same
+    RecoveryContext from the same program."""
 
     def test_recovery_matches_sequential(self, app, backend_name):
         baseline = recovery_sequential_baseline(app)

@@ -1,5 +1,6 @@
 """Unified execution engine: cache, sharding, resume, pool, classification."""
 
+import gc
 import json
 import os
 import warnings
@@ -168,6 +169,12 @@ class TestEngineCampaigns:
         assert r2.details["cached"] == 10
         assert (r1.success, r1.failed, r1.crashed) == \
             (r2.success, r2.failed, r2.crashed)
+        # a fully cached run on a parallel engine starts no workers
+        with ExecutionEngine(prog, workers=2, min_parallel=1,
+                             cache=eng.cache) as eng2:
+            r3 = eng2.run_plans(plans, max_instr=ft.faulty_budget)
+            assert eng2.pool_starts == 0
+        assert r3.details["executed"] == 0
 
     def test_duplicate_plans_execute_once(self):
         prog = tiny_program()
@@ -261,6 +268,14 @@ class TestEngineCampaigns:
         assert r2.executed == 0 and r2.cached == 6
 
 
+def _pid_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestPersistentPool:
     def test_pool_survives_across_campaigns_and_analyses(self):
         if not hasattr(os, "fork"):
@@ -278,6 +293,19 @@ class TestPersistentPool:
         assert not hasattr(
             __import__("repro.core.fliptracker", fromlist=["x"]),
             "_FORK_TRACKER")
+
+    def test_dropped_engine_terminates_its_workers(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("needs fork")
+        ft = FlipTracker(tiny_program(), seed=9)
+        plans = ft.make_plans(loop_instance(ft), "internal", 8)
+        eng = ExecutionEngine(tiny_program(), workers=2, min_parallel=1)
+        eng.run_plans(plans, max_instr=ft.faulty_budget)
+        pids = set(eng.backend._worker_pids)
+        assert len(pids) == 2
+        del eng  # no close()
+        gc.collect()  # the pool's finalizer terminates and reaps workers
+        assert not any(_pid_running(pid) for pid in pids)
 
     def test_analysis_caches_manifestations(self):
         """A traced analysis warms the cache for an untraced campaign."""

@@ -96,3 +96,12 @@ class TestTimer:
     def test_empty(self):
         t = Timer()
         assert t.mean == 0.0 and t.min == 0.0 and t.max == 0.0
+
+    def test_custom_clock(self):
+        ticks = iter([1.0, 3.5, 10.0, 11.0])
+        t = Timer(clock=lambda: next(ticks))
+        with t:
+            pass
+        with t:
+            pass
+        assert t.laps == [2.5, 1.0] and t.elapsed == 3.5

@@ -352,13 +352,14 @@ class TestColdFallback:
 def test_shard_server_reuses_tracker_by_fingerprint():
     """Satellite: a rejoining server adopts the cached warmed tracker."""
     from repro.engine.backends import server as server_mod
+    from repro.golden import GOLDEN_CACHE, GOLDEN_CACHE_LOCK
     program = REGISTRY.build("kmeans")
     first = server_mod.ShardServer(program, port=0)
     # the cache is process-wide: another suite's kmeans server may have
     # populated it already, so start this test from a clean slate and
     # put whatever was there back afterwards
-    with server_mod._TRACKER_CACHE_LOCK:
-        prior = server_mod._TRACKER_CACHE.pop(first.fingerprint, None)
+    with GOLDEN_CACHE_LOCK:
+        prior = GOLDEN_CACHE.pop(first.fingerprint, None)
     try:
         try:
             tracker = first._analysis_tracker()
@@ -372,11 +373,11 @@ def test_shard_server_reuses_tracker_by_fingerprint():
         finally:
             second.stop()
     finally:
-        with server_mod._TRACKER_CACHE_LOCK:
+        with GOLDEN_CACHE_LOCK:
             if prior is None:
-                server_mod._TRACKER_CACHE.pop(first.fingerprint, None)
+                GOLDEN_CACHE.pop(first.fingerprint, None)
             else:
-                server_mod._TRACKER_CACHE[first.fingerprint] = prior
+                GOLDEN_CACHE[first.fingerprint] = prior
 
 
 # ----------------------------------------------------------------- CLI

@@ -40,6 +40,10 @@ Two checks, both fatal on failure:
    ``docs/architecture.md`` must name ``compiled`` as the default and
    ``interp`` as the reference, and ``resolve_exec_tier()`` with
    ``REPRO_EXEC`` unset must return ``compiled``.
+9. **Backend-name drift check** — README's ``--backend {…}`` row in
+   "Global flags" and the backend table in the "Backends" section of
+   ``docs/architecture.md`` must list exactly ``sorted(BACKENDS)``, so
+   a retired backend cannot linger in the docs.
 """
 
 from __future__ import annotations
@@ -119,7 +123,8 @@ def section_table(text: str, heading: str,
         rows.append(cells)
     if rows and rows[0][0].lower() in ("constant", "op", "code", "state",
                                        "tier", "detector", "policy",
-                                       "final state", "field", "flag"):
+                                       "final state", "field", "flag",
+                                       "backend"):
         rows = rows[1:]  # header row
     return rows
 
@@ -411,11 +416,38 @@ def check_exec_tier_drift() -> list:
     return errors
 
 
+def check_backend_drift() -> list:
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.engine.backends import BACKENDS
+
+    expected = sorted(BACKENDS)
+    errors = []
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    flag_rows = [row[0] for row in
+                 section_table(readme, "Global flags", source="README.md")
+                 if row and row[0].startswith("--backend ")]
+    match = re.fullmatch(r"--backend \{([^}]*)\}", flag_rows[0]) \
+        if len(flag_rows) == 1 else None
+    if match is None or match.group(1).split(",") != expected:
+        errors.append(f"README.md Global flags: need one "
+                      f"'--backend {{{','.join(expected)}}}' row, found "
+                      f"{flag_rows}")
+
+    arch = (REPO / "docs" / "architecture.md").read_text(encoding="utf-8")
+    documented = [row[0] for row in section_table(
+        arch, "Backends", source="docs/architecture.md")]
+    if documented != expected:
+        errors.append(f"architecture.md Backends table {documented} != "
+                      f"BACKENDS {expected}")
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_protocol_drift()
               + check_experiment_drift() + check_service_drift()
               + check_profiles_drift() + check_recovery_drift()
-              + check_warmstart_drift() + check_exec_tier_drift())
+              + check_warmstart_drift() + check_exec_tier_drift()
+              + check_backend_drift())
     for error in errors:
         print(f"FAIL: {error}", file=sys.stderr)
     if errors:
