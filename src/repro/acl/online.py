@@ -39,10 +39,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.ir import opcodes as oc
-from repro.trace.events import R_DLOC, R_DVAL, R_FN, R_OP, R_PC
+from repro.trace.columnar import T_BOOL, T_FLOAT, T_INT, as_columnar
+from repro.trace.events import R_DVAL
 from repro.trace.index import TraceIndex
 from repro.vm.bitops import MASK64, float64_to_bits
 
@@ -106,40 +109,52 @@ class RecoveryContext:
         return self.invariants[pos]
 
 
-def _instance_values(records: Sequence, start: int, end: int):
-    """Written memory locations + value stats for records [start, end)."""
-    locs: set = set()
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    nonfinite = False
-    for t in range(start, end):
-        rec = records[t]
-        dloc = rec[R_DLOC]
-        if dloc is None or dloc < 0:
-            continue
-        locs.add(dloc)
-        v = rec[R_DVAL]
-        if v.__class__ is int or math.isfinite(v):
-            if lo is None or v < lo:
-                lo = v
-            if hi is None or v > hi:
-                hi = v
-        else:
-            nonfinite = True
-    return locs, (0.0 if lo is None else lo), (0.0 if hi is None else hi), \
-        nonfinite
+def _instance_values(records, start: int, end: int):
+    """Written memory locations + value stats for records [start, end).
+
+    ``lo``/``hi`` are the first-written smallest and largest finite
+    values, compared exactly across ints and floats, as a forward scan
+    with strict comparisons would pick them.
+    """
+    g = as_columnar(records)
+    at = start + np.flatnonzero(g.dloc[start:end] >= 0)
+    locs = set(np.unique(g.dloc[at]).tolist())
+    tags = g.dtag[at]
+    floats = g.dbits[at].view(np.float64)
+    is_float = tags == T_FLOAT
+    finite = is_float & np.isfinite(floats)
+    nonfinite = bool((is_float & ~finite).any())
+    numeric = (tags == T_INT) | (tags == T_BOOL)
+    lo_picks: list = []
+    hi_picks: list = []
+    for mask, keys in ((numeric, g.dbits[at]), (finite, floats)):
+        if mask.any():
+            idx = np.flatnonzero(mask)
+            lo_picks.append(int(idx[keys[idx].argmin()]))
+            hi_picks.append(int(idx[keys[idx].argmax()]))
+    other = np.flatnonzero(~numeric & ~is_float).tolist()
+    lo_picks += other
+    hi_picks += other
+
+    def first_extreme(picks, better):
+        best = None
+        for i in sorted(picks):
+            v = g.field(int(at[i]), R_DVAL)
+            if best is None or better(v, best):
+                best = v
+        return 0.0 if best is None else best
+
+    return (locs, first_extreme(lo_picks, lambda v, b: v < b),
+            first_extreme(hi_picks, lambda v, b: v > b), nonfinite)
 
 
 def _forward_fraction(index: TraceIndex, locs, end: int) -> float:
     """Fraction of ``locs`` whose next access at/after ``end`` is a write."""
     if not locs:
         return 0.0
-    dead = 0
-    for loc in locs:
-        nw = index.next_write_at_or_after(loc, end)
-        nr = index.first_read_at_or_after(loc, end)
-        if nw < nr:
-            dead += 1
+    arr = np.fromiter(locs, dtype=np.int64, count=len(locs))
+    dead = int((index.next_write_at_or_after_many(arr, end) <
+                index.first_read_at_or_after_many(arr, end)).sum())
     return dead / len(locs)
 
 
@@ -179,8 +194,7 @@ class RecordDynMap:
                             key=self.dyn_at) - 1
 
 
-def record_dyn_map(records: Sequence, module,
-                   total_dyn: int) -> RecordDynMap:
+def record_dyn_map(records, module, total_dyn: int) -> RecordDynMap:
     """The :class:`RecordDynMap` of a golden execution.
 
     The map is the identity exactly when ``total_dyn == len(records)``.
@@ -190,40 +204,50 @@ def record_dyn_map(records: Sequence, module,
     shortfall to the next record's pc was covered by NOPs, which only
     fall through.
     """
-    if total_dyn == len(records):
-        return RecordDynMap(len(records), total_dyn)
-    code = {fn.index: fn.code for fn in module.functions.values()}
-    at: list = []        # record indices preceded by NOPs
-    before: list = []    # NOPs executed before each of those records
-    nops = 0
+    n = len(records)
+    if total_dyn == n:
+        return RecordDynMap(n, total_dyn)
+    g = as_columnar(records)
+    # static successor tables, indexed by fn base + pc
+    fns = sorted(module.functions.values(), key=lambda fn: fn.index)
+    base = np.zeros(len(fns) + 1, dtype=np.int64)
+    base[1:] = np.cumsum([len(fn.code) for fn in fns])
+    on_true = np.zeros(int(base[-1]), dtype=np.int64)
+    on_false = np.zeros(int(base[-1]), dtype=np.int64)
+    for fn in fns:
+        for pc, (op, _dest, _srcs, aux, _line) in enumerate(fn.code):
+            sid = base[fn.index] + pc
+            if op == oc.CBR:
+                on_true[sid], on_false[sid] = aux
+            elif op == oc.BR:
+                on_true[sid] = on_false[sid] = aux
+    pc = g.pc.astype(np.int64)
+    sid = base[g.fn] + pc
+    nxt = pc + 1
+    jump = np.flatnonzero((g.op == oc.CBR) | (g.op == oc.BR))
+    taken = np.array([bool(v) for v in g.dvals_at(jump)], dtype=bool)
+    nxt[jump] = np.where(taken, on_true[sid[jump]], on_false[sid[jump]])
+    nxt[g.op == oc.CALL] = 0
     calls: list = []     # pc of every CALL whose frame is still live
-    expect = 0           # the entry frame starts at pc 0
-    for j, rec in enumerate(records):
-        pc = rec[R_PC]
-        if pc != expect:
-            nops += pc - expect
-            at.append(j)
-            before.append(nops)
-        op = rec[R_OP]
-        if op == oc.CBR:
-            expect = code[rec[R_FN]][pc][3][0 if rec[R_DVAL] else 1]
-        elif op == oc.BR:
-            expect = code[rec[R_FN]][pc][3]
-        elif op == oc.CALL:
-            calls.append(pc)
-            expect = 0
-        elif op == oc.RET:
-            expect = calls.pop() + 1 if calls else None
-        else:
-            expect = pc + 1
-    if len(records) + nops != total_dyn:
+    frames = np.flatnonzero((g.op == oc.CALL) | (g.op == oc.RET))
+    for j, op in zip(frames.tolist(), g.op[frames].tolist()):
+        if op == oc.CALL:
+            calls.append(int(pc[j]))
+        elif calls:
+            nxt[j] = calls.pop() + 1
+    expect = np.zeros(n, dtype=np.int64)   # the entry frame starts at 0
+    expect[1:] = nxt[:-1]
+    at = np.flatnonzero(pc != expect)
+    before = np.cumsum(pc[at] - expect[at])
+    nops = int(before[-1]) if len(before) else 0
+    if n + nops != total_dyn:
         raise ValueError(
-            f"record stream of {len(records)} records and {nops} NOPs "
+            f"record stream of {n} records and {nops} NOPs "
             f"does not add up to the golden dyn_count {total_dyn}")
-    return RecordDynMap(len(records), total_dyn, at, before)
+    return RecordDynMap(n, total_dyn, at.tolist(), before.tolist())
 
 
-def build_recovery_context(program, records: Sequence,
+def build_recovery_context(program, records,
                            index: TraceIndex, instances: Sequence, *,
                            record_map: RecordDynMap, exec_tier=None):
     """Derive the online-check context and the warm-start ladder.
@@ -242,6 +266,7 @@ def build_recovery_context(program, records: Sequence,
     """
     from repro.warmstart import (Rung, build_warm_ladder, ladder_points,
                                  ladder_stride)
+    records = as_columnar(records)
     total_dyn = record_map.total_dyn
     dyn_at = record_map.dyn_at
     ordered = sorted(instances, key=lambda inst: inst.start)

@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.ir import opcodes as oc
 from repro.ir.function import SLOT_LIMIT
+from repro.trace.columnar import window
 from repro.trace.events import (R_DLOC, R_DVAL, R_EXTRA, R_FN, R_LINE, R_OP,
                                 R_PC, R_SLOCS, R_SVALS, Trace)
 
@@ -192,6 +193,12 @@ def build_acl(ff: Trace, faulty: Trace,
         differs (no birth, no masking, no death) and no write is
         redirected.  Skipping it changes no field of the result.
 
+    The golden side of the value-aligned window is read as column
+    lists, never as record tuples.  Past that window, once nothing is
+    corrupted and the injection is behind the scan, a birth would need
+    a corrupted source, so no later record can change any field and
+    the scan stops there.
+
     Reads are tracked in the same pass: each record marks the
     corrupted locations it reads, and a birth marks its location when
     the birth record itself reads it.  That gives every death its
@@ -199,13 +206,14 @@ def build_acl(ff: Trace, faulty: Trace,
     every location still corrupted at the end its last read — no
     second scan of the trace and no read index.
     """
-    frecs = faulty.records
-    frecs_n = len(frecs)
-    ffrecs = ff.records
+    frecs_n = len(faulty)
     div = ff.first_divergence(faulty, start)
-    aligned = div if div is not None else min(frecs_n, len(ffrecs))
+    aligned = div if div is not None else min(frecs_n, len(ff))
     # under taint_only the taint fallback path handles every record
     aligned_until = 0 if taint_only else aligned
+    # the golden side of the value-aligned window, as column lists
+    ff_dlocs = ff.column(R_DLOC, start, aligned_until)
+    ff_dvals = ff.column(R_DVAL, start, aligned_until)
 
     corrupted: dict[int, int] = {}   # loc -> birth time
     births: list[tuple[int, int]] = []
@@ -243,8 +251,13 @@ def build_acl(ff: Trace, faulty: Trace,
     pending_injection = (injected_loc is not None
                          and injected_time is not None)
 
-    for t in range(start, frecs_n):
-        rec = frecs[t]
+    for t, rec in enumerate(window(faulty.records, start), start):
+        if not corrupted and not pending_injection and \
+                t >= aligned_until and \
+                (injected_time is None or t > injected_time):
+            # past the aligned window a birth needs a corrupted source
+            # or the injection record: nothing later changes any field
+            break
         op = rec[R_OP]
         slocs = rec[R_SLOCS]
         if pending_injection and t == injected_time:
@@ -268,15 +281,15 @@ def build_acl(ff: Trace, faulty: Trace,
         elif op == oc.CBR and corrupted_src and t < aligned_until:
             # corrupted condition, same branch direction: the conditional
             # masked the fault (Pattern 3 signature)
-            if same_value(rec[R_DVAL], ffrecs[t][R_DVAL]):
+            if same_value(rec[R_DVAL], ff_dvals[t - start]):
                 maskings.append(MaskEvent(t, op, rec[R_LINE], rec[R_FN],
                                           rec[R_PC]))
 
         elif op == oc.EMIT and t < aligned_until:
-            ffrec = ffrecs[t]
             svals_differ = any(not same_value(a, b) for a, b in
-                               zip(rec[R_SVALS], ffrec[R_SVALS]))
-            if (corrupted_src or svals_differ) and rec[R_EXTRA] == ffrec[R_EXTRA]:
+                               zip(rec[R_SVALS], ff.field(t, R_SVALS)))
+            if (corrupted_src or svals_differ) and \
+                    rec[R_EXTRA] == ff.field(t, R_EXTRA):
                 # corrupted value, identical formatted output: the format
                 # precision truncated the corruption away (Pattern 5)
                 maskings.append(MaskEvent(t, op, rec[R_LINE], rec[R_FN],
@@ -285,10 +298,10 @@ def build_acl(ff: Trace, faulty: Trace,
         dloc = rec[R_DLOC]
         if dloc is not None:
             if t < aligned_until:
-                ffrec = ffrecs[t]
-                ff_dloc = ffrec[R_DLOC]
+                ff_dloc = ff_dlocs[t - start]
                 if dloc == ff_dloc:
-                    is_corrupt = not same_value(rec[R_DVAL], ffrec[R_DVAL])
+                    is_corrupt = not same_value(rec[R_DVAL],
+                                                ff_dvals[t - start])
                 else:
                     # a corrupted address redirected the write: the cell
                     # actually written is corrupted, and so is the cell
@@ -314,12 +327,11 @@ def build_acl(ff: Trace, faulty: Trace,
             uid, _callee, nargs = rec[R_EXTRA]
             rbase = -(uid * SLOT_LIMIT) - 1
             svals = rec[R_SVALS]
+            ffvals = ff.field(t, R_SVALS) if t < aligned_until else ()
             for i in range(nargs):
                 ploc = rbase - i
                 arg_corrupt = False
                 if t < aligned_until:
-                    ffrec = ffrecs[t]
-                    ffvals = ffrec[R_SVALS]
                     if i < len(ffvals) and not same_value(svals[i], ffvals[i]):
                         arg_corrupt = True
                 else:
@@ -335,7 +347,8 @@ def build_acl(ff: Trace, faulty: Trace,
     # exactly the trace end
     if pending_injection and injected_time == frecs_n:
         t = frecs_n - 1 if frecs_n else 0
-        birth_loc(injected_loc, t, frecs[t][R_SLOCS] if frecs else ())
+        birth_loc(injected_loc, t,
+                  faulty.field(t, R_SLOCS) if frecs_n else ())
         start = min(start, t)
 
     # close out locations still corrupted at the end of the trace:

@@ -56,11 +56,15 @@ class Program:
         """Execute without faults; raises if verification fails (a bug)."""
         interp = self.fresh_interpreter(trace=trace, exec_tier=exec_tier)
         interp.run(self.entry)
+        self.verify_fault_free(interp)
+        return interp
+
+    def verify_fault_free(self, interp: Interpreter) -> None:
+        """Raise if a finished fault-free run failed its verification."""
         if not self.check(interp):
             raise RuntimeError(
                 f"{self.name}: fault-free run failed its own verification "
                 f"phase — the app implementation is broken")
-        return interp
 
 
 def verified_flag_check(interp: Interpreter) -> bool:

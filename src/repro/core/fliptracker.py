@@ -42,6 +42,7 @@ from repro.regions.model import (CodeRegion, RegionInstance, RegionModel,
                                  detect_regions, main_loop_iterations,
                                  split_instances)
 from repro.regions.variables import RegionIO, classify_io
+from repro.trace.columnar import CHUNK, GoldenTrace, SplicedRecords
 from repro.trace.events import Trace, TraceMeta
 from repro.trace.index import TraceIndex
 from repro.util.rng import DeterministicRNG
@@ -75,6 +76,11 @@ class GoldenArtifacts:
     on the program: the golden trace and ``dyn_count``, the trace
     index, the region model and instances, the per-instance I/O
     classification, the recovery context and the warm-start ladder.
+    The golden trace is columnar (:class:`~repro.trace.columnar.
+    GoldenTrace`): the traced golden run stops every
+    :data:`~repro.trace.columnar.CHUNK` instructions, encodes the
+    records it appended and clears its list, so the bundle never holds
+    the golden run as a list of tuples.
     The bundle builds each on first use under one lock, so trackers
     and shard-server connection threads can share it.  The recovery
     context and the ladder come from one untraced capture replay on
@@ -89,7 +95,7 @@ class GoldenArtifacts:
         self.program = program
         self.exec_tier = exec_tier
         #: the golden trace, ``None`` until the golden run has happened
-        self.trace: Optional[Trace] = None
+        self.trace: Optional[GoldenTrace] = None
         #: the golden run's dynamic instruction count
         self.dyn_count: Optional[int] = None
         #: the golden run's exact record <-> dyn index map
@@ -116,20 +122,33 @@ class GoldenArtifacts:
                     self.builds += 1
         return value
 
-    def fault_free_trace(self) -> Trace:
-        def run() -> Trace:
-            interp = self.program.run_fault_free(trace=True,
-                                                 exec_tier=self.exec_tier)
+    def fault_free_trace(self) -> GoldenTrace:
+        def run() -> GoldenTrace:
+            # the golden run stops every CHUNK instructions to encode
+            # its records, so its tuple list never outgrows one chunk
+            program = self.program
+            interp = program.fresh_interpreter(trace=True,
+                                               exec_tier=self.exec_tier)
+            golden = GoldenTrace(program.module,
+                                 TraceMeta(program=program.name))
+            interp.start(program.entry)
+            stop = 0
+            while not interp.finished:
+                stop += CHUNK
+                interp.run_to(stop)
+                golden.extend(interp.records)
+                interp.records.clear()
+            program.verify_fault_free(interp)
+            golden.seal()
             self.dyn_count = interp.dyn_count
-            self.record_map = record_dyn_map(
-                interp.records, self.program.module, interp.dyn_count)
-            return Trace(interp.records, self.program.module,
-                         TraceMeta(program=self.program.name))
+            self.record_map = record_dyn_map(golden, program.module,
+                                             interp.dyn_count)
+            return golden
         return self._lazy("trace", run)
 
     def trace_index(self) -> TraceIndex:
         return self._lazy("_index", lambda: TraceIndex(
-            self.fault_free_trace().records))
+            self.fault_free_trace()))
 
     def region_model(self) -> RegionModel:
         return self._lazy("_model", lambda: detect_regions(
@@ -138,7 +157,7 @@ class GoldenArtifacts:
 
     def instances(self) -> list[RegionInstance]:
         return self._lazy("_instances", lambda: split_instances(
-            self.fault_free_trace().records, self.region_model()))
+            self.fault_free_trace(), self.region_model()))
 
     def io(self, instance: RegionInstance) -> RegionIO:
         key = (instance.region.name, instance.index)
@@ -148,8 +167,8 @@ class GoldenArtifacts:
                 found = self._io.get(key)
                 if found is None:
                     found = self._io[key] = classify_io(
-                        self.fault_free_trace().records,
-                        self.trace_index(), instance)
+                        self.fault_free_trace(), self.trace_index(),
+                        instance)
                     self.builds += 1
         return found
 
@@ -158,7 +177,7 @@ class GoldenArtifacts:
 
         def capture():
             return build_recovery_context(
-                self.program, self.fault_free_trace().records,
+                self.program, self.fault_free_trace(),
                 self.trace_index(), self.instances(),
                 record_map=self.record_map, exec_tier=self.exec_tier)
         return self._lazy("_capture", capture)
@@ -368,7 +387,7 @@ class FlipTracker:
     def main_loop_iterations(self) -> list[RegionInstance]:
         """Each main-loop iteration as a pseudo region instance (Fig. 6)."""
         trace = self.fault_free_trace()
-        return main_loop_iterations(trace.records, self.program.module,
+        return main_loop_iterations(trace, self.program.module,
                                     self.program.main_fn)
 
     def whole_program_instance(self) -> RegionInstance:
@@ -427,7 +446,7 @@ class FlipTracker:
         rng = DeterministicRNG(self.seed).spawn(
             zlib.crc32(key) & 0xFFFF)
         plans: list[FaultPlan] = []
-        records = self.fault_free_trace().records
+        records = self.fault_free_trace()
         module = self.program.module
         for _ in range(n * 4):
             if len(plans) >= n:
@@ -461,8 +480,8 @@ class FlipTracker:
         if kind == "input":
             pop = input_site_population(io, self.program.module)
         else:
-            pop = internal_site_population(
-                self.fault_free_trace().records, instance)
+            pop = internal_site_population(self.fault_free_trace(),
+                                           instance)
         n = sample_size(pop, confidence, margin)
         return min(n, cap) if cap is not None else n
 
@@ -500,9 +519,11 @@ class FlipTracker:
         """Trace one faulty run and extract ACL + pattern instances.
 
         With warm start on, the run restores the golden ladder rung
-        below its trigger, splices in the golden record prefix and
-        executes only the suffix (:func:`~repro.warmstart.
-        warm_start_interp`).  The analyses then scan only the records
+        below its trigger and executes only the suffix
+        (:func:`~repro.warmstart.warm_start_interp`); the faulty trace
+        is the golden prefix, read through the golden columns, plus the
+        run's own suffix records (:class:`~repro.trace.columnar.
+        SplicedRecords`).  The analyses then scan only the records
         their answers depend on: the ACL pass starts at the injection
         record, since the prefix before it is the golden trace; the
         region split reuses the golden instances up to the divergence;
@@ -518,7 +539,7 @@ class FlipTracker:
             exec_tier=self.exec_tier)
         crashed = False
         try:
-            if warm_start_interp(interp, ladder, plan, ff.records):
+            if warm_start_interp(interp, ladder, plan, ff):
                 interp.resume_run(self.program.entry)
             else:
                 interp.run(self.program.entry)
@@ -526,7 +547,10 @@ class FlipTracker:
             crashed = True
         except (TypeError, ValueError, OverflowError, MemoryError):
             crashed = True
-        faulty = Trace(interp.records, self.program.module,
+        records = interp.records
+        if interp.record_base:
+            records = SplicedRecords(ff, interp.record_base, records)
+        faulty = Trace(records, self.program.module,
                        TraceMeta(program=self.program.name, faulty=True,
                                  fault_desc=interp.fault_record.describe()))
         if crashed:
@@ -565,7 +589,7 @@ class FlipTracker:
         that uniform sampling misses at small campaign sizes.
         """
         io = self.io(instance)
-        pairs = stratified_probe_plans(self.fault_free_trace().records, io,
+        pairs = stratified_probe_plans(self.fault_free_trace(), io,
                                        self.program.module,
                                        bits=bits or PROBE_BITS,
                                        n_sites=n_sites)

@@ -164,8 +164,7 @@ def build_dddg(records: Sequence, instance: RegionInstance,
             d.sources[loc] = node
         return node
 
-    for t in range(a, b):
-        rec = records[t]
+    for t, rec in enumerate(records[a:b], a):
         op = rec[R_OP]
         signature.append((rec[R_FN], rec[R_PC], op))
         dloc = rec[R_DLOC]

@@ -18,17 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.ir import opcodes as oc
 from repro.regions.model import RegionInstance
 from repro.regions.variables import RegionIO, location_width
-from repro.trace.events import R_DLOC, R_OP
+from repro.trace.columnar import NO_LOC, as_columnar
 from repro.util.rng import DeterministicRNG
 from repro.vm.fault import FaultPlan
 
 #: opcodes whose results cannot be targeted by "result"-mode plans
 #: (no committed register/memory result, or frame bookkeeping)
-_UNTARGETABLE = frozenset({oc.BR, oc.CBR, oc.CALL, oc.RET, oc.EMIT, oc.NOP,
-                           oc.MPI_BARRIER, oc.MPI_SEND, oc.ALLOCA})
+_UNTARGETABLE_OPS = np.array([oc.BR, oc.CBR, oc.CALL, oc.RET, oc.EMIT,
+                              oc.NOP, oc.MPI_BARRIER, oc.MPI_SEND,
+                              oc.ALLOCA], dtype=np.uint8)
 
 
 class NoFaultSitesError(RuntimeError):
@@ -60,15 +63,29 @@ def input_site_population(io: RegionIO, module) -> int:
     return total
 
 
-def internal_site_population(records: Sequence,
-                             instance: RegionInstance) -> int:
+def _targetable(g, a: int, b: int) -> np.ndarray:
+    """Records of ``[a, b)`` whose result a "result"-mode plan can flip."""
+    return (g.dloc[a:b] != NO_LOC) & ~np.isin(g.op[a:b], _UNTARGETABLE_OPS)
+
+
+def internal_site_population(records, instance: RegionInstance) -> int:
     """Upper bound: targetable defs in the instance x 64 bits."""
-    n = 0
-    for t in range(instance.start, instance.end):
-        rec = records[t]
-        if rec[R_DLOC] is not None and rec[R_OP] not in _UNTARGETABLE:
-            n += 1
-    return n * 64
+    g = as_columnar(records)
+    return int(_targetable(g, instance.start, instance.end).sum()) * 64
+
+
+def internal_targets(records, io: RegionIO) -> bytes:
+    """One byte per record of ``io``'s instance: 1 where the record
+    defines an internal location with a targetable opcode (cached on
+    ``io``)."""
+    if io.targets is None:
+        g = as_columnar(records)
+        a, b = io.instance.start, io.instance.end
+        internals = np.fromiter(io.internals, dtype=np.int64,
+                                count=len(io.internals))
+        io.targets = (_targetable(g, a, b) &
+                      np.isin(g.dloc[a:b], internals)).tobytes()
+    return io.targets
 
 
 def sample_input_plan(io: RegionIO, module, rng: DeterministicRNG
@@ -88,7 +105,7 @@ def sample_input_plan(io: RegionIO, module, rng: DeterministicRNG
     return plan, info
 
 
-def sample_internal_plan(records: Sequence, io: RegionIO, module,
+def sample_internal_plan(records, io: RegionIO, module,
                          rng: DeterministicRNG, max_tries: int = 2000
                          ) -> Optional[tuple[FaultPlan, SiteInfo]]:
     """Uniformly sample one internal-def site by rejection.
@@ -101,20 +118,17 @@ def sample_internal_plan(records: Sequence, io: RegionIO, module,
     a, b = inst.start, inst.end
     if b <= a:
         return None
-    internals = io.internals
+    targets = internal_targets(records, io)
     for _ in range(max_tries):
         t = rng.randint(a, b - 1)
-        rec = records[t]
-        dloc = rec[R_DLOC]
-        if dloc is None or rec[R_OP] in _UNTARGETABLE:
+        if not targets[t - a]:
             continue
-        if dloc not in internals:
-            continue
-        width = result_width(module, rec)
+        g = as_columnar(records)
+        width = result_width(module, int(g.fn[t]), int(g.pc[t]))
         bit = rng.randint(0, width - 1)
         plan = FaultPlan(trigger=t, mode="result", bit=bit, width=width)
-        info = SiteInfo(inst.region.name, inst.index, "internal", dloc, t,
-                        bit)
+        info = SiteInfo(inst.region.name, inst.index, "internal",
+                        int(g.dloc[t]), t, bit)
         return plan, info
     return None
 
@@ -158,33 +172,29 @@ def stratified_probe_plans(records: Sequence, io: RegionIO, module,
                 plans.append((plan, info))
 
     # internal probes: evenly spaced targetable internal defs
-    defs = [t for t in range(inst.start, inst.end)
-            if records[t][R_DLOC] is not None
-            and records[t][R_OP] not in _UNTARGETABLE
-            and records[t][R_DLOC] in io.internals]
+    g = as_columnar(records)
+    defs = (inst.start + np.flatnonzero(np.frombuffer(
+        internal_targets(g, io), dtype=np.uint8))).tolist()
     if defs:
         step = max(1, len(defs) // n_sites)
         for t in defs[::step][:n_sites]:
-            width = result_width(module, records[t])
+            width = result_width(module, int(g.fn[t]), int(g.pc[t]))
             for bit in bits:
                 if bit >= width:
                     continue
                 plan = FaultPlan(trigger=t, mode="result", bit=bit,
                                  width=width)
                 info = SiteInfo(inst.region.name, inst.index, "internal",
-                                records[t][R_DLOC], t, bit)
+                                int(g.dloc[t]), t, bit)
                 plans.append((plan, info))
     return plans
 
 
-def result_width(module, rec) -> int:
-    """Bit width of a record's result, from static instruction typing."""
-    from repro.trace.events import R_FN, R_PC
+def result_width(module, fn: int, pc: int) -> int:
+    """Bit width of the result of static instruction ``(fn, pc)``."""
     fns = getattr(module, "_fn_list", None)
     if fns is None:
         fns = list(module.functions.values())
         module._fn_list = fns
-    fn = fns[rec[R_FN]]
-    instr = fn.instr_at[rec[R_PC]]
-    bits = instr.rtype.bits
+    bits = fns[fn].instr_at[pc].rtype.bits
     return bits if bits in (1, 32, 64) else 64

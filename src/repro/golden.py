@@ -12,7 +12,11 @@ workers) always builds its own, independent bundle.
 
 Residency: one bundle per distinct fingerprint, held for the life of
 the process.  There is no eviction, so a long-lived process keeps the
-golden trace and snapshot ladder of every program it has served.
+golden trace and snapshot ladder of every program it has served.  The
+golden trace is stored as columns
+(:class:`~repro.trace.columnar.GoldenTrace`, about 65 bytes per record
+against 300 or more for a list of tuples), filled chunk by chunk
+during the golden run; its read/write index is int32 CSR positions.
 Clearing the dict drops the cached bundles; trackers that still hold
 one keep it alive.
 """

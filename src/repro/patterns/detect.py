@@ -99,18 +99,20 @@ def find_accumulator_updates(faulty: Trace, start: int = 0,
     MOV) whose value derives from an FADD/ADD whose chain includes a
     LOAD of the destination itself is an accumulator update.
 
-    The scan covers records ``[start, stop)``.  The register defs
-    before ``start``, which the chains may reach, are looked up lazily
-    in the ``writes`` of ``golden_index``: the :class:`TraceIndex` of a
-    trace equal to ``faulty`` before ``start`` (the golden trace, for a
-    window starting at or before the injection).  The lookup skips the
-    CALL-parameter entries there, which the scan never counts as defs.
+    The scan covers records ``[start, stop)``, read as column lists.
+    The register defs before ``start``, which the chains may reach,
+    come from ``golden_index``: the :class:`TraceIndex` of a trace
+    equal to ``faulty`` before ``start`` (the golden trace, for a
+    window starting at or before the injection), whose
+    :meth:`~TraceIndex.last_def_before` skips the CALL-parameter
+    writes that the scan never counts as defs.
     """
     if start > 0 and golden_index is None:
         raise ValueError("a scan from start > 0 needs the golden index")
-    records = faulty.records
-    stop = len(records) if stop is None else min(stop, len(records))
-    writes = golden_index.writes if golden_index is not None else None
+    stop = len(faulty) if stop is None else min(stop, len(faulty))
+    ops = faulty.column(R_OP, start, stop)
+    dlocs = faulty.column(R_DLOC, start, stop)
+    slocs = faulty.column(R_SLOCS, start, stop)
     # loc -> record of its latest def so far, -1 when it has none
     last_def: dict[int, int] = {}
     updates: dict[int, list[int]] = {}
@@ -119,38 +121,36 @@ def find_accumulator_updates(faulty: Trace, start: int = 0,
         t_def = last_def.get(loc)
         if t_def is None:
             t_def = -1
-            if writes is not None and loc < 0:
-                lst = writes.get(loc, ())
-                for i in range(bisect.bisect_left(lst, start) - 1, -1, -1):
-                    if records[lst[i]][R_DLOC] == loc:
-                        t_def = lst[i]
-                        break
+            if golden_index is not None and loc < 0:
+                t_def = golden_index.last_def_before(loc, start)
             last_def[loc] = t_def
         return t_def
 
-    for t in range(start, stop):
-        rec = records[t]
-        op = rec[R_OP]
+    def op_slocs(t: int):
+        if t >= start:
+            return ops[t - start], slocs[t - start]
+        return faulty.field(t, R_OP), faulty.field(t, R_SLOCS)
+
+    for t, op, dloc, srcs in zip(range(start, stop), ops, dlocs, slocs):
         if op == oc.STORE or op == oc.MOV:
-            vloc = rec[R_SLOCS][0]
-            target = rec[R_DLOC]
-            if vloc is not None and target is not None:
+            vloc = srcs[0]
+            if vloc is not None and dloc is not None:
                 t_def = def_of(vloc)
-                drec = records[t_def] if t_def >= 0 else None
-                if drec is not None and drec[R_OP] in oc.ACCUM_CANDIDATES:
-                    if op == oc.MOV:
-                        hit = target in (drec[R_SLOCS] or ())
-                    else:
-                        hit = _walk(records, def_of, t_def, target)
-                    if hit:
-                        updates.setdefault(target, []).append(t)
-        dloc = rec[R_DLOC]
+                if t_def >= 0:
+                    def_op, def_srcs = op_slocs(t_def)
+                    if def_op in oc.ACCUM_CANDIDATES:
+                        if op == oc.MOV:
+                            hit = dloc in (def_srcs or ())
+                        else:
+                            hit = _walk(op_slocs, def_of, t_def, dloc)
+                        if hit:
+                            updates.setdefault(dloc, []).append(t)
         if dloc is not None and dloc < 0:
             last_def[dloc] = t
     return updates
 
 
-def _walk(records, def_of, t_def: int, target_loc: int,
+def _walk(op_slocs, def_of, t_def: int, target_loc: int,
           depth: int = 6) -> bool:
     """Depth-limited def-chain walk over the *current* latest defs.
 
@@ -165,13 +165,12 @@ def _walk(records, def_of, t_def: int, target_loc: int,
         if t in seen:
             continue
         seen.add(t)
-        rec = records[t]
-        if rec[R_OP] == oc.LOAD and rec[R_SLOCS] and \
-                rec[R_SLOCS][0] == target_loc:
+        op, srcs = op_slocs(t)
+        if op == oc.LOAD and srcs and srcs[0] == target_loc:
             return True
         if d == 0:
             continue
-        for sloc in rec[R_SLOCS]:
+        for sloc in srcs:
             if sloc is not None and sloc < 0:
                 prev = def_of(sloc)
                 if 0 <= prev < t:  # only walk defs that happened earlier
@@ -209,8 +208,8 @@ def detect_repeated_additions(ff: Trace, faulty: Trace, acl: ACLResult,
         mags = []
         abs_errs = []
         for t in corrupted_times:
-            v_f = faulty.records[t][R_DVAL]
-            v_c = ff.records[t][R_DVAL]
+            v_f = faulty.field(t, R_DVAL)
+            v_c = ff.field(t, R_DVAL)
             if same_value(v_c, v_f):
                 mags.append(0.0)
                 abs_errs.append(0.0)
@@ -238,9 +237,9 @@ def detect_repeated_additions(ff: Trace, faulty: Trace, acl: ACLResult,
         if decays(mags) or decays(abs_errs) or \
                 (absorbed and len(corrupted_times) >= min_updates):
             t0 = corrupted_times[0]
-            rec = faulty.records[t0]
             out.append(PatternInstance(
-                "RA", t0, rec[R_LINE], rec[R_FN], rec[R_PC], loc=loc,
+                "RA", t0, faulty.field(t0, R_LINE), faulty.field(t0, R_FN),
+                faulty.field(t0, R_PC), loc=loc,
                 region=region_of(t0),
                 details={"updates": len(corrupted_times),
                          "magnitudes": mags[:16],

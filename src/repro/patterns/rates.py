@@ -21,9 +21,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.ir import opcodes as oc
 from repro.patterns.detect import find_accumulator_updates
-from repro.trace.events import R_DLOC, R_FN, R_OP, R_PC, R_SLOCS, Trace
+from repro.trace.columnar import NO_LOC, as_columnar
+from repro.trace.events import Trace
 
 #: formats that drop mantissa precision when printed (e.g. "%12.6e")
 _PRECISION_FMT = re.compile(r"%[-0-9.]*[efg]")
@@ -51,57 +54,51 @@ class PatternRates:
 
 def compute_rates(ff: Trace) -> PatternRates:
     """Count pattern sites in a fault-free trace (see module docstring)."""
-    records = ff.records
-    n = len(records)
+    g = as_columnar(ff)
+    n = len(g)
     if n == 0:
         return PatternRates(0, 0, 0, 0, 0, 0, 0)
 
+    op = g.op
+    cond = np.isin(op, list(oc.CMP_OPS))
+    shift = np.isin(op, list(oc.SHIFT_OPS)) & ~cond
+    trunc = np.isin(op, list(oc.TRUNC_OPS)) & ~cond & ~shift
+    emits = np.flatnonzero((op == oc.EMIT) & ~cond & ~shift & ~trunc)
     # EMIT records carry the *formatted output* in R_EXTRA; the format
     # string itself lives on the static instruction, so look it up there
+    # (only precision-limited float formats can cut corruption off)
     fns = list(ff.module.functions.values())
-
-    conditions = shifts = truncs = defs = overwrites = 0
-    written: set[int] = set()
-    for rec in records:
-        op = rec[R_OP]
-        if op in oc.CMP_OPS:
-            conditions += 1
-        elif op in oc.SHIFT_OPS:
-            shifts += 1
-        elif op in oc.TRUNC_OPS:
+    truncs = int(trunc.sum())
+    for fn, pc in zip(g.fn[emits].tolist(), g.pc[emits].tolist()):
+        fmt = fns[fn].instr_at[pc].aux
+        if isinstance(fmt, str) and _PRECISION_FMT.search(fmt):
             truncs += 1
-        elif op == oc.EMIT:
-            # only precision-limited float formats can cut corruption off
-            fmt = fns[rec[R_FN]].instr_at[rec[R_PC]].aux
-            if isinstance(fmt, str) and _PRECISION_FMT.search(fmt):
-                truncs += 1
-        dloc = rec[R_DLOC]
-        if dloc is not None:
-            defs += 1
-            if dloc in written:
-                overwrites += 1
-            else:
-                written.add(dloc)
 
-    # dead definitions: one backward pass over location fates
-    dead = 0
-    future: dict[int, bool] = {}  # loc -> next touch is a read?
-    for t in range(n - 1, -1, -1):
-        rec = records[t]
-        dloc = rec[R_DLOC]
-        if dloc is not None:
-            if not future.get(dloc, False):
-                dead += 1
-            future[dloc] = False
-        for sloc in rec[R_SLOCS]:
-            if sloc is not None:
-                future[sloc] = True
+    wt = np.flatnonzero(g.dloc != NO_LOC)
+    wloc = g.dloc[wt]
+    defs = len(wt)
+    overwrites = defs - len(np.unique(wloc))
+
+    # dead definitions: a def is dead unless the next record touching
+    # its location (after it) reads it; a record's reads precede its
+    # write, so at equal times reads sort first
+    slots = np.flatnonzero(g.sloc != NO_LOC)
+    rt = np.searchsorted(g.soff, slots, side="right") - 1
+    loc = np.concatenate((wloc, g.sloc[slots]))
+    time = np.concatenate((wt, rt))
+    is_write = np.concatenate((np.ones(defs, dtype=bool),
+                               np.zeros(len(slots), dtype=bool)))
+    order = np.lexsort((is_write, time, loc))
+    loc, is_write = loc[order], is_write[order]
+    follows = np.zeros(len(loc), dtype=bool)   # next event reads the loc
+    follows[:-1] = (loc[1:] == loc[:-1]) & ~is_write[1:]
+    dead = int((is_write & ~follows).sum())
 
     accum_updates = sum(len(v) for v in find_accumulator_updates(ff).values())
 
     return PatternRates(
-        condition=conditions / n,
-        shift=shifts / n,
+        condition=int(cond.sum()) / n,
+        shift=int(shift.sum()) / n,
         truncation=truncs / n,
         dead_location=dead / n,
         repeated_addition=accum_updates / n,

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.ir import opcodes as oc
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.regions.cfg import CFG, Loop
+from repro.trace.columnar import int_column, int_column_at
 from repro.trace.events import R_FN, R_OP, R_PC
 
 
@@ -135,6 +137,13 @@ def detect_regions(module: Module, fn_name: str,
     return RegionModel(fn, regions, block_to_region, cfg)
 
 
+def _region_of_pc(model: RegionModel) -> np.ndarray:
+    """Region id of every pc of the region function (-1 for none)."""
+    b2r = model.block_to_region
+    return np.array([b2r.get(label, -1) for label in model.fn.block_of_pc],
+                    dtype=np.int64)
+
+
 def split_instances(records: Sequence, model: RegionModel,
                     golden: Sequence[RegionInstance] = (),
                     aligned: int = 0) -> list[RegionInstance]:
@@ -145,6 +154,11 @@ def split_instances(records: Sequence, model: RegionModel,
     while R was current.  A RET of the region function closes the
     current instance.
 
+    The split reads only the ``fn``, ``pc`` and ``op`` columns: the
+    records of the region function are picked out at once, and only
+    the records where the current region changes (plus the function's
+    RETs) are visited one by one.
+
     ``golden`` are the instances of another trace whose records match
     ``records`` in fn, pc and op — all the split reads — before
     ``aligned`` (a faulty trace and its golden one, up to their
@@ -153,44 +167,48 @@ def split_instances(records: Sequence, model: RegionModel,
     closes whatever was open in both traces alike; the scan starts at
     that record, and the earlier golden instance objects are reused.
     """
-    fn = model.fn
-    fn_idx = fn.index
-    block_of_pc = fn.block_of_pc
-    b2r = model.block_to_region
     # the last golden instance opened before `aligned` is re-scanned
     last = bisect_left(golden, aligned, key=lambda inst: inst.start) - 1
     instances: list[RegionInstance] = list(golden[:max(last, 0)])
-    cur_rid: Optional[int] = None
     start = golden[last].start if last >= 0 else 0
     per_region_count: dict[int, int] = {
         inst.region.rid: inst.index + 1 for inst in instances}
+    n = len(records)
+    sel = start + np.flatnonzero(
+        int_column(records, R_FN, start, n) == model.fn.index)
+    rid = _region_of_pc(model)[int_column_at(records, R_PC, sel)]
+    is_ret = int_column_at(records, R_OP, sel) == oc.RET
+    # the region current before each selected record: the previous
+    # one's, or none after a RET
+    cur_before = np.full(len(sel), -1, dtype=np.int64)
+    cur_before[1:] = np.where(is_ret[:-1], -1, rid[:-1])
+    change = rid != cur_before
+    events = np.flatnonzero(change | is_ret)
+
+    cur_rid = -1
+    cur_start = start
 
     def close(end: int) -> None:
         nonlocal cur_rid
-        if cur_rid is not None:
+        if cur_rid >= 0:
             region = model.regions[cur_rid]
             idx = per_region_count.get(cur_rid, 0)
             per_region_count[cur_rid] = idx + 1
-            instances.append(RegionInstance(region, start, end, idx))
-            cur_rid = None
+            instances.append(RegionInstance(region, cur_start, end, idx))
+            cur_rid = -1
 
-    for t, rec in enumerate(islice(records, start, None), start):
-        if rec[R_FN] != fn_idx:
-            continue  # callee work stays attributed to cur_rid
-        rid = b2r.get(block_of_pc[rec[R_PC]])
-        if rec[R_OP] == oc.RET:
-            # the RET itself belongs to the current (or its own) region
-            if rid != cur_rid:
-                close(t)
-                cur_rid = rid
-                start = t
-            close(t + 1)
-            continue
-        if rid != cur_rid:
+    for t, r, changed, ret in zip(sel[events].tolist(),
+                                  rid[events].tolist(),
+                                  change[events].tolist(),
+                                  is_ret[events].tolist()):
+        if changed:
             close(t)
-            cur_rid = rid
-            start = t
-    close(len(records))
+            cur_rid = r
+            cur_start = t
+        if ret:
+            # the RET itself belongs to the current (or its own) region
+            close(t + 1)
+    close(n)
     return instances
 
 
@@ -226,36 +244,27 @@ def split_iterations(records: Sequence, fn: Function, loop: Loop,
     """
     if hi is None:
         hi = len(records)
-    header_pc = fn.pc_of_block[loop.header]
-    fn_idx = fn.index
-    hits = [t for t in range(lo, hi)
-            if records[t][R_FN] == fn_idx and records[t][R_PC] == header_pc]
-    if not hits:
+    here = int_column(records, R_FN, lo, hi) == fn.index
+    labels = fn.block_of_pc
+    in_loop = np.array([label in loop.blocks for label in labels])
+    in_body = np.array([label in loop.blocks and label != loop.header
+                        for label in labels])
+    # pc within the loop's function (0 for records of other functions)
+    local_pc = np.zeros(len(here), dtype=np.int64)
+    local_pc[here] = int_column_at(records, R_PC,
+                                   lo + np.flatnonzero(here))
+    hits = np.flatnonzero(here & (local_pc == fn.pc_of_block[loop.header]))
+    if not hits.size:
         return []
-    # find where the loop is finally left: last record inside loop blocks
-    block_of_pc = fn.block_of_pc
-    end = hits[-1]
-    for t in range(hi - 1, hits[-1] - 1, -1):
-        rec = records[t]
-        if rec[R_FN] == fn_idx and block_of_pc[rec[R_PC]] in loop.blocks:
-            end = t + 1
-            break
-    spans = [(a, b) for a, b in zip(hits, hits[1:])]
-    if end > hits[-1]:
-        spans.append((hits[-1], end))
-    # drop pure header-test spans (no body executed)
-    body_blocks = loop.blocks - {loop.header}
-
-    def has_body(a: int, b: int) -> bool:
-        for t in range(a, b):
-            rec = records[t]
-            if rec[R_FN] != fn_idx:
-                return True  # callee work implies we got past the header
-            if block_of_pc[rec[R_PC]] in body_blocks:
-                return True
-        return False
-
-    return [(a, b) for a, b in spans if has_body(a, b)]
+    # the loop is finally left after its last record (a header hit is
+    # one, so the last span is never empty)
+    end = int(np.flatnonzero(here & in_loop[local_pc])[-1]) + 1
+    starts = hits.tolist()
+    spans = list(zip(starts, starts[1:])) + [(starts[-1], end)]
+    # drop pure header-test spans (no body executed); callee work
+    # implies the run got past the header
+    body = np.concatenate(([0], np.cumsum(~here | in_body[local_pc])))
+    return [(a + lo, b + lo) for a, b in spans if body[b] > body[a]]
 
 
 def main_loop_iterations(records: Sequence, module: Module, fn_name: str

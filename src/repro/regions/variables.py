@@ -18,12 +18,12 @@ of an instance) and the Case-1/Case-2 region fault-tolerance checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional
 
-from repro.ir import opcodes as oc
-from repro.ir.function import SLOT_LIMIT
+import numpy as np
+
 from repro.regions.model import RegionInstance
-from repro.trace.events import R_DLOC, R_DVAL, R_EXTRA, R_OP, R_SLOCS, R_SVALS
+from repro.trace.columnar import NO_LOC, as_columnar
 from repro.trace.index import INF, TraceIndex
 
 
@@ -36,6 +36,10 @@ class RegionIO:
     outputs: dict[int, object] = field(default_factory=dict)  # loc -> exit value
     internals: set[int] = field(default_factory=set)
     written: set[int] = field(default_factory=set)
+    #: internal-def site mask, built on first use
+    #: (:func:`repro.faults.sites.internal_targets`)
+    targets: Optional[bytes] = field(default=None, repr=False,
+                                     compare=False)
 
     def summary(self) -> str:
         return (f"{self.instance.region.name}#{self.instance.index}: "
@@ -43,44 +47,116 @@ class RegionIO:
                 f"{len(self.internals)} internal")
 
 
-def classify_io(records: Sequence, index: TraceIndex,
+#: records per block of :func:`classify_io` (bounds its temporaries)
+_BLOCK = 1 << 16
+
+#: where a write's value lives: a record's ``dval``, a source slot, none
+_DVAL, _SVAL, _NONE = 0, 1, 2
+
+
+def _group_ends(keys: np.ndarray):
+    """Stable grouping of ``keys``: ``(order, heads, tails)`` with each
+    group's first and last position in ``order``."""
+    order = np.argsort(keys, kind="stable")
+    grouped = keys[order]
+    heads = np.flatnonzero(np.concatenate(
+        ([True], grouped[1:] != grouped[:-1])))[:len(grouped)]
+    tails = np.append(heads[1:], len(grouped))[:len(heads)] - 1
+    return order, heads, tails
+
+
+def _block_writes(g, lo: int, hi: int, seq: int):
+    """Each location's first and last write among records [lo, hi).
+
+    Returns ``(locs, first_seq, first_t, last_kind, last_ref)`` and
+    the block's write count; the sequence numbers count write events
+    in execution order from ``seq`` (a record's own write first, then
+    its CALL parameters).
+    """
+    dt = lo + np.flatnonzero(g.dloc[lo:hi] != NO_LOC)
+    ct, slot, ploc = g.param_writes(lo, hi)
+    order = np.argsort(np.concatenate((dt, ct)), kind="stable")
+    loc = np.concatenate((g.dloc[dt], ploc))[order]
+    time = np.concatenate((dt, ct))[order]
+    # the value source of every event: dval, a parameter's source
+    # slot, or none (a parameter beyond the CALL's sources)
+    in_slots = slot < g.soff[ct + 1] - g.soff[ct]
+    kind = np.concatenate((np.full(len(dt), _DVAL),
+                           np.where(in_slots, _SVAL, _NONE)))[order]
+    ref = np.concatenate((dt, g.soff[ct] + slot))[order]
+    by_loc, heads, tails = _group_ends(loc)
+    first, last = by_loc[heads], by_loc[tails]
+    return (loc[first], seq + first, time[first], kind[last],
+            ref[last]), len(loc)
+
+
+def classify_io(records, index: TraceIndex,
                 instance: RegionInstance) -> RegionIO:
-    """Classify locations for one instance (see module docstring)."""
+    """Classify locations for one instance (see module docstring).
+
+    Works on the golden trace's columns (a record list is encoded
+    first), a block of records at a time.  Reads happen before a
+    record's own writes, and a CALL writes its destination (the
+    callee's slot 0, value ``None``) and then each parameter ``i``
+    with ``svals[i]``.  ``inputs`` keep the order of their first reads
+    and ``written`` the order of first writes, so every dict and set
+    below is built in the order a record-by-record scan would build it.
+    """
+    g = as_columnar(records)
     a, b = instance.start, instance.end
     io = RegionIO(instance)
-    inputs = io.inputs
-    written: set[int] = set()
-    last_val: dict[int, object] = {}
 
-    for t in range(a, b):
-        rec = records[t]
-        slocs = rec[R_SLOCS]
-        if slocs:
-            svals = rec[R_SVALS]
-            for sloc, sval in zip(slocs, svals):
-                if sloc is not None and sloc not in written \
-                        and sloc not in inputs:
-                    inputs[sloc] = sval
-        dloc = rec[R_DLOC]
-        if dloc is not None:
-            written.add(dloc)
-            last_val[dloc] = rec[R_DVAL]
-        if rec[R_OP] == oc.CALL:
-            uid, _callee, nargs = rec[R_EXTRA]
-            rbase = -(uid * SLOT_LIMIT) - 1
-            svals = rec[R_SVALS]
-            for i in range(nargs):
-                written.add(rbase - i)
-                last_val[rbase - i] = svals[i] if i < len(svals) else None
+    # -- writes: per block, then the earliest block's first write and
+    #    the latest block's last write of every location
+    blocks = []
+    seq = 0
+    for lo in range(a, b, _BLOCK):
+        summary, count = _block_writes(g, lo, min(b, lo + _BLOCK), seq)
+        blocks.append(summary)
+        seq += count
+    cols = [np.concatenate(c) for c in zip(*blocks)] if blocks else \
+        [np.zeros(0, dtype=np.int64)] * 5
+    by_loc, heads, tails = _group_ends(cols[0])
+    locs = cols[0][by_loc[heads]]
+    first_seq, first_t = cols[1][by_loc[heads]], cols[2][by_loc[heads]]
+    kind, ref = cols[3][by_loc[tails]], cols[4][by_loc[tails]]
+    del blocks, cols, by_loc
+    values = np.empty(len(locs), dtype=object)
+    for k, decode in ((_DVAL, g.dvals_at), (_SVAL, g.svals_at)):
+        m = kind == k
+        values[m] = decode(ref[m])
+    last_val = dict(zip(locs.tolist(), values.tolist()))
+    written = set(locs[np.argsort(first_seq)].tolist())
 
+    # -- inputs: read no later than their first write in [a, b)
+    found = []
+    for lo in range(a, b, _BLOCK):
+        hi = min(b, lo + _BLOCK)
+        s0, s1 = int(g.soff[lo]), int(g.soff[hi])
+        sl = g.sloc[s0:s1]
+        slot_t = np.repeat(np.arange(lo, hi), np.diff(g.soff[lo:hi + 1]))
+        fw = np.full(len(sl), INF, dtype=np.int64)
+        if len(locs):
+            w = np.minimum(np.searchsorted(locs, sl), len(locs) - 1)
+            hit = locs[w] == sl
+            fw[hit] = first_t[w[hit]]
+        found.append(s0 + np.flatnonzero((sl != NO_LOC) & (slot_t <= fw)))
+    k = np.concatenate(found) if found else np.zeros(0, dtype=np.int64)
+    _, first_read = np.unique(g.sloc[k], return_index=True)
+    k = k[np.sort(first_read)]
+    io.inputs.update(zip(g.sloc[k].tolist(), g.svals_at(k)))
+
+    # -- outputs: read at or after b before the next write
     io.written = written
-    for loc in written:
-        next_w = index.next_write_at_or_after(loc, b)
-        horizon = next_w if next_w != INF else index.n
-        if index.has_read_in(loc, b, horizon):
-            io.outputs[loc] = last_val.get(loc)
-        else:
-            io.internals.add(loc)
+    wlist = list(written)
+    if wlist:
+        out = index.first_read_at_or_after_many(wlist, b) < \
+            index.next_write_at_or_after_many(wlist, b)
+        for loc, is_out in zip(wlist, out.tolist()):
+            if is_out:
+                io.outputs[loc] = last_val[loc]
+            else:
+                io.internals.add(loc)
     return io
 
 

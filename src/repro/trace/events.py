@@ -17,6 +17,17 @@ analysis passes can index tuples directly (attribute-free hot loops):
 ``R_EXTRA``  op-specific payload: CALL ``(uid, callee, nargs)``,
              RET ``(dead uid, stack lo, stack hi)``, EMIT text
 ===========  =====================================================
+
+Storage: the VM appends tuples to a list, and a faulty trace keeps
+them.  The golden trace is stored as columns instead
+(:class:`~repro.trace.columnar.GoldenTrace`): the golden run is encoded
+a chunk at a time, so its tuple list never outgrows one chunk.  A
+warm-started traced run holds only the records after its ladder rung;
+its :class:`Trace` sees the golden prefix through the columns
+(:class:`~repro.trace.columnar.SplicedRecords`).  All three read as the
+same sequence of 9-tuples, and :meth:`Trace.column` and
+:meth:`Trace.field` read windows and single fields without building
+tuples.
 """
 
 from __future__ import annotations
@@ -24,7 +35,10 @@ from __future__ import annotations
 import gzip
 import pickle
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.ir import opcodes as oc
 from repro.ir.module import Module
@@ -54,13 +68,13 @@ class TraceMeta:
 class Trace:
     """A dynamic instruction trace plus the module that produced it.
 
-    Thin wrapper over the raw record list; the analyses mostly iterate
-    ``trace.records`` directly for speed, but the wrapper provides
-    indexing helpers, persistence, and the control-flow signature used
-    to find divergence points between faulty and fault-free runs.
+    Wraps a record sequence: the VM's tuple list, or the spliced view
+    of a warm-started run.  The wrapper provides window and field
+    access, persistence, and the control-flow signature used to find
+    divergence points between faulty and fault-free runs.
     """
 
-    def __init__(self, records: list, module: Module,
+    def __init__(self, records: Sequence, module: Module,
                  meta: Optional[TraceMeta] = None):
         self.records = records
         self.module = module
@@ -75,6 +89,19 @@ class Trace:
     def __iter__(self) -> Iterator:
         return iter(self.records)
 
+    # -- field access ---------------------------------------------------------
+    def column(self, field: int, lo: int, hi: int) -> list:
+        """Field ``field`` of records ``[lo, hi)`` as a list."""
+        from repro.trace.columnar import window
+        return list(map(itemgetter(field), window(self.records, lo, hi)))
+
+    def field(self, t: int, field: int):
+        """Field ``field`` of record ``t``."""
+        records = self.records
+        if 0 <= t < getattr(records, "base", 0):
+            return records.golden.field(t, field)
+        return records[t][field]
+
     # -- divergence ---------------------------------------------------------
     def first_divergence(self, other: "Trace",
                          start: int = 0) -> Optional[int]:
@@ -84,26 +111,41 @@ class Trace:
         ``None`` when one trace is a prefix of the other's control path
         (including identical traces).  The comparison begins at record
         ``start``: the caller vouches that the records before it match.
+        The streams are compared in growing windows, so an early
+        divergence reads little of either trace.
         """
+        from repro.trace.columnar import int_column
         a, b = self.records, other.records
         n = min(len(a), len(b))
-        for i in range(start, n):
-            ra, rb = a[i], b[i]
-            if ra[R_FN] != rb[R_FN] or ra[R_PC] != rb[R_PC]:
-                return i
+        lo, step = start, 1024
+        while lo < n:
+            hi = min(n, lo + step)
+            diff = np.flatnonzero(
+                (int_column(a, R_FN, lo, hi) != int_column(b, R_FN, lo, hi))
+                | (int_column(a, R_PC, lo, hi) != int_column(b, R_PC, lo, hi)))
+            if diff.size:
+                return lo + int(diff[0])
+            lo, step = hi, step * 4
         return None if len(a) == len(b) else n
 
     # -- persistence -----------------------------------------------------------
     def save(self, path: str) -> None:
         """Persist records + meta (module is reattached on load)."""
         with gzip.open(path, "wb") as fh:
-            pickle.dump({"records": self.records, "meta": self.meta}, fh,
-                        protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump({"records": list(self.records), "meta": self.meta},
+                        fh, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def load(cls, path: str, module: Module) -> "Trace":
+        """Load a saved trace; a saved golden trace loads as one."""
         with gzip.open(path, "rb") as fh:
             payload = pickle.load(fh)
+        if "golden" in payload:
+            from repro.trace.columnar import GoldenTrace
+            trace = GoldenTrace.__new__(GoldenTrace)
+            trace.__setstate__(payload["golden"])
+            trace.module = module
+            return trace
         return cls(payload["records"], module, payload["meta"])
 
     # -- convenience -----------------------------------------------------------
@@ -127,9 +169,21 @@ class Trace:
 def value_at(records: Sequence, loc: int, t: int):
     """Value held at ``loc`` just before record index ``t``.
 
-    Scans backward for the last write; returns ``(found, value)``.
-    Used to snapshot region inputs/outputs at instance boundaries.
+    Finds the last write; returns ``(found, value)``.  Used to snapshot
+    region inputs/outputs at instance boundaries.
     """
+    from repro.trace.columnar import GoldenTrace, SplicedRecords
+    if isinstance(records, SplicedRecords):
+        suffix, base = records.suffix, records.base
+        for i in range(t - 1, base - 1, -1):
+            if suffix[i - base][R_DLOC] == loc:
+                return True, suffix[i - base][R_DVAL]
+        records, t = records.golden, min(t, base)
+    if isinstance(records, GoldenTrace):
+        hits = np.flatnonzero(records.dloc[:t] == loc)
+        if hits.size:
+            return True, records.field(int(hits[-1]), R_DVAL)
+        return False, None
     for i in range(t - 1, -1, -1):
         r = records[i]
         if r[R_DLOC] == loc:

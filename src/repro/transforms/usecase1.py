@@ -40,8 +40,11 @@ import random
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.apps.base import REGISTRY
 from repro.core.fliptracker import FlipTracker
+from repro.trace.columnar import int_column
 from repro.trace.events import R_FN
 from repro.util.timing import Timer
 from repro.vm.fault import FaultPlan
@@ -91,15 +94,11 @@ def _function_span(trace, module, fname: str) -> tuple[int, int]:
     """[first, last] dynamic record index executing inside ``fname``."""
     fn_names = list(module.functions.keys())
     idx = fn_names.index(fname)
-    lo, hi = None, None
-    for t, rec in enumerate(trace.records):
-        if rec[R_FN] == idx:
-            if lo is None:
-                lo = t
-            hi = t
-    if lo is None:
+    hits = np.flatnonzero(int_column(trace.records, R_FN, 0, len(trace))
+                          == idx)
+    if not hits.size:
         raise ValueError(f"function {fname!r} never executed")
-    return lo, hi
+    return int(hits[0]), int(hits[-1])
 
 
 def data_resident_plans(program, trace, seed: int,

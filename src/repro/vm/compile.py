@@ -861,6 +861,7 @@ class CompiledInterpreter(Interpreter):
         self.sp = twin.sp
         self.frames = twin.frames
         self.records = twin.records
+        self.record_base = twin.record_base
         self.output = twin.output
         self.dyn_count = twin.dyn_count
         self.fault_record = twin.fault_record

@@ -142,6 +142,9 @@ class Interpreter:
         self.sp = module.stack_base
         self.frames: list[Frame] = []
         self.records: Optional[list] = [] if trace else None
+        #: records of the run before ``records[0]`` (a warm-started
+        #: traced run holds only the records after its ladder rung)
+        self.record_base = 0
         self.output: list[str] = []
         self.dyn_count = 0
         self.max_instr = max_instr

@@ -8,15 +8,16 @@ module amortizes that prefix across a campaign: a **ladder** of
 program along the golden execution, and each faulty run restores the
 highest rung at or below its trigger and executes only the suffix.
 A traced run (a Table I analysis) also needs the records of the
-prefix; they are the golden trace's records up to the rung, so the
-run splices those in instead of re-executing them.
+prefix; they are the golden trace's records up to the rung, so the run
+reads them from the golden columns instead of re-executing them, and
+its own record list holds only the suffix.
 
 Invisibility contract: warm-start must not change a single observable —
 record stream, ``dyn_count``, output, memory, :class:`FaultRecord`,
 crash surface, ``RecoveryOutcome`` bytes, cache keys.  It is therefore
 engaged only when equivalence is provable by construction
 (communicator-free runs with a rung strictly below the hang budget,
-given the golden records when traced) and falls back to a cold start
+given the golden trace when traced) and falls back to a cold start
 otherwise.  The parity matrices in
 ``tests/test_determinism.py`` and CI's ``REPRO_WARMSTART`` axis lock
 the contract.
@@ -98,7 +99,8 @@ class Rung:
     truncates), so restoring into a fresh interpreter needs the prefix
     installed explicitly.  ``n_records`` is the number of golden trace
     records appended before ``dyn`` (it differs from ``dyn`` once a NOP
-    has executed), the prefix a traced run splices in.
+    has executed): the golden prefix a traced run restored here reads
+    through the columns.
     """
 
     __slots__ = ("dyn", "n_records", "snap", "output")
@@ -196,24 +198,25 @@ def build_warm_ladder(program, rungs: list, stride: int,
 
 
 def warm_start_interp(interp, ladder: Optional[WarmLadder],
-                      plan, records: Optional[list] = None) -> bool:
+                      plan, golden=None) -> bool:
     """Engage warm-start on a fresh (un-started) interpreter, if valid.
 
     Returns True when a rung was restored — the caller must then drive
     the interpreter with ``resume_run`` instead of ``run``.  A traced
-    interpreter also receives the golden record prefix
-    ``records[:rung.n_records]`` (``records`` is the golden trace's
-    record list), so its record stream still covers the whole run.
-    Returns False (cold start) whenever equivalence is not guaranteed:
-    traced runs without ``records``, runs attached to a
-    communicator/scheduler, no rung at or below the trigger, or a rung
-    at/past the hang budget (the cold run would raise ``HangError``
-    from inside the prefix).
+    interpreter keeps only the records of the suffix it executes:
+    ``interp.record_base`` is set to the rung's record count, and the
+    caller sees the whole run as the golden trace ``golden`` up to
+    there followed by ``interp.records``
+    (:class:`~repro.trace.columnar.SplicedRecords`).  Returns False
+    (cold start) whenever equivalence is not guaranteed: traced runs
+    without ``golden``, runs attached to a communicator/scheduler, no
+    rung at or below the trigger, or a rung at/past the hang budget
+    (the cold run would raise ``HangError`` from inside the prefix).
     """
     if ladder is None or plan is None:
         return False
     if interp.comm is not None or \
-            (interp.records is not None and records is None):
+            (interp.records is not None and golden is None):
         return False
     trigger = plan.trigger
     if trigger < 0:
@@ -227,7 +230,7 @@ def warm_start_interp(interp, ladder: Optional[WarmLadder],
     # in place (restore's truncation on a fresh interpreter is a no-op)
     interp.output[:] = rung.output
     if interp.records is not None:
-        interp.records[:] = records[:rung.n_records]
+        interp.record_base = rung.n_records
     # the rung is golden (trigger -1); re-arm this plan's trigger
     interp._ftrig = trigger
     WARM_STATS["hits"] += 1

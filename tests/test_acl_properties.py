@@ -22,10 +22,14 @@ The windowed scans of a traced analysis each match a full-scan oracle:
 * the region split seeded with the golden instances up to the
   divergence equals the full ``split_instances``;
 * each death's ``read`` flag, and the end-of-trace ``dead``/``end``
-  deaths, equal the faulty trace's ``TraceIndex`` read queries.
+  deaths, equal the faulty trace's ``TraceIndex`` read queries;
+* the pass over a columnar golden trace, which stops once nothing is
+  left corrupted past the aligned window, equals the full tuple scan
+  (``oracle_build_acl``) field for field, hybrid and taint-only.
 """
 
 import numpy as np
+from helpers import oracle_build_acl
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +43,7 @@ from repro.ir.module import Module
 from repro.ir.types import F64, I64
 from repro.patterns.detect import find_accumulator_updates
 from repro.regions.model import detect_regions, split_instances
+from repro.trace.columnar import GoldenTrace
 from repro.trace.events import R_DLOC, R_OP, R_SLOCS, Trace
 from repro.trace.index import TraceIndex
 from repro.vm import FaultPlan, Interpreter
@@ -365,3 +370,27 @@ def test_pinned_examples_reach_the_edge_cases():
     acl = _windowed_acl(faulty, frec, "self")
     assert any(d.loc == frec.loc and d.birth == frec.dyn_index == 3
                and d.read for d in acl.deaths)
+
+
+_COLUMNAR = {name: GoldenTrace.from_records(ff.records, module)
+             for name, (module, ff, _index) in _PROGRAMS.items()}
+
+
+@given(_SITES, _BITS, _MODES, st.booleans())
+@example(("loops", 10), 0, "result", False)   # diverges, then masked
+@example(("self", 1), 40, "result", True)     # crash right after birth
+@settings(max_examples=150, deadline=None)
+def test_early_exit_equals_full_scan(site, bit, mode, taint_only):
+    """Every ACL field matches the full scan, from record 0 and from the
+    injection, whether or not the scan stopped early."""
+    program, trigger = site
+    ff = _PROGRAMS[program][1]
+    faulty, rec = _faulty_run(trigger, bit, mode, program)
+    kwargs = dict(injected_loc=rec.loc if rec.fired else None,
+                  injected_time=rec.dyn_index if rec.fired else None,
+                  taint_only=taint_only)
+    full = oracle_build_acl(ff, faulty, **kwargs)
+    want = _acl_fields(full), full.aligned
+    for start in (0, rec.dyn_index if rec.fired else len(faulty)):
+        got = build_acl(_COLUMNAR[program], faulty, start=start, **kwargs)
+        assert (_acl_fields(got), got.aligned) == want

@@ -160,7 +160,7 @@ def test_capture_matches_oracle_with_nops(monkeypatch, tier_env):
 
 def analysis_image(analysis) -> str:
     acl = analysis.acl
-    return repr((analysis.manifestation, analysis.faulty.records,
+    return repr((analysis.manifestation, list(analysis.faulty.records),
                  [(p.pattern, p.time, p.loc, p.region)
                   for p in analysis.patterns],
                  acl.births, acl.intervals, acl.divergence,

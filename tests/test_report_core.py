@@ -10,7 +10,8 @@ from repro.patterns.base import PATTERNS
 
 @pytest.fixture(scope="module")
 def ft():
-    return FlipTracker(REGISTRY.build("kmeans"), seed=99)
+    with FlipTracker(REGISTRY.build("kmeans"), seed=99) as tracker:
+        yield tracker
 
 
 class TestTable1Row:
@@ -72,13 +73,16 @@ class TestParallelAnalysisEquivalence:
         """region_patterns' fork fan-out must be a pure parallelization:
         identical pattern sets to the sequential path for the same
         plans (fault-free trace shared copy-on-write)."""
-        seq = FlipTracker(REGISTRY.build("kmeans"), seed=5, workers=1)
-        par = FlipTracker(REGISTRY.build("kmeans"), seed=5, workers=2)
-        inst = next(i for i in seq.instances() if i.region.kind == "loop")
-        plans = seq.probe_plans(inst, bits=(0,), n_sites=2)[:4]
+        with FlipTracker(REGISTRY.build("kmeans"), seed=5,
+                         workers=1) as seq, \
+                FlipTracker(REGISTRY.build("kmeans"), seed=5,
+                            workers=2) as par:
+            inst = next(i for i in seq.instances()
+                        if i.region.kind == "loop")
+            plans = seq.probe_plans(inst, bits=(0,), n_sites=2)[:4]
+            r_seq = seq._analyze_many(plans)
+            r_par = par._analyze_many(plans)
         import os
-        r_seq = seq._analyze_many(plans)
-        r_par = par._analyze_many(plans)
         if not hasattr(os, "fork"):
             pytest.skip("no fork on this platform")
         assert r_seq == r_par

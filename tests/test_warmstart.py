@@ -30,6 +30,7 @@ from repro.apps import ALL_APPS, REGISTRY
 from repro.core import FlipTracker
 from repro.faults.campaign import execute_plan, run_plan
 from repro.parallel.comm import SimComm
+from repro.trace.columnar import SplicedRecords
 from repro.trace.events import R_DLOC
 from repro.vm.fault import FaultPlan
 from repro.vm.interp import Interpreter
@@ -235,27 +236,31 @@ def test_warm_equals_cold_every_app(name):
 
 
 # ------------------------------------------------------- traced runs
-def _traced_image(interp) -> tuple:
-    return (repr(interp.records),) + final_image(interp)
+def _traced_image(interp, golden=None) -> tuple:
+    records = interp.records
+    if interp.record_base:
+        records = SplicedRecords(golden, interp.record_base, records)
+    return (repr(list(records)),) + final_image(interp)
 
 
-def _drive(interp, warm: bool) -> tuple:
+def _drive(interp, warm: bool, golden=None) -> tuple:
     try:
         if warm:
             interp.resume_run(PROGRAM.entry)
         else:
             interp.run(PROGRAM.entry)
     except Exception as exc:
-        return ("crash", type(exc).__name__) + _traced_image(interp)
-    return ("done",) + _traced_image(interp)
+        return ("crash", type(exc).__name__) + _traced_image(interp, golden)
+    return ("done",) + _traced_image(interp, golden)
 
 
 @pytest.mark.parametrize("tier", ["interp", "compiled"])
 @pytest.mark.parametrize("mode", ["result", "loc"])
 def test_traced_warm_start_splices_golden_prefix(tier, mode):
-    """A traced run restores the rung, receives the golden record prefix
-    and, after ``resume_run``, equals a cold traced run: records,
-    output, ``dyn_count`` and ``FaultRecord``."""
+    """A traced run restores the rung, keeps only its suffix records on
+    top of the golden prefix (read through the golden columns) and,
+    after ``resume_run``, equals a cold traced run: records, output,
+    ``dyn_count`` and ``FaultRecord``."""
     ft = ft_for("kmeans")
     ladder = ft.warm_ladder()
     golden = ft.fault_free_trace().records
@@ -269,11 +274,12 @@ def test_traced_warm_start_splices_golden_prefix(tier, mode):
         interp = PROGRAM.fresh_interpreter(trace=True, fault=plan,
                                            exec_tier=tier)
         assert warm_start_interp(interp, ladder, plan, golden) is True
-        assert interp.records == golden[:rung.n_records]
+        assert interp.records == []
+        assert interp.record_base == rung.n_records
         assert interp.dyn_count == rung.dyn
         cold = PROGRAM.fresh_interpreter(trace=True, fault=plan,
                                          exec_tier="interp")
-        assert _drive(interp, True) == _drive(cold, False)
+        assert _drive(interp, True, golden) == _drive(cold, False)
         assert interp.fault_record.fired
 
 
