@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.ir import opcodes as oc
-from repro.trace.columnar import T_BOOL, T_FLOAT, T_INT, as_columnar
+from repro.trace.columnar import T_BOOL, T_FLOAT, T_INT, GoldenTrace
 from repro.trace.events import R_DVAL
 from repro.trace.index import TraceIndex
 from repro.vm.bitops import MASK64, float64_to_bits
@@ -109,14 +109,13 @@ class RecoveryContext:
         return self.invariants[pos]
 
 
-def _instance_values(records, start: int, end: int):
+def _instance_values(g: GoldenTrace, start: int, end: int):
     """Written memory locations + value stats for records [start, end).
 
     ``lo``/``hi`` are the first-written smallest and largest finite
     values, compared exactly across ints and floats, as a forward scan
     with strict comparisons would pick them.
     """
-    g = as_columnar(records)
     at = start + np.flatnonzero(g.dloc[start:end] >= 0)
     locs = set(np.unique(g.dloc[at]).tolist())
     tags = g.dtag[at]
@@ -194,20 +193,19 @@ class RecordDynMap:
                             key=self.dyn_at) - 1
 
 
-def record_dyn_map(records, module, total_dyn: int) -> RecordDynMap:
+def record_dyn_map(g: GoldenTrace, module, total_dyn: int) -> RecordDynMap:
     """The :class:`RecordDynMap` of a golden execution.
 
-    The map is the identity exactly when ``total_dyn == len(records)``.
+    The map is the identity exactly when ``total_dyn == len(g)``.
     Otherwise the NOPs are located from the record stream: each record
     fixes the next pc its frame executes (fall-through, branch target,
     callee entry, or the caller's pc after the matching CALL), and any
     shortfall to the next record's pc was covered by NOPs, which only
     fall through.
     """
-    n = len(records)
+    n = len(g)
     if total_dyn == n:
         return RecordDynMap(n, total_dyn)
-    g = as_columnar(records)
     # static successor tables, indexed by fn base + pc
     fns = sorted(module.functions.values(), key=lambda fn: fn.index)
     base = np.zeros(len(fns) + 1, dtype=np.int64)
@@ -247,7 +245,7 @@ def record_dyn_map(records, module, total_dyn: int) -> RecordDynMap:
     return RecordDynMap(n, total_dyn, at.tolist(), before.tolist())
 
 
-def build_recovery_context(program, records,
+def build_recovery_context(program, records: GoldenTrace,
                            index: TraceIndex, instances: Sequence, *,
                            record_map: RecordDynMap, exec_tier=None):
     """Derive the online-check context and the warm-start ladder.
@@ -266,7 +264,6 @@ def build_recovery_context(program, records,
     """
     from repro.warmstart import (Rung, build_warm_ladder, ladder_points,
                                  ladder_stride)
-    records = as_columnar(records)
     total_dyn = record_map.total_dyn
     dyn_at = record_map.dyn_at
     ordered = sorted(instances, key=lambda inst: inst.start)

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.ir import opcodes as oc
 from repro.ir.function import SLOT_LIMIT
-from repro.trace.columnar import window
+from repro.trace.columnar import records_view
 from repro.trace.events import (R_DLOC, R_DVAL, R_EXTRA, R_FN, R_LINE, R_OP,
                                 R_PC, R_SLOCS, R_SVALS, Trace)
 
@@ -251,7 +251,8 @@ def build_acl(ff: Trace, faulty: Trace,
     pending_injection = (injected_loc is not None
                          and injected_time is not None)
 
-    for t, rec in enumerate(window(faulty.records, start), start):
+    for t, rec in enumerate(records_view(faulty.records).window(start),
+                            start):
         if not corrupted and not pending_injection and \
                 t >= aligned_until and \
                 (injected_time is None or t > injected_time):

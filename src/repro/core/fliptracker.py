@@ -319,7 +319,7 @@ class FlipTracker:
         self.close()
 
     # ------------------------------------------------------------ fault-free
-    def fault_free_trace(self) -> Trace:
+    def fault_free_trace(self) -> GoldenTrace:
         """Trace the golden run (once per golden bundle)."""
         return self._golden.fault_free_trace()
 

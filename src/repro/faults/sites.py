@@ -23,7 +23,7 @@ import numpy as np
 from repro.ir import opcodes as oc
 from repro.regions.model import RegionInstance
 from repro.regions.variables import RegionIO, location_width
-from repro.trace.columnar import NO_LOC, as_columnar
+from repro.trace.columnar import NO_LOC, GoldenTrace
 from repro.util.rng import DeterministicRNG
 from repro.vm.fault import FaultPlan
 
@@ -32,6 +32,7 @@ from repro.vm.fault import FaultPlan
 _UNTARGETABLE_OPS = np.array([oc.BR, oc.CBR, oc.CALL, oc.RET, oc.EMIT,
                               oc.NOP, oc.MPI_BARRIER, oc.MPI_SEND,
                               oc.ALLOCA], dtype=np.uint8)
+_UNTARGETABLE = frozenset(_UNTARGETABLE_OPS.tolist())
 
 
 class NoFaultSitesError(RuntimeError):
@@ -63,29 +64,15 @@ def input_site_population(io: RegionIO, module) -> int:
     return total
 
 
-def _targetable(g, a: int, b: int) -> np.ndarray:
+def _targetable(g: GoldenTrace, a: int, b: int) -> np.ndarray:
     """Records of ``[a, b)`` whose result a "result"-mode plan can flip."""
     return (g.dloc[a:b] != NO_LOC) & ~np.isin(g.op[a:b], _UNTARGETABLE_OPS)
 
 
-def internal_site_population(records, instance: RegionInstance) -> int:
+def internal_site_population(g: GoldenTrace,
+                             instance: RegionInstance) -> int:
     """Upper bound: targetable defs in the instance x 64 bits."""
-    g = as_columnar(records)
     return int(_targetable(g, instance.start, instance.end).sum()) * 64
-
-
-def internal_targets(records, io: RegionIO) -> bytes:
-    """One byte per record of ``io``'s instance: 1 where the record
-    defines an internal location with a targetable opcode (cached on
-    ``io``)."""
-    if io.targets is None:
-        g = as_columnar(records)
-        a, b = io.instance.start, io.instance.end
-        internals = np.fromiter(io.internals, dtype=np.int64,
-                                count=len(io.internals))
-        io.targets = (_targetable(g, a, b) &
-                      np.isin(g.dloc[a:b], internals)).tobytes()
-    return io.targets
 
 
 def sample_input_plan(io: RegionIO, module, rng: DeterministicRNG
@@ -105,7 +92,7 @@ def sample_input_plan(io: RegionIO, module, rng: DeterministicRNG
     return plan, info
 
 
-def sample_internal_plan(records, io: RegionIO, module,
+def sample_internal_plan(g: GoldenTrace, io: RegionIO, module,
                          rng: DeterministicRNG, max_tries: int = 2000
                          ) -> Optional[tuple[FaultPlan, SiteInfo]]:
     """Uniformly sample one internal-def site by rejection.
@@ -118,17 +105,18 @@ def sample_internal_plan(records, io: RegionIO, module,
     a, b = inst.start, inst.end
     if b <= a:
         return None
-    targets = internal_targets(records, io)
+    internals = io.internals
     for _ in range(max_tries):
         t = rng.randint(a, b - 1)
-        if not targets[t - a]:
+        dloc = int(g.dloc[t])
+        if dloc == NO_LOC or int(g.op[t]) in _UNTARGETABLE or \
+                dloc not in internals:
             continue
-        g = as_columnar(records)
         width = result_width(module, int(g.fn[t]), int(g.pc[t]))
         bit = rng.randint(0, width - 1)
         plan = FaultPlan(trigger=t, mode="result", bit=bit, width=width)
         info = SiteInfo(inst.region.name, inst.index, "internal",
-                        int(g.dloc[t]), t, bit)
+                        dloc, t, bit)
         return plan, info
     return None
 
@@ -138,7 +126,7 @@ def sample_internal_plan(records, io: RegionIO, module,
 PROBE_BITS = (0, 4, 20, 40, 52, 62)
 
 
-def stratified_probe_plans(records: Sequence, io: RegionIO, module,
+def stratified_probe_plans(g: GoldenTrace, io: RegionIO, module,
                            bits: Sequence[int] = PROBE_BITS,
                            n_sites: int = 2
                            ) -> list[tuple[FaultPlan, SiteInfo]]:
@@ -172,9 +160,11 @@ def stratified_probe_plans(records: Sequence, io: RegionIO, module,
                 plans.append((plan, info))
 
     # internal probes: evenly spaced targetable internal defs
-    g = as_columnar(records)
-    defs = (inst.start + np.flatnonzero(np.frombuffer(
-        internal_targets(g, io), dtype=np.uint8))).tolist()
+    a, b = inst.start, inst.end
+    internals = np.fromiter(io.internals, dtype=np.int64,
+                            count=len(io.internals))
+    defs = (a + np.flatnonzero(_targetable(g, a, b) &
+                               np.isin(g.dloc[a:b], internals))).tolist()
     if defs:
         step = max(1, len(defs) // n_sites)
         for t in defs[::step][:n_sites]:

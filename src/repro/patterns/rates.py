@@ -25,8 +25,7 @@ import numpy as np
 
 from repro.ir import opcodes as oc
 from repro.patterns.detect import find_accumulator_updates
-from repro.trace.columnar import NO_LOC, as_columnar
-from repro.trace.events import Trace
+from repro.trace.columnar import NO_LOC, GoldenTrace
 
 #: formats that drop mantissa precision when printed (e.g. "%12.6e")
 _PRECISION_FMT = re.compile(r"%[-0-9.]*[efg]")
@@ -52,9 +51,8 @@ class PatternRates:
         return [getattr(self, f) for f in self.FIELDS]
 
 
-def compute_rates(ff: Trace) -> PatternRates:
+def compute_rates(g: GoldenTrace) -> PatternRates:
     """Count pattern sites in a fault-free trace (see module docstring)."""
-    g = as_columnar(ff)
     n = len(g)
     if n == 0:
         return PatternRates(0, 0, 0, 0, 0, 0, 0)
@@ -67,7 +65,7 @@ def compute_rates(ff: Trace) -> PatternRates:
     # EMIT records carry the *formatted output* in R_EXTRA; the format
     # string itself lives on the static instruction, so look it up there
     # (only precision-limited float formats can cut corruption off)
-    fns = list(ff.module.functions.values())
+    fns = list(g.module.functions.values())
     truncs = int(trunc.sum())
     for fn, pc in zip(g.fn[emits].tolist(), g.pc[emits].tolist()):
         fmt = fns[fn].instr_at[pc].aux
@@ -94,7 +92,7 @@ def compute_rates(ff: Trace) -> PatternRates:
     follows[:-1] = (loc[1:] == loc[:-1]) & ~is_write[1:]
     dead = int((is_write & ~follows).sum())
 
-    accum_updates = sum(len(v) for v in find_accumulator_updates(ff).values())
+    accum_updates = sum(len(v) for v in find_accumulator_updates(g).values())
 
     return PatternRates(
         condition=int(cond.sum()) / n,

@@ -25,7 +25,7 @@ from repro.ir import opcodes as oc
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.regions.cfg import CFG, Loop
-from repro.trace.columnar import int_column, int_column_at
+from repro.trace.columnar import records_view
 from repro.trace.events import R_FN, R_OP, R_PC
 
 
@@ -173,11 +173,12 @@ def split_instances(records: Sequence, model: RegionModel,
     start = golden[last].start if last >= 0 else 0
     per_region_count: dict[int, int] = {
         inst.region.rid: inst.index + 1 for inst in instances}
-    n = len(records)
+    view = records_view(records)
+    n = len(view)
     sel = start + np.flatnonzero(
-        int_column(records, R_FN, start, n) == model.fn.index)
-    rid = _region_of_pc(model)[int_column_at(records, R_PC, sel)]
-    is_ret = int_column_at(records, R_OP, sel) == oc.RET
+        view.ints(R_FN, start, n) == model.fn.index)
+    rid = _region_of_pc(model)[view.ints_at(R_PC, sel)]
+    is_ret = view.ints_at(R_OP, sel) == oc.RET
     # the region current before each selected record: the previous
     # one's, or none after a RET
     cur_before = np.full(len(sel), -1, dtype=np.int64)
@@ -242,17 +243,17 @@ def split_iterations(records: Sequence, fn: Function, loop: Loop,
     ``[lo, hi)`` restricts the scan to one dynamic execution of the
     loop (one region instance).
     """
+    view = records_view(records)
     if hi is None:
-        hi = len(records)
-    here = int_column(records, R_FN, lo, hi) == fn.index
+        hi = len(view)
+    here = view.ints(R_FN, lo, hi) == fn.index
     labels = fn.block_of_pc
     in_loop = np.array([label in loop.blocks for label in labels])
     in_body = np.array([label in loop.blocks and label != loop.header
                         for label in labels])
     # pc within the loop's function (0 for records of other functions)
     local_pc = np.zeros(len(here), dtype=np.int64)
-    local_pc[here] = int_column_at(records, R_PC,
-                                   lo + np.flatnonzero(here))
+    local_pc[here] = view.ints_at(R_PC, lo + np.flatnonzero(here))
     hits = np.flatnonzero(here & (local_pc == fn.pc_of_block[loop.header]))
     if not hits.size:
         return []

@@ -18,12 +18,11 @@ of an instance) and the Case-1/Case-2 region fault-tolerance checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from repro.regions.model import RegionInstance
-from repro.trace.columnar import NO_LOC, as_columnar
+from repro.trace.columnar import NO_LOC, GoldenTrace
 from repro.trace.index import INF, TraceIndex
 
 
@@ -36,10 +35,6 @@ class RegionIO:
     outputs: dict[int, object] = field(default_factory=dict)  # loc -> exit value
     internals: set[int] = field(default_factory=set)
     written: set[int] = field(default_factory=set)
-    #: internal-def site mask, built on first use
-    #: (:func:`repro.faults.sites.internal_targets`)
-    targets: Optional[bytes] = field(default=None, repr=False,
-                                     compare=False)
 
     def summary(self) -> str:
         return (f"{self.instance.region.name}#{self.instance.index}: "
@@ -90,19 +85,18 @@ def _block_writes(g, lo: int, hi: int, seq: int):
             ref[last]), len(loc)
 
 
-def classify_io(records, index: TraceIndex,
+def classify_io(g: GoldenTrace, index: TraceIndex,
                 instance: RegionInstance) -> RegionIO:
     """Classify locations for one instance (see module docstring).
 
-    Works on the golden trace's columns (a record list is encoded
-    first), a block of records at a time.  Reads happen before a
-    record's own writes, and a CALL writes its destination (the
-    callee's slot 0, value ``None``) and then each parameter ``i``
-    with ``svals[i]``.  ``inputs`` keep the order of their first reads
-    and ``written`` the order of first writes, so every dict and set
-    below is built in the order a record-by-record scan would build it.
+    Works on the golden trace's columns, a block of records at a
+    time.  Reads happen before a record's own writes, and a CALL
+    writes its destination (the callee's slot 0, value ``None``) and
+    then each parameter ``i`` with ``svals[i]``.  ``inputs`` keep the
+    order of their first reads and ``written`` the order of first
+    writes, so every dict and set below is built in the order a
+    record-by-record scan would build it.
     """
-    g = as_columnar(records)
     a, b = instance.start, instance.end
     io = RegionIO(instance)
 

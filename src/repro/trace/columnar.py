@@ -20,12 +20,16 @@ changes, so it is stored as columns instead of a list of 9-tuples
 ``sbits``     int64 value bits per slot
 ``extra``     dict ``t -> payload`` for the records whose ``extra`` is
               not ``None`` (CALL, RET, EMIT)
+``bigints``   list of the ints that do not fit in int64
 ============  ==========================================================
 
 A value is a tag plus eight bytes: ints as two's complement, floats as
 their binary64 image (``-0.0`` and NaN payloads survive), bools as 0/1.
-Those are all the values a trace holds (the VM wraps ints to 64 bits);
-encoding anything else raises ``ValueError``.
+The VM wraps most int results to 64 bits but not all of them (a logical
+shift right by 0 of a negative int yields its unsigned image, and
+``INT64_MIN / -1`` yields 2^63), so an int outside int64 is tagged
+:data:`T_BIG` and its bits index the ``bigints`` side list.  Encoding a
+value of any other type raises ``ValueError``.
 
 :meth:`GoldenTrace.extend` encodes one chunk of tuples at a time, so the
 golden run never holds more than :data:`CHUNK` records as tuples.
@@ -34,14 +38,17 @@ the analyses read whole windows as column lists instead.
 
 A warm-started traced run executes only the suffix after its ladder
 rung, and its records are :class:`SplicedRecords`: the golden prefix
-seen through the columns plus the run's own suffix list.
+seen through the columns plus the run's own suffix list.  Both classes
+offer the same access API (``window``, ``column``, ``ints``,
+``ints_at``, ``field``, ``last_write``), and :func:`records_view` gives
+it to a plain tuple list as well.
 """
 
 from __future__ import annotations
 
 import gzip
 import pickle
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -59,11 +66,12 @@ CHUNK = 1 << 14
 #: ``dloc``/``sloc`` sentinel for ``None``
 NO_LOC = int(np.iinfo(np.int64).min)
 
-T_NONE, T_INT, T_FLOAT, T_BOOL = range(4)
+T_NONE, T_INT, T_FLOAT, T_BOOL, T_BIG = range(5)
 
 _FLOAT_EXACT = float(1 << 53)
 _GETTERS = [itemgetter(i) for i in range(9)]
 _TAG_OF = {type(None): T_NONE, int: T_INT, float: T_FLOAT, bool: T_BOOL}
+_INT_COLUMNS = {R_OP: "op", R_FN: "fn", R_PC: "pc", R_LINE: "line"}
 
 
 # ---------------------------------------------------------------- codec
@@ -92,8 +100,10 @@ def decode_locs(arr: np.ndarray) -> list:
     return out
 
 
-def encode_values(vals: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Values -> ``(tags, bits)`` (see the module docstring)."""
+def encode_values(vals: Sequence, bigints: list
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Values -> ``(tags, bits)`` (see the module docstring).  Ints
+    outside int64 are appended to ``bigints``."""
     try:
         tags = np.frombuffer(
             bytes(map(_TAG_OF.__getitem__, map(type, vals))), dtype=np.uint8)
@@ -101,24 +111,41 @@ def encode_values(vals: Sequence) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"cannot encode a {exc.args[0].__name__} value") \
             from None
     ints = (tags == T_INT) | (tags == T_BOOL)
-    f = np.array(vals, dtype=np.float64)            # None -> nan
+    try:
+        f = np.array(vals, dtype=np.float64)        # None -> nan
+    except OverflowError:                           # an int past float
+        f = np.array([v if tag == T_FLOAT else 0.0
+                      for tag, v in zip(tags.tolist(), vals)],
+                     dtype=np.float64)
+        fast = False
+    else:
+        fast = not ints.any() or np.abs(f[ints]).max() < _FLOAT_EXACT
     bits = np.where(tags == T_FLOAT, f.view(np.int64), 0)
-    if ints.any():
-        if np.abs(f[ints]).max() < _FLOAT_EXACT:
-            # every int is exact as a float: one conversion serves all
-            bits[ints] = f[ints].astype(np.int64)
+    if fast:
+        # every int is exact as a float: one conversion serves all
+        bits[ints] = f[ints].astype(np.int64)
+        return tags, bits
+    at = np.flatnonzero(ints)
+    exact = np.empty(len(at), dtype=object)
+    exact[:] = [vals[i] for i in at.tolist()]
+    try:
+        bits[at] = exact.astype(np.int64)
+        return tags, bits
+    except OverflowError:
+        pass
+    tags = tags.copy()
+    for i in at.tolist():
+        v = vals[i]
+        if -(1 << 63) <= v < 1 << 63:
+            bits[i] = v
         else:
-            exact = np.empty(int(ints.sum()), dtype=object)
-            exact[:] = [vals[i] for i in np.flatnonzero(ints).tolist()]
-            try:
-                bits[ints] = exact.astype(np.int64)
-            except OverflowError:
-                raise ValueError("cannot encode an int beyond 64 bits") \
-                    from None
+            tags[i], bits[i] = T_BIG, len(bigints)
+            bigints.append(v)
     return tags, bits
 
 
-def decode_values(tags: np.ndarray, bits: np.ndarray) -> list:
+def decode_values(tags: np.ndarray, bits: np.ndarray,
+                  bigints: Sequence) -> list:
     """Inverse of :func:`encode_values`: a list of exact Python values."""
     out = np.empty(len(tags), dtype=object)
     m = tags == T_INT
@@ -130,69 +157,31 @@ def decode_values(tags: np.ndarray, bits: np.ndarray) -> list:
     m = tags == T_BOOL
     if m.any():
         out[m] = bits[m] != 0
-    return out.tolist()
+    out = out.tolist()
+    for i in np.flatnonzero(tags == T_BIG).tolist():
+        out[i] = bigints[bits[i]]
+    return out
 
 
-def _decode_one(tags: np.ndarray, bits: np.ndarray, i: int):
-    """The value at position ``i`` of a tag/bits column pair."""
-    tag = tags[i]
-    if tag == T_FLOAT:
-        return float(bits[i:i + 1].view(np.float64)[0])
-    if tag == T_INT:
-        return int(bits[i])
-    if tag == T_BOOL:
-        return bool(bits[i])
-    return None
-
-
-class _StaticTable:
-    """Per static instruction (``base[fn] + pc``): opcode, source line
-    and the number of source slots its records carry."""
-
-    def __init__(self, module):
-        fns = list(module.functions.values())     # in index order
-        self.base = np.zeros(len(fns) + 1, dtype=np.int64)
-        self.base[1:] = np.cumsum([len(fn.code) for fn in fns])
-        code = [ins for fn in fns for ins in fn.code]
-        self.op = np.array([ins[0] for ins in code], dtype=np.uint8)
-        self.line = np.array([ins[4] for ins in code], dtype=np.int32)
-        # LOAD/STORE record the address next to the value; BR and
-        # MPI_BARRIER record no sources
-        self.nsrc = np.array(
-            [2 if ins[0] in (oc.LOAD, oc.STORE) else
-             0 if ins[0] in (oc.BR, oc.MPI_BARRIER) else len(ins[2])
-             for ins in code], dtype=np.int64)
-
-
-def _encode_chunk(records: Sequence, t0: int, k0: int,
-                  static: Optional[_StaticTable] = None) -> dict:
-    """Columns of one chunk of tuples starting at record ``t0`` and
-    source slot ``k0``.  With the module's ``static`` table, ``op``,
-    ``line`` and the slot counts are gathered by static instruction
-    instead of read from every tuple."""
+def _encode_chunk(records: Sequence, t0: int, bigints: list) -> dict:
+    """Columns of one chunk of tuples starting at record ``t0``."""
     def col(field: int) -> list:
         return list(map(_GETTERS[field], records))
 
-    cols = {"fn": np.array(col(R_FN), dtype=np.int32),
-            "pc": np.array(col(R_PC), dtype=np.int32)}
     slocs, svals = col(R_SLOCS), col(R_SVALS)
-    if static is None:
-        cols["op"] = np.array(col(R_OP), dtype=np.uint8)
-        cols["line"] = np.array(col(R_LINE), dtype=np.int32)
-        cols["slen"] = np.array(list(map(len, slocs)), dtype=np.int64)
-    else:
-        sid = static.base[cols["fn"]] + cols["pc"]
-        cols["op"], cols["line"] = static.op[sid], static.line[sid]
-        cols["slen"] = static.nsrc[sid]
-    flat_locs = list(chain.from_iterable(slocs))
-    flat_vals = list(chain.from_iterable(svals))
-    if not len(flat_locs) == len(flat_vals) == int(cols["slen"].sum()):
-        raise ValueError("records' slocs and svals do not match their "
-                         "source counts")
-    cols["dloc"] = encode_locs(col(R_DLOC))
-    cols["dtag"], cols["dbits"] = encode_values(col(R_DVAL))
-    cols["sloc"] = encode_locs(flat_locs)
-    cols["stag"], cols["sbits"] = encode_values(flat_vals)
+    slen = list(map(len, slocs))
+    if slen != list(map(len, svals)):
+        raise ValueError("records' slocs and svals differ in length")
+    cols = {"op": np.array(col(R_OP), dtype=np.uint8),
+            "fn": np.array(col(R_FN), dtype=np.int32),
+            "pc": np.array(col(R_PC), dtype=np.int32),
+            "line": np.array(col(R_LINE), dtype=np.int32),
+            "slen": np.array(slen, dtype=np.int64),
+            "dloc": encode_locs(col(R_DLOC)),
+            "sloc": encode_locs(list(chain.from_iterable(slocs)))}
+    cols["dtag"], cols["dbits"] = encode_values(col(R_DVAL), bigints)
+    cols["stag"], cols["sbits"] = encode_values(
+        list(chain.from_iterable(svals)), bigints)
     # payloads sit on CALL/RET/EMIT records; scan them, and every record
     # only when some other record carries one
     extras = col(R_EXTRA)
@@ -222,11 +211,10 @@ class GoldenTrace(Trace):
     def __init__(self, module, meta: Optional[TraceMeta] = None):
         self.module = module
         self.meta = meta or TraceMeta()
-        self._static = _StaticTable(module) if module is not None else None
         self.extra: dict = {}
+        self.bigints: list = []
         self._parts: Optional[list] = []
         self._n = 0
-        self._k = 0
 
     @classmethod
     def from_records(cls, records: Sequence, module=None,
@@ -243,18 +231,16 @@ class GoldenTrace(Trace):
             raise ValueError("a sealed GoldenTrace is read-only")
         if not records:
             return
-        cols = _encode_chunk(records, self._n, self._k, self._static)
+        cols = _encode_chunk(records, self._n, self.bigints)
         self.extra.update(cols.pop("extra"))
         self._parts.append(cols)
         self._n += len(records)
-        self._k += len(cols["sloc"])
 
     def seal(self) -> "GoldenTrace":
         """Concatenate the chunks into the final columns."""
         parts, self._parts = self._parts, None
-        self._static = None
         if not parts:
-            parts = [_encode_chunk([], 0, 0)]
+            parts = [_encode_chunk([], 0, self.bigints)]
         # one column at a time, freeing its chunks as it goes, so the
         # seal never holds two copies of the whole trace
         for name in _ARRAYS:
@@ -269,12 +255,11 @@ class GoldenTrace(Trace):
         if self._parts is not None:
             raise ValueError("seal a GoldenTrace before pickling it")
         return {name: getattr(self, name) for name in
-                _ARRAYS + ("soff", "extra", "_n", "_k", "meta")}
+                _ARRAYS + ("soff", "extra", "bigints", "_n", "meta")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._parts = None
-        self._static = None
         self.module = None
 
     def save(self, path: str) -> None:
@@ -302,7 +287,7 @@ class GoldenTrace(Trace):
         if isinstance(idx, slice):
             lo, hi, step = idx.indices(self._n)
             if step == 1:
-                return list(self.iter_range(lo, hi))
+                return self.window(lo, hi)
             return [self[t] for t in range(lo, hi, step)]
         t = idx + self._n if idx < 0 else idx
         if not 0 <= t < self._n:
@@ -319,15 +304,14 @@ class GoldenTrace(Trace):
         """The tuples of records ``[lo, hi)``, decoded a chunk at a time."""
         for a in range(lo, hi, CHUNK):
             b = min(hi, a + CHUNK)
-            yield from zip(self.column(R_OP, a, b), self.column(R_DLOC, a, b),
-                           self.column(R_DVAL, a, b),
-                           self.column(R_SLOCS, a, b),
-                           self.column(R_SVALS, a, b),
-                           self.column(R_LINE, a, b),
-                           self.column(R_FN, a, b), self.column(R_PC, a, b),
-                           self.column(R_EXTRA, a, b))
+            yield from zip(*(self.column(field, a, b) for field in range(9)))
 
-    # -- column access -----------------------------------------------------
+    # -- access API ----------------------------------------------------------
+    def window(self, lo: int, hi: Optional[int] = None) -> list:
+        """Records ``[lo, hi)`` as a tuple list."""
+        hi = self._n if hi is None else min(hi, self._n)
+        return list(self.iter_range(lo, hi))
+
     def column(self, field: int, lo: int, hi: int) -> list:
         """Field ``field`` of records ``[lo, hi)`` as a list."""
         hi = min(hi, self._n)
@@ -336,48 +320,75 @@ class GoldenTrace(Trace):
         if field == R_DLOC:
             return decode_locs(self.dloc[lo:hi])
         if field == R_DVAL:
-            return decode_values(self.dtag[lo:hi], self.dbits[lo:hi])
+            return self.dvals_at(slice(lo, hi))
         if field in (R_SLOCS, R_SVALS):
             off = self.soff[lo:hi + 1]
             a, b = int(off[0]), int(off[-1])
             flat = decode_locs(self.sloc[a:b]) if field == R_SLOCS else \
-                decode_values(self.stag[a:b], self.sbits[a:b])
+                self.svals_at(slice(a, b))
             bounds = (off - a).tolist()
             return [tuple(flat[i:j]) for i, j in zip(bounds, bounds[1:])]
         if field == R_EXTRA:
             get = self.extra.get
             return [get(t) for t in range(lo, hi)]
-        return self._ints(field)[lo:hi].tolist()
+        return self.ints(field, lo, hi).tolist()
 
-    def _ints(self, field: int) -> np.ndarray:
-        return {R_OP: self.op, R_FN: self.fn, R_PC: self.pc,
-                R_LINE: self.line}[field]
+    def ints(self, field: int, lo: int, hi: int) -> np.ndarray:
+        """Integer field ``field`` (op, fn, pc or line) of records
+        ``[lo, hi)`` as an array."""
+        return getattr(self, _INT_COLUMNS[field])[lo:max(lo, hi)]
+
+    def ints_at(self, field: int, ts: np.ndarray) -> np.ndarray:
+        """Integer field ``field`` of the records at positions ``ts``."""
+        return getattr(self, _INT_COLUMNS[field])[ts]
 
     def field(self, t: int, field: int):
         """Field ``field`` of record ``t``."""
+        if t < 0:
+            t += self._n
         if field == R_DLOC:
             loc = int(self.dloc[t])
             return None if loc == NO_LOC else loc
         if field == R_DVAL:
-            return _decode_one(self.dtag, self.dbits, t)
+            return self._value(self.dtag, self.dbits, t)
         if field == R_SLOCS:
             a, b = int(self.soff[t]), int(self.soff[t + 1])
             return tuple(decode_locs(self.sloc[a:b]))
         if field == R_SVALS:
             a, b = int(self.soff[t]), int(self.soff[t + 1])
-            return tuple(_decode_one(self.stag, self.sbits, k)
+            return tuple(self._value(self.stag, self.sbits, k)
                          for k in range(a, b))
         if field == R_EXTRA:
             return self.extra.get(t)
-        return int(self._ints(field)[t])
+        return int(self.ints_at(field, t))
 
-    def dvals_at(self, ts: np.ndarray) -> list:
-        """``dval`` of each record in ``ts``."""
-        return decode_values(self.dtag[ts], self.dbits[ts])
+    def last_write(self, loc: int, t: int) -> tuple:
+        """``(found, value)`` of the last write of ``loc`` before ``t``."""
+        hits = np.flatnonzero(self.dloc[:t] == loc)
+        if hits.size:
+            return True, self.field(int(hits[-1]), R_DVAL)
+        return False, None
 
-    def svals_at(self, ks: np.ndarray) -> list:
-        """Value of each source slot in ``ks`` (CSR slot indices)."""
-        return decode_values(self.stag[ks], self.sbits[ks])
+    def _value(self, tags: np.ndarray, bits: np.ndarray, i: int):
+        """The value at position ``i`` of a tag/bits column pair."""
+        tag = tags[i]
+        if tag == T_FLOAT:
+            return float(bits[i:i + 1].view(np.float64)[0])
+        if tag == T_INT:
+            return int(bits[i])
+        if tag == T_BOOL:
+            return bool(bits[i])
+        if tag == T_BIG:
+            return self.bigints[bits[i]]
+        return None
+
+    def dvals_at(self, ts) -> list:
+        """``dval`` of the records at ``ts`` (an index array or slice)."""
+        return decode_values(self.dtag[ts], self.dbits[ts], self.bigints)
+
+    def svals_at(self, ks) -> list:
+        """Value of each source slot at ``ks`` (CSR slot indices)."""
+        return decode_values(self.stag[ks], self.sbits[ks], self.bigints)
 
     def param_writes(self, lo: int, hi: int):
         """The callee-parameter writes of the CALLs in ``[lo, hi)``:
@@ -402,27 +413,20 @@ class GoldenTrace(Trace):
         return dict(zip(ops.tolist(), counts.tolist()))
 
 
-def as_columnar(records) -> GoldenTrace:
-    """``records`` as a :class:`GoldenTrace` (encoding a tuple list)."""
-    if isinstance(records, GoldenTrace):
-        return records
-    if isinstance(records, Trace):
-        records = records.records
-        if isinstance(records, GoldenTrace):
-            return records
-    return GoldenTrace.from_records(list(records))
-
-
 class SplicedRecords(Sequence):
-    """Records of a warm-started traced run: ``golden[:base] + suffix``.
+    """Records ``golden[:base] + suffix``, with :class:`GoldenTrace`'s
+    access API.
 
-    The run restored a ladder rung and executed only the suffix; its
-    prefix is the golden trace's, read through the columns.
+    A warm-started traced run restored a ladder rung and executed only
+    the suffix; its prefix is the golden trace's, read through the
+    columns.  With no prefix (``golden=None``, ``base=0``) it serves a
+    plain tuple list (see :func:`records_view`).
     """
 
     __slots__ = ("golden", "base", "suffix")
 
-    def __init__(self, golden: GoldenTrace, base: int, suffix: list):
+    def __init__(self, golden: Optional[GoldenTrace], base: int,
+                 suffix: list):
         self.golden = golden
         self.base = base
         self.suffix = suffix
@@ -434,7 +438,7 @@ class SplicedRecords(Sequence):
         if isinstance(idx, slice):
             lo, hi, step = idx.indices(len(self))
             if step == 1:
-                return window(self, lo, hi)
+                return self.window(lo, hi)
             return [self[t] for t in range(lo, hi, step)]
         t = idx + len(self) if idx < 0 else idx
         if t < 0:
@@ -444,56 +448,76 @@ class SplicedRecords(Sequence):
         return self.suffix[t - self.base]
 
     def __iter__(self) -> Iterator:
+        if not self.base:
+            return iter(self.suffix)
         return chain(self.golden.iter_range(0, self.base), self.suffix)
 
+    # -- access API ----------------------------------------------------------
+    def _suffix(self, lo: int, hi: int) -> list:
+        """The suffix records among ``[lo, hi)``."""
+        base = self.base
+        return self.suffix[max(lo - base, 0):max(hi - base, 0)]
 
-def window(records, lo: int, hi: Optional[int] = None) -> list:
-    """Records ``[lo, hi)`` of any record sequence as a tuple list.
+    def window(self, lo: int, hi: Optional[int] = None) -> list:
+        """Records ``[lo, hi)`` as a tuple list; only golden-prefix
+        records are decoded."""
+        hi = len(self) if hi is None else min(hi, len(self))
+        if lo >= self.base:
+            return self._suffix(lo, hi)
+        return self.golden.window(lo, min(hi, self.base)) + \
+            self._suffix(lo, hi)
 
-    A :class:`SplicedRecords` window past its base is a slice of the
-    suffix list; only golden-prefix records are decoded.
-    """
-    n = len(records)
-    hi = n if hi is None else min(hi, n)
-    if isinstance(records, SplicedRecords):
-        base = records.base
-        if lo >= base:
-            return records.suffix[lo - base:hi - base]
-        return records.golden[lo:min(hi, base)] + \
-            records.suffix[:max(hi - base, 0)]
-    if isinstance(records, list):
-        return records[lo:hi]
-    return list(islice(records, lo, hi))
+    def column(self, field: int, lo: int, hi: int) -> list:
+        """Field ``field`` of records ``[lo, hi)`` as a list."""
+        tail = list(map(_GETTERS[field], self._suffix(lo, hi)))
+        if lo >= self.base:
+            return tail
+        return self.golden.column(field, lo, min(hi, self.base)) + tail
 
+    def ints(self, field: int, lo: int, hi: int) -> np.ndarray:
+        """Integer field ``field`` (op, fn, pc or line) of records
+        ``[lo, hi)`` as an array."""
+        tail = np.array(list(map(_GETTERS[field], self._suffix(lo, hi))),
+                        dtype=np.int64)
+        if lo >= self.base:
+            return tail
+        return np.concatenate(
+            (self.golden.ints(field, lo, min(hi, self.base)), tail))
 
-def int_column(records, field: int, lo: int, hi: int) -> np.ndarray:
-    """Integer field ``field`` (op, fn, pc or line) of records
-    ``[lo, hi)`` as an array."""
-    hi = min(hi, len(records))
-    if hi <= lo:
-        return np.zeros(0, dtype=np.int64)
-    if isinstance(records, GoldenTrace):
-        return records._ints(field)[lo:hi]
-    if isinstance(records, SplicedRecords) and lo < records.base:
-        return np.concatenate((
-            records.golden._ints(field)[lo:min(hi, records.base)],
-            int_column(records, field, records.base, hi)))
-    return np.array(list(map(_GETTERS[field], window(records, lo, hi))),
-                    dtype=np.int64)
-
-
-def int_column_at(records, field: int, ts: np.ndarray) -> np.ndarray:
-    """Integer field ``field`` of the records at positions ``ts``."""
-    if isinstance(records, GoldenTrace):
-        return records._ints(field)[ts]
-    base = records.base if isinstance(records, SplicedRecords) else 0
-    if base:
-        prefix = ts < base
+    def ints_at(self, field: int, ts: np.ndarray) -> np.ndarray:
+        """Integer field ``field`` of the records at positions ``ts``."""
         out = np.empty(len(ts), dtype=np.int64)
-        out[prefix] = records.golden._ints(field)[ts[prefix]]
-        suffix = records.suffix
-        out[~prefix] = [suffix[t][field] for t in (ts[~prefix] -
-                                                    base).tolist()]
+        prefix = ts < self.base
+        if prefix.any():
+            out[prefix] = self.golden.ints_at(field, ts[prefix])
+        suffix = self.suffix
+        out[~prefix] = [suffix[t][field]
+                        for t in (ts[~prefix] - self.base).tolist()]
         return out
-    return np.array([records[t][field] for t in ts.tolist()],
-                    dtype=np.int64)
+
+    def field(self, t: int, field: int):
+        """Field ``field`` of record ``t``."""
+        if t < 0:
+            t += len(self)
+        if t < self.base:
+            return self.golden.field(t, field)
+        return self.suffix[t - self.base][field]
+
+    def last_write(self, loc: int, t: int) -> tuple:
+        """``(found, value)`` of the last write of ``loc`` before ``t``."""
+        suffix = self.suffix
+        for i in range(min(t, len(self)) - self.base - 1, -1, -1):
+            if suffix[i][R_DLOC] == loc:
+                return True, suffix[i][R_DVAL]
+        if self.base:
+            return self.golden.last_write(loc, min(t, self.base))
+        return False, None
+
+
+def records_view(records):
+    """``records`` with the access API: a :class:`GoldenTrace` or
+    :class:`SplicedRecords` as it is, a tuple list as a
+    :class:`SplicedRecords` with no golden prefix."""
+    if isinstance(records, (GoldenTrace, SplicedRecords)):
+        return records
+    return SplicedRecords(None, 0, records)

@@ -25,9 +25,13 @@ a chunk at a time, so its tuple list never outgrows one chunk.  A
 warm-started traced run holds only the records after its ladder rung;
 its :class:`Trace` sees the golden prefix through the columns
 (:class:`~repro.trace.columnar.SplicedRecords`).  All three read as the
-same sequence of 9-tuples, and :meth:`Trace.column` and
-:meth:`Trace.field` read windows and single fields without building
-tuples.
+same sequence of 9-tuples.  The golden columns and the spliced view
+also share one access API (windows, column lists, integer columns,
+single fields, the last write of a location), which
+:func:`~repro.trace.columnar.records_view` extends to a plain tuple
+list; :meth:`Trace.column`, :meth:`Trace.field`,
+:meth:`Trace.first_divergence` and :func:`value_at` go through it, so
+they read windows and single fields without building tuples.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from __future__ import annotations
 import gzip
 import pickle
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -92,15 +95,13 @@ class Trace:
     # -- field access ---------------------------------------------------------
     def column(self, field: int, lo: int, hi: int) -> list:
         """Field ``field`` of records ``[lo, hi)`` as a list."""
-        from repro.trace.columnar import window
-        return list(map(itemgetter(field), window(self.records, lo, hi)))
+        from repro.trace.columnar import records_view
+        return records_view(self.records).column(field, lo, hi)
 
     def field(self, t: int, field: int):
         """Field ``field`` of record ``t``."""
-        records = self.records
-        if 0 <= t < getattr(records, "base", 0):
-            return records.golden.field(t, field)
-        return records[t][field]
+        from repro.trace.columnar import records_view
+        return records_view(self.records).field(t, field)
 
     # -- divergence ---------------------------------------------------------
     def first_divergence(self, other: "Trace",
@@ -114,15 +115,15 @@ class Trace:
         The streams are compared in growing windows, so an early
         divergence reads little of either trace.
         """
-        from repro.trace.columnar import int_column
-        a, b = self.records, other.records
+        from repro.trace.columnar import records_view
+        a, b = records_view(self.records), records_view(other.records)
         n = min(len(a), len(b))
         lo, step = start, 1024
         while lo < n:
             hi = min(n, lo + step)
             diff = np.flatnonzero(
-                (int_column(a, R_FN, lo, hi) != int_column(b, R_FN, lo, hi))
-                | (int_column(a, R_PC, lo, hi) != int_column(b, R_PC, lo, hi)))
+                (a.ints(R_FN, lo, hi) != b.ints(R_FN, lo, hi))
+                | (a.ints(R_PC, lo, hi) != b.ints(R_PC, lo, hi)))
             if diff.size:
                 return lo + int(diff[0])
             lo, step = hi, step * 4
@@ -172,20 +173,5 @@ def value_at(records: Sequence, loc: int, t: int):
     Finds the last write; returns ``(found, value)``.  Used to snapshot
     region inputs/outputs at instance boundaries.
     """
-    from repro.trace.columnar import GoldenTrace, SplicedRecords
-    if isinstance(records, SplicedRecords):
-        suffix, base = records.suffix, records.base
-        for i in range(t - 1, base - 1, -1):
-            if suffix[i - base][R_DLOC] == loc:
-                return True, suffix[i - base][R_DVAL]
-        records, t = records.golden, min(t, base)
-    if isinstance(records, GoldenTrace):
-        hits = np.flatnonzero(records.dloc[:t] == loc)
-        if hits.size:
-            return True, records.field(int(hits[-1]), R_DVAL)
-        return False, None
-    for i in range(t - 1, -1, -1):
-        r = records[i]
-        if r[R_DLOC] == loc:
-            return True, r[R_DVAL]
-    return False, None
+    from repro.trace.columnar import records_view
+    return records_view(records).last_write(loc, t)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.trace.columnar import NO_LOC, as_columnar
+from repro.trace.columnar import NO_LOC, GoldenTrace
 
 INF = 1 << 62
 
@@ -108,8 +108,7 @@ class TraceIndex:
     record's own destination.
     """
 
-    def __init__(self, records):
-        g = as_columnar(records)
+    def __init__(self, g: GoldenTrace):
         n = len(g)
         read = g.sloc != NO_LOC
         self.reads = LocPositions(

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.apps.base import REGISTRY
 from repro.core.fliptracker import FlipTracker
-from repro.trace.columnar import int_column
+from repro.trace.columnar import records_view
 from repro.trace.events import R_FN
 from repro.util.timing import Timer
 from repro.vm.fault import FaultPlan
@@ -94,8 +94,8 @@ def _function_span(trace, module, fname: str) -> tuple[int, int]:
     """[first, last] dynamic record index executing inside ``fname``."""
     fn_names = list(module.functions.keys())
     idx = fn_names.index(fname)
-    hits = np.flatnonzero(int_column(trace.records, R_FN, 0, len(trace))
-                          == idx)
+    hits = np.flatnonzero(
+        records_view(trace.records).ints(R_FN, 0, len(trace)) == idx)
     if not hits.size:
         raise ValueError(f"function {fname!r} never executed")
     return int(hits[0]), int(hits[-1])

@@ -126,10 +126,11 @@ def _golden(module):
     clean = Interpreter(module, trace=True)
     clean.run()
     ff = Trace(clean.records, module)
-    return module, ff, TraceIndex(ff.records)
+    return module, ff, TraceIndex(GoldenTrace.from_records(ff.records))
 
 
-_PROGRAMS = {"loops": (_MODULE, _FF, TraceIndex(_FF.records)),
+_PROGRAMS = {"loops": (_MODULE, _FF,
+                       TraceIndex(GoldenTrace.from_records(_FF.records))),
              "calls": _golden(_call_module()),
              "self": _golden(_self_update_module())}
 _MODEL = detect_regions(_MODULE, "main", "r")
@@ -324,7 +325,7 @@ def test_read_flags_equal_index_queries(site, bit, mode, taint_only):
     program, trigger = site
     faulty, rec = _faulty_run(trigger, bit, mode, program)
     acl = _windowed_acl(faulty, rec, program, taint_only)
-    index = TraceIndex(faulty.records)
+    index = TraceIndex(GoldenTrace.from_records(faulty.records))
     n = len(faulty)
     for d in acl.deaths:
         assert d.read == index.has_read_in(d.loc, d.birth, d.time + 1)

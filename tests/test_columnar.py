@@ -4,7 +4,8 @@
   values *and types*: ints at the int64 limits, ``True`` vs ``1``,
   ``-0.0``, NaN payloads, infinities, ``None``, empty and three-slot
   ``slocs`` with constant (``None``) sources, and the CALL/RET/EMIT
-  ``extra`` payloads; values no trace holds are rejected.
+  ``extra`` payloads, and ints past int64 (the VM's unwrapped
+  results); values of other types are rejected.
 * **Golden fidelity.**  Every record of the kmeans, cg and lulesh
   goldens decodes, type-exact, to the tuple a plain traced run appends,
   on both exec tiers; the columns stay under 80 bytes per record; the
@@ -20,6 +21,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 from helpers import (OracleTraceIndex, oracle_classify_io,
                      oracle_split_instances)
@@ -27,14 +29,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import REGISTRY
+from repro.apps.base import Program
 from repro.core import FlipTracker
 from repro.core.fliptracker import GoldenArtifacts
+from repro.frontend import ProgramBuilder
 from repro.ir import opcodes as oc
+from repro.ir.types import I64
 from repro.regions.model import split_instances
 from repro.regions.variables import classify_io
 from repro.trace import columnar
-from repro.trace.columnar import CHUNK, GoldenTrace, SplicedRecords
-from repro.trace.events import Trace
+from repro.trace.columnar import (CHUNK, GoldenTrace, SplicedRecords,
+                                  records_view)
+from repro.trace.events import Trace, value_at
 from repro.trace.index import TraceIndex
 
 
@@ -56,8 +62,10 @@ _INT64 = (1 << 63) - 1
 _values = st.one_of(
     st.none(), st.booleans(),
     st.integers(min_value=-_INT64 - 1, max_value=_INT64),
+    st.integers(),
     st.sampled_from([_INT64, -_INT64 - 1, (1 << 53) + 1, 0, 1, True,
-                     False]),
+                     False, 1 << 63, (1 << 64) - 1, -(1 << 64),
+                     1 << 1100]),
     st.floats(allow_nan=False),
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, _nan(0x123),
                      _nan(1), float("nan")]))
@@ -101,12 +109,56 @@ def test_codec_round_trip_is_type_exact(records):
             assert _exact(golden.field(t, field)) == _exact(rec[field])
 
 
-@pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1, 1 << 90, "x",
-                                   (1, 2)])
+@pytest.mark.parametrize("value", ["x", (1, 2), 1j])
 def test_codec_rejects_values_a_trace_cannot_hold(value):
     record = (oc.FADD, -1, value, (), (), 1, 0, 0, None)
     with pytest.raises(ValueError):
         GoldenTrace.from_records([record])
+
+
+def test_codec_keeps_ints_past_int64():
+    """The unsigned images the VM leaves unwrapped (2^63 .. 2^64 - 1)
+    and wider ints round-trip through the side list."""
+    wide = [1 << 63, (1 << 64) - 1, -(1 << 64), 1 << 200]
+    records = [(oc.LSHR, -1, v, (-2, None), (v, 0), 1, 0, t, None)
+               for t, v in enumerate(wide)] + \
+        [(oc.FADD, -3, 1.5, (), (), 2, 0, 9, None)]
+    golden = GoldenTrace.from_records(records)
+    assert [_exact(rec) for rec in golden] == [_exact(r) for r in records]
+    assert golden.column(2, 0, len(records)) == wide + [1.5]
+    assert golden.field(1, 2) == (1 << 64) - 1
+    assert golden.field(3, 4) == (1 << 200, 0)
+    assert golden.nbytes <= 80 * len(records) + 8
+
+
+def _wide_int_program():
+    pb = ProgramBuilder("wide")
+    pb.scalar("u", I64, 0)
+    pb.scalar("q", I64, 0)
+    pb.scalar("verified", I64, 0)
+    pb.func_source("""
+def main() -> None:
+    a = 0 - 8
+    u = lshr(a, 0)
+    m = 0 - 9223372036854775807 - 1
+    q = m // (0 - 1)
+    if u > 0:
+        verified = 1
+""")
+    return Program(name="wide", module=pb.build(), region_fn="main",
+                   region_prefix="w", main_fn="main")
+
+
+@pytest.mark.parametrize("tier", ["compiled", "interp"])
+def test_golden_run_of_unwrapped_ints(tier):
+    """``lshr(0 - 8, 0)`` and ``INT64_MIN // -1`` leave ints past int64
+    in the trace; the golden run encodes them exactly."""
+    program = _wide_int_program()
+    golden = GoldenArtifacts(program, exec_tier=tier).fault_free_trace()
+    plain = program.run_fault_free(trace=True, exec_tier=tier).records
+    assert [_exact(r) for r in golden] == [_exact(r) for r in plain]
+    dvals = set(golden.column(2, 0, len(golden)))
+    assert (-8) & ((1 << 64) - 1) in dvals and 1 << 63 in dvals
 
 
 def test_codec_chunks_and_slices(monkeypatch):
@@ -186,6 +238,38 @@ def test_spliced_records_read_as_one_sequence():
     faulty = Trace(spliced, program.module)
     assert faulty.field(10, 2) == golden.field(10, 2)
     assert faulty.column(6, 498, 503) == golden.column(6, 498, 503)
+
+
+def test_record_views_share_one_access_api():
+    """A golden trace, a spliced view of it and a plain tuple list answer
+    every access the same way."""
+    program = REGISTRY.build("kmeans")
+    golden = GoldenArtifacts(program).fault_free_trace()
+    records = list(golden.iter_range(0, 3000))
+    views = [GoldenTrace.from_records(records), records_view(records),
+             SplicedRecords(golden, 1200, records[1200:])]
+    assert records_view(views[0]) is views[0]
+    assert records_view(views[2]) is views[2]
+    ts = np.array([0, 5, 1199, 1200, 2999], dtype=np.int64)
+    locs = sorted({r[1] for r in records if r[1] is not None})[::25]
+    for view in views:
+        assert len(view) == len(records)
+        for lo, hi in ((0, 3000), (1100, 1300), (1200, 1250), (2990, 4000)):
+            assert view.window(lo, hi) == records[lo:hi]
+            for field in range(9):
+                assert view.column(field, lo, hi) == \
+                    [r[field] for r in records[lo:hi]]
+            for field in (0, 5, 6, 7):
+                assert view.ints(field, lo, hi).tolist() == \
+                    [r[field] for r in records[lo:hi]]
+        for field in (0, 5, 6, 7):
+            assert view.ints_at(field, ts).tolist() == \
+                [records[t][field] for t in ts.tolist()]
+        for t in (0, 1199, 1200, 2999, -1):
+            assert [view.field(t, f) for f in range(9)] == list(records[t])
+        for loc in locs:
+            for t in (0, 1000, 1200, 1201, 3000):
+                assert view.last_write(loc, t) == value_at(records, loc, t)
 
 
 # ------------------------------------------------------------- oracles

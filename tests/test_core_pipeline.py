@@ -83,8 +83,9 @@ class TestPatternRates:
         assert rates.total_instructions == len(ft.fault_free_trace())
 
     def test_empty_trace(self):
-        from repro.trace.events import Trace
-        rates = compute_rates(Trace([], REGISTRY.build("ft").module))
+        from repro.trace.columnar import GoldenTrace
+        rates = compute_rates(GoldenTrace.from_records(
+            [], REGISTRY.build("ft").module))
         assert rates.total_instructions == 0
 
     def test_vector_order(self):

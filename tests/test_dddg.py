@@ -13,6 +13,7 @@ from repro.frontend import ProgramBuilder
 from repro.ir.types import F64, I64
 from repro.regions.model import detect_regions, split_instances
 from repro.regions.variables import classify_io
+from repro.trace.columnar import GoldenTrace
 from repro.trace.events import Trace
 from repro.trace.index import TraceIndex
 from repro.vm import FaultPlan, Interpreter
@@ -75,18 +76,19 @@ class TestBuildDDDG:
 
     def test_roots_match_classify_io_inputs(self):
         d = build_dddg(self.trace.records, self.loop)
-        io = classify_io(self.trace.records, TraceIndex(self.trace.records),
-                         self.loop)
+        golden = GoldenTrace.from_records(self.trace.records)
+        io = classify_io(golden, TraceIndex(golden), self.loop)
         # every DDDG root location is a classified input of the instance
         for root in d.roots():
             assert root.loc in io.inputs
 
     def test_outputs_respect_future_reads(self):
         d = build_dddg(self.trace.records, self.loop)
-        index = TraceIndex(self.trace.records)
+        golden = GoldenTrace.from_records(self.trace.records)
+        index = TraceIndex(golden)
         outs = d.outputs(lambda loc: index.has_read_in(
             loc, self.loop.end, index.n))
-        io = classify_io(self.trace.records, index, self.loop)
+        io = classify_io(golden, index, self.loop)
         assert {n.loc for n in outs} == set(io.outputs)
 
     def test_last_def_values(self):
@@ -178,9 +180,9 @@ class TestCompareInstance:
         _, faulty, _ = build_traced(src, arrays, scalars, fault=plan)
         model = detect_regions(module, "main", "r")
         ff_insts = split_instances(ff.records, model)
-        index = TraceIndex(ff.records)
-        return compare_run(ff.records, index, ff_insts, faulty.records,
-                           model)
+        golden = GoldenTrace.from_records(ff.records)
+        return compare_run(golden, TraceIndex(golden), ff_insts,
+                           faulty.records, model)
 
     def test_case1_multiply_by_zero(self):
         # corrupt a[1] before the loop: the x*0 aggregation masks it

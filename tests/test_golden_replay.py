@@ -37,6 +37,7 @@ from repro.ir import opcodes as oc
 from repro.ir.function import Function
 from repro.ir.instructions import Instr
 from repro.ir.types import F64, I64
+from repro.trace.columnar import GoldenTrace
 from repro.trace.events import R_DLOC
 from repro.vm.fault import FaultPlan
 from repro.vm.exec_tier import ENV_VAR
@@ -135,8 +136,8 @@ def test_record_dyn_map_is_exact_with_nops(monkeypatch):
     observed.append(interp.dyn_count)
     assert len(observed) == len(interp.records) + 1
     assert interp.dyn_count > len(interp.records)  # NOPs executed
-    record_map = record_dyn_map(interp.records, program.module,
-                                interp.dyn_count)
+    golden = GoldenTrace.from_records(interp.records)
+    record_map = record_dyn_map(golden, program.module, interp.dyn_count)
     assert [record_map.dyn_at(s) for s in range(len(observed))] == observed
     # the inverse: records appended before each dyn index executes
     for s, dyn in enumerate(observed[:-1]):
@@ -144,8 +145,7 @@ def test_record_dyn_map_is_exact_with_nops(monkeypatch):
         assert record_map.records_at(observed[s + 1] - 1) == s
     assert record_map.records_at(interp.dyn_count) == len(interp.records)
     with pytest.raises(ValueError):
-        record_dyn_map(interp.records, program.module,
-                       interp.dyn_count + 1)
+        record_dyn_map(golden, program.module, interp.dyn_count + 1)
 
 
 def test_capture_matches_oracle_with_nops(monkeypatch, tier_env):

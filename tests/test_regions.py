@@ -13,6 +13,7 @@ from repro.regions.cfg import CFG
 from repro.regions.model import (detect_regions, main_loop_iterations,
                                  split_instances)
 from repro.regions.variables import classify_io
+from repro.trace.columnar import GoldenTrace
 from repro.trace.index import TraceIndex
 from repro.vm import Interpreter
 
@@ -201,10 +202,11 @@ class TestRegionIO:
         interp = Interpreter(module, trace=True)
         interp.run()
         instances = split_instances(interp.records, model)
-        index = TraceIndex(interp.records)
+        golden = GoldenTrace.from_records(interp.records)
+        index = TraceIndex(golden)
         first_loop = next(i for i in instances
                           if i.region.kind == "loop" and i.index == 0)
-        io = classify_io(interp.records, index, first_loop)
+        io = classify_io(golden, index, first_loop)
         # x[0..7] are read at entry -> inputs include those heap addrs
         x_base = module.arrays["x"].base
         input_mem = {loc for loc in io.inputs if loc >= 0}
@@ -222,7 +224,7 @@ class TestRegionIO:
         region = CodeRegion(-2, "whole", "straight", "main", frozenset(),
                             0, 0)
         inst = RegionInstance(region, 0, len(interp.records), 0)
-        index = TraceIndex(interp.records)
-        io = classify_io(interp.records, index, inst)
+        golden = GoldenTrace.from_records(interp.records)
+        io = classify_io(golden, TraceIndex(golden), inst)
         assert not io.outputs
         assert io.internals

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.frontend import ProgramBuilder
 from repro.ir.types import F64
+from repro.trace.columnar import GoldenTrace
 from repro.trace.events import (R_DLOC, R_DVAL, R_FN, R_OP, R_PC, R_SLOCS,
                                 Trace, TraceMeta, value_at)
 from repro.trace.index import INF, TraceIndex
@@ -99,7 +100,7 @@ class TestDivergence:
 class TestTraceIndex:
     def test_queries_match_bruteforce(self):
         trace, _ = traced_run()
-        index = TraceIndex(trace.records)
+        index = TraceIndex(GoldenTrace.from_records(trace.records))
         base = trace.module.arrays["a"].base
         for loc in [base + i for i in range(6)]:
             brute_writes = [t for t, r in enumerate(trace.records)
@@ -111,7 +112,7 @@ class TestTraceIndex:
 
     def test_next_write(self):
         trace, _ = traced_run()
-        index = TraceIndex(trace.records)
+        index = TraceIndex(GoldenTrace.from_records(trace.records))
         base = trace.module.arrays["a"].base
         w = index.writes[base][0]
         assert index.next_write_at_or_after(base, 0) == w
@@ -119,7 +120,7 @@ class TestTraceIndex:
 
     def test_unknown_loc(self):
         trace, _ = traced_run()
-        index = TraceIndex(trace.records)
+        index = TraceIndex(GoldenTrace.from_records(trace.records))
         assert index.next_write_at_or_after(10 ** 9, 0) == INF
         assert index.last_read_in(10 ** 9, 0, len(trace)) is None
         assert not index.has_read_in(10 ** 9, 0, len(trace))
@@ -131,7 +132,7 @@ class TestTraceIndex:
         trace, _ = traced_run()
         if a > b:
             a, b = b, a
-        index = TraceIndex(trace.records)
+        index = TraceIndex(GoldenTrace.from_records(trace.records))
         base = trace.module.arrays["a"].base
         brute = any(base in (r[R_SLOCS] or ())
                     for r in trace.records[a:b])
@@ -148,7 +149,7 @@ def main() -> float:
 """)
         interp = Interpreter(pb.build(), trace=True)
         interp.run()
-        index = TraceIndex(interp.records)
+        index = TraceIndex(GoldenTrace.from_records(interp.records))
         from repro.ir import opcodes as oc
         from repro.trace.events import R_EXTRA
         call = next(r for r in interp.records if r[R_OP] == oc.CALL)
