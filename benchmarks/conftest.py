@@ -43,11 +43,18 @@ def tracker(app: str, **params) -> FlipTracker:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _close_trackers():
+def _no_leaked_children(no_leaked_children):
+    """The shared child-process guard (root ``conftest.py``)."""
+    yield
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_trackers(_no_leaked_children):
     """Close every cached tracker (and its worker pool) after each module.
 
     A pytest session that goes on to other directories would otherwise
     keep every tracker's pool and golden trace until the session ends.
+    Runs before the child-process guard checks the module.
     """
     yield
     for ft in _trackers.values():

@@ -39,9 +39,10 @@ class SpecResult:
     Exactly one of ``campaign`` / ``patterns`` / ``profile`` /
     ``recovery`` is set, matching ``mode``.  ``recovery`` is the
     payload documented in ``docs/recovery.md``: per-region protected
-    outcome counts for one (policy, detector) cell.  ``patterns`` uses the canonical wire image —
-    region name to *sorted* pattern-mnemonic list — identical to what
-    the ``ANALYZE`` protocol op ships (see ``docs/protocol.md``).
+    outcome counts for one (policy, detector) cell.  ``patterns`` uses
+    the canonical wire image — region name to *sorted*
+    pattern-mnemonic list — identical to what an analysis plan's value
+    carries in a ``run`` shard (see ``docs/protocol.md``).
     ``profile`` is the payload documented in ``docs/profiles.md``:
     per-region outcome distributions plus the composed whole-program
     estimate; its ``sources`` map (where each region came from —

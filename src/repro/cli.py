@@ -27,7 +27,7 @@ Exposes the FlipTracker pipeline for interactive exploration:
 ``dot``        DDDG DOT export of a region instance (Graphviz)
 ``sample``     Leveugle sample-size calculator (Section IV-C)
 ``serve``      run a TCP shard server for ``--backend socket`` clients
-               (campaign ``RUN`` and traced ``ANALYZE`` jobs alike);
+               (campaign, recovery and traced-analysis plans alike);
                ``--registry`` joins the service tier dynamically
 ``run``        execute a declarative experiment spec file (JSON; see
                ``docs/experiments.md``) with batched dispatches over
@@ -52,8 +52,8 @@ skips injections that already ran.  ``--backend`` picks the shard
 substrate (``local``/``socket`` — see
 :mod:`repro.engine.backends`) for campaigns *and* traced analyses;
 with ``socket``, ``--backend-addr`` names the shard server(s) started
-via ``serve``, which execute both ``RUN`` and ``ANALYZE`` jobs
-(wire format: ``docs/protocol.md``).
+via ``serve``, which execute every plan kind through the one ``run``
+shard operation (wire format: ``docs/protocol.md``).
 """
 
 from __future__ import annotations

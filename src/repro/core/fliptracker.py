@@ -621,7 +621,7 @@ class FlipTracker:
         pool fans out across fork children inheriting the cached
         fault-free trace copy-on-write (needs ``self.workers > 1``),
         while ``backend="socket"`` ships the analyses to remote shard
-        servers as ``ANALYZE`` frames
+        servers as analysis plans in ``run`` frames
         (see ``docs/protocol.md``) — results are byte-identical either
         way.  Regions whose site populations are empty (a straight
         region with no internal defs, say) are skipped rather than

@@ -18,9 +18,9 @@ campaigns (Figs. 5/6, Tables III/IV) and traced pattern analyses
 * **pluggable shard backends** (:mod:`repro.engine.backends`): the
   same shard loop runs on the in-host process pool (``local``) or on
   remote TCP shard servers (``socket``) — both feeding the one cache and
-  byte-identical to ``workers=1``, for untraced campaigns (``RUN``)
-  and traced pattern analyses (``ANALYZE``) alike; the wire protocol
-  is specified in ``docs/protocol.md``.
+  byte-identical to ``workers=1``; untraced campaigns, protected runs
+  and traced pattern analyses are all plans of one ``run`` shard
+  operation; the wire protocol is specified in ``docs/protocol.md``.
 
 Determinism contract: identical plans yield identical results
 regardless of worker count, shard size, or arrival order; the

@@ -1,11 +1,11 @@
 """Pluggable shard-execution backends for the :class:`ExecutionEngine`.
 
-The engine's ``run_plans`` / ``analyze_plans`` loops decide *what* to
-execute (cache filtering, shard boundaries, plan-order assembly); a
-backend decides *where* (see :mod:`.base` for the contract).  Every
-backend implements both shard operations — ``RUN`` (untraced campaign
-shards) and ``ANALYZE`` (traced pattern analyses, shipped as
-sorted-list pattern tables).  Two substrates ship:
+The engine's demux loop decides *what* to execute (cache filtering,
+shard boundaries, plan-order assembly); a backend decides *where* (see
+:mod:`.base` for the contract).  Every backend implements one shard
+operation, ``run_shards``, for plans of every kind — untraced campaign
+runs, protected recovery runs and traced pattern analyses (shipped as
+encoded sorted-list pattern tables).  Two substrates ship:
 
 ``local``  :class:`LocalPoolBackend`
     The seed engine's persistent fork/spawn process pool,

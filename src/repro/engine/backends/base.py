@@ -1,29 +1,30 @@
-"""The backend seam: how a shard of fault plans gets executed.
+"""The backend seam: how a shard of plans gets executed.
 
-:meth:`ExecutionEngine.run_plans` and
-:meth:`ExecutionEngine.analyze_plans` own *what* runs (cache lookups,
-shard boundaries, result assembly, progress, checkpointing) and a
-:class:`Backend` owns *where* it runs.  The contract is deliberately
-tiny so that scaling work — remote shards, batching —
-is a new backend, not an engine rewrite:
+:meth:`ExecutionEngine.run_plan_groups` and
+:meth:`ExecutionEngine.analyze_plan_groups` own *what* runs (cache
+lookups, shard boundaries, result assembly, progress, checkpointing)
+and a :class:`Backend` owns *where* it runs.  The contract is
+deliberately tiny so that scaling work — remote shards, batching — is
+a new backend, not an engine rewrite.  A backend implements one shard
+operation, :meth:`Backend.run_shards`:
 
 * the engine hands over the pending shards (plan order, already
-  deduplicated and — for campaigns — cache-filtered);
-* the backend yields ``(shard_index, payload)`` pairs **in shard
+  deduplicated and — for campaigns — cache-filtered); a plan is a
+  :class:`~repro.vm.fault.FaultPlan`, a
+  :class:`~repro.recovery.plan.RecoveryPlan` or an
+  :class:`~repro.faults.analysis.AnalysisPlan`;
+* the backend yields ``(shard_index, values)`` pairs **in shard
   order**, whatever order the underlying substrate completed them in;
-* for :meth:`Backend.run_shards` the payload is a list of
-  manifestation strings, one per plan, in plan order;
-* for :meth:`Backend.analyze_shards` (traced pattern analyses) the
-  payload is a list of ``(manifestation, patterns)`` pairs in plan
-  order, where ``patterns`` maps region name to a **sorted list** of
-  pattern mnemonics — the canonical wire image, byte-stable across
-  substrates.
+* ``values`` holds one outcome string per plan, in plan order — a
+  manifestation, an encoded recovery outcome or an encoded traced
+  analysis (:func:`~repro.faults.campaign.execute_plan` produces all
+  three).
 
 Because the engine alone touches the :class:`~repro.engine.cache.
 PlanCache` and assembles results by plan index, any backend that
 honors this contract automatically inherits the determinism contract:
-``workers=1`` and every backend are byte-identical — for campaigns
-*and* for traced analyses.
+``workers=1`` and every backend are byte-identical — for campaigns,
+protected runs *and* traced analyses.
 """
 
 from __future__ import annotations
@@ -31,13 +32,6 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from repro.vm.fault import FaultPlan
-
-#: manifestation values for one shard, in plan order
-ShardValues = "list[str]"
-
-#: traced results for one shard, in plan order:
-#: ``[(manifestation, {region: [pattern, ...sorted]}), ...]``
-ShardAnalyses = "list[tuple[str, dict[str, list[str]]]]"
 
 
 class Backend:
@@ -76,25 +70,30 @@ class Backend:
     def analyze_shards(self, shards: Sequence[Sequence[FaultPlan]],
                        max_instr: Optional[int]
                        ) -> Iterator[tuple[int, list]]:
-        """Traced analyses for all shards -> ``(index, pairs)`` in order.
+        """Traced analyses of plain fault plans, through :meth:`run_shards`.
 
-        ``pairs`` is one ``(manifestation, patterns)`` tuple per plan,
-        in plan order, with ``patterns`` in the canonical sorted-list
-        image (see :func:`~repro.engine.backends.protocol.
-        encode_analysis`).  Same ordering contract as
-        :meth:`run_shards`; the engine caches each plan's manifestation
-        as a by-product so a later untraced campaign is free.
+        An adapter, not a second shard operation (no backend overrides
+        it; the engine dispatches analysis plans through
+        :meth:`run_shards` itself): each plan is wrapped in an
+        :class:`~repro.faults.analysis.AnalysisPlan` and each value
+        decoded into ``(manifestation, {region: [pattern, ...]})``
+        with pattern lists sorted, in plan order.
         """
-        raise NotImplementedError
+        from repro.faults.analysis import AnalysisPlan, decode_analysis
+        for index, values in self.run_shards(
+                [[AnalysisPlan(p) for p in plans] for plans in shards],
+                max_instr):
+            yield index, [decode_analysis(v) for v in values]
 
     def run_sequential(self, plans: Sequence[FaultPlan],
                        max_instr: Optional[int]) -> list[str]:
         """In-process reference execution (shared fallback path).
 
-        Recovery plans resolve the engine's analysis tracker — the
-        session needs the golden-trace recovery context, which is a
-        pure function of the program, so this path stays byte-identical
-        to every distributed substrate.
+        Recovery and analysis plans resolve the engine's analysis
+        tracker (building one if the engine was created standalone) —
+        they need its golden-side artifacts, which are a pure function
+        of the program, so this path stays byte-identical to every
+        distributed substrate.
         """
         from repro.faults.campaign import execute_plan
         tier = self.engine.exec_tier
@@ -104,23 +103,6 @@ class Backend:
                              ._tracker_for_analysis,
                              warm_start=self.engine.warm_start)
                 for plan in plans]
-
-    def analyze_sequential(self, plans: Sequence[FaultPlan],
-                           max_instr: Optional[int]) -> list:
-        """In-process reference traced analysis (shared fallback path).
-
-        Uses the engine's tracker (building one if the engine was
-        created standalone); the traced run's budget comes from the
-        tracker itself, exactly as on a remote worker.
-        """
-        from repro.engine.backends import protocol
-        tracker = self.engine._tracker_for_analysis()
-        out = []
-        for plan in plans:
-            encoded = protocol.encode_analysis(
-                tracker.analyze_injection(plan))
-            out.append((encoded["m"], encoded["patterns"]))
-        return out
 
 
 def reassemble(completions, n_shards: int

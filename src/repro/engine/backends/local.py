@@ -5,10 +5,10 @@ Behavior-preserving extraction of the pool logic that used to live in
 ``multiprocessing.Pool`` per engine (fork children inherit the built
 program — and, when a tracker is bound, its warmed golden trace —
 copy-on-write), small shards run sequentially in-process
-(``min_parallel``), and results are reassembled in task order.  Both
-shard operations run here: untraced campaign shards
-(:meth:`~LocalPoolBackend.run_shards`) and traced pattern-analysis
-shards (:meth:`~LocalPoolBackend.analyze_shards`), sharing one pool.
+(``min_parallel``), and results are reassembled in task order.  Every
+plan kind — campaign, recovery and traced-analysis plans — runs
+through the one :meth:`~LocalPoolBackend.run_shards` path and the one
+pool task, :func:`~repro.engine.worker.run_plans_task`.
 
 New here: **worker-death detection**.  ``multiprocessing.Pool`` never
 fails a task whose worker vanished (it silently respawns the worker
@@ -70,10 +70,8 @@ class LocalPoolBackend(Backend):
         if hasattr(os, "fork"):
             if engine._tracker is not None:
                 engine._warm_tracker()
-            worker_mod.configure_parent_state(engine.program,
-                                              engine._tracker)
-            ctx = mp.get_context("fork")
-            self._pool = ctx.Pool(engine.workers)
+            with worker_mod.fork_state(engine.program, engine._tracker):
+                self._pool = mp.get_context("fork").Pool(engine.workers)
         else:  # pragma: no cover - no fork on this platform
             from repro.apps.base import REGISTRY
             if engine.program.name not in REGISTRY.names():
@@ -120,40 +118,6 @@ class LocalPoolBackend(Backend):
             except EngineError as exc:
                 self.failed_shard = index
                 raise EngineError(f"shard {index} failed: {exc}") from exc
-
-    def analyze_shards(self, shards: Sequence[Sequence[FaultPlan]],
-                       max_instr: Optional[int]
-                       ) -> Iterator[tuple[int, list]]:
-        for index, plans in enumerate(shards):
-            try:
-                yield index, self._execute_analysis(plans, max_instr)
-            except EngineError as exc:
-                self.failed_shard = index
-                raise EngineError(f"shard {index} failed: {exc}") from exc
-
-    def _execute_analysis(self, plans: Sequence[FaultPlan],
-                          max_instr: Optional[int]) -> list:
-        """One traced-analysis shard, pool-parallel when worthwhile.
-
-        Fork children inherit the tracker's warmed golden trace
-        copy-on-write (``pool_for`` warms it before forking), so a
-        traced analysis in a worker re-traces nothing.  Same
-        worker-death detection as the campaign path.
-        """
-        pool = self.pool_for(len(plans))
-        if pool is None:
-            return self.analyze_sequential(plans, max_instr)
-        parts: dict[int, tuple] = {}
-        it = pool.imap_unordered(worker_mod.analyze_task,
-                                 list(enumerate(plans)))
-        while len(parts) < len(plans):
-            try:
-                i, value, patterns = it.next(timeout=_POLL_S)
-            except mp.TimeoutError:
-                self._check_workers_alive()
-                continue
-            parts[i] = (value, patterns)
-        return [parts[i] for i in range(len(plans))]
 
     def _execute(self, plans: Sequence[FaultPlan],
                  max_instr: Optional[int]) -> list[str]:
@@ -208,3 +172,10 @@ class LocalPoolBackend(Backend):
         reaper = threading.Thread(target=pool.terminate, daemon=True)
         reaper.start()
         reaper.join(_BROKEN_JOIN_S)
+        # the pool replaces the workers killed above until terminate()
+        # stops its worker handler, and a wedged terminate() never
+        # reaches its own worker sweep: kill the replacements too
+        for proc in list(pool._pool):
+            if proc.is_alive():
+                proc.kill()
+                proc.join(_BROKEN_JOIN_S)

@@ -22,22 +22,12 @@ object.  The conversation between a shard client and a shard worker:
 ``run``
     ``{"op": "run", "shard": i, "max_instr": n|null, "plans": [...]}``
     with plans in the canonical :func:`~repro.engine.keys.encode_plan`
-    image (v4: a plan may carry a ``recovery`` sub-object selecting a
-    protected run); the worker answers ``{"op": "result", "shard": i,
-    "values": [...]}`` (outcome strings — manifestation values, or
-    encoded recovery outcomes — in plan order) or ``{"op": "error",
-    "code": ..., "error": ...}``.
-
-``analyze``
-    ``{"op": "analyze", "shard": i, "max_instr": n|null,
-    "plans": [...]}`` requests *traced* pattern analyses; the worker
-    answers ``{"op": "analyzed", "shard": i, "results": [{"m": ...,
-    "patterns": {region: [pattern, ...]}}, ...]}`` in plan order.
-    Pattern sets travel as **sorted lists** so the frame bytes are a
-    pure function of the analysis outcome (byte-stable framing).
-    ``max_instr`` is carried for the client's by-product manifestation
-    caching; the traced run itself uses the worker's own faulty-run
-    budget, which the fingerprint gate guarantees is identical.
+    image (a plan may carry a ``recovery`` sub-object selecting a
+    protected run, v4, or ``"analysis": true`` selecting a traced
+    pattern analysis, v5); the worker answers ``{"op": "result",
+    "shard": i, "values": [...]}`` (outcome strings — manifestation
+    values, encoded recovery outcomes or encoded analyses — in plan
+    order) or ``{"op": "error", "code": ..., "error": ...}``.
 
 ``bye``
     Polite shutdown; either side may also just close the socket
@@ -71,15 +61,17 @@ _HEADER = struct.Struct(">I")
 
 #: Wire-protocol revision, independent of :data:`KEY_VERSION` (which
 #: governs the cache-key encoding).  Bumped whenever the frame
-#: vocabulary changes; v1 was the PR-2 RUN-only protocol, v2 added the
+#: vocabulary changes; v1 was the RUN-only protocol, v2 added the
 #: ANALYZE op, the ``pv`` handshake field and error codes, v3 added
 #: the service ops (registry membership, host resolution and the
 #: persistent job queue), v4 extended ``run`` plans with the optional
 #: ``recovery`` sub-object (protected runs, :mod:`repro.recovery`) —
 #: a v3 peer would silently execute the bare fault instead, so the
-#: version gate is load-bearing.  The handshake and
+#: version gate is load-bearing — and v5 retired ANALYZE: a traced
+#: analysis is a ``run`` plan carrying ``"analysis": true``, which a
+#: v4 peer would likewise run as the bare fault.  The handshake and
 #: ``docs/protocol.md`` both reference this constant.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: refuse absurd frames instead of allocating gigabytes on a bad peer
 MAX_FRAME = 64 * 1024 * 1024
@@ -87,9 +79,7 @@ MAX_FRAME = 64 * 1024 * 1024
 # ------------------------------------------------------------- op codes
 OP_HELLO = "hello"
 OP_RUN = "run"
-OP_ANALYZE = "analyze"
 OP_RESULT = "result"
-OP_ANALYZED = "analyzed"
 OP_ERROR = "error"
 OP_BYE = "bye"
 
@@ -113,10 +103,10 @@ OP_EVENT = "event"
 OP_FETCHED = "fetched"
 
 #: every op either side may put in a frame (docs drift-check anchor)
-OPS = (OP_HELLO, OP_RUN, OP_ANALYZE, OP_RESULT, OP_ANALYZED, OP_ERROR,
-       OP_BYE, OP_REGISTER, OP_REGISTERED, OP_HEARTBEAT, OP_LEAVE,
-       OP_ACK, OP_RESOLVE, OP_HOSTS, OP_SUBMIT, OP_JOBS, OP_WATCH,
-       OP_FETCH, OP_JOB, OP_JOBLIST, OP_EVENT, OP_FETCHED)
+OPS = (OP_HELLO, OP_RUN, OP_RESULT, OP_ERROR, OP_BYE, OP_REGISTER,
+       OP_REGISTERED, OP_HEARTBEAT, OP_LEAVE, OP_ACK, OP_RESOLVE,
+       OP_HOSTS, OP_SUBMIT, OP_JOBS, OP_WATCH, OP_FETCH, OP_JOB,
+       OP_JOBLIST, OP_EVENT, OP_FETCHED)
 
 # ---------------------------------------------------------- error codes
 ERR_PROTOCOL_VERSION = "protocol-version-mismatch"
@@ -248,9 +238,12 @@ def execute_request(program, msg: dict, tracker_factory=None) -> dict:
     """Worker-side body of a ``run`` frame -> ``result`` frame.
 
     ``tracker_factory`` lazily resolves the worker's tracker for
-    recovery plans (v4 ``recovery`` sub-object); a worker without one
-    rejects such plans in-band with :data:`ERR_EXEC` rather than
-    executing the bare fault and poisoning the cache.
+    recovery plans (v4 ``recovery`` sub-object) and analysis plans (v5
+    ``analysis`` marker); a worker without one rejects such plans
+    in-band with :data:`ERR_EXEC` rather than executing the bare fault
+    and poisoning the cache.  A traced analysis uses the worker's own
+    faulty-run budget, which the fingerprint gate guarantees equals
+    the client's.
     """
     from repro.engine.keys import decode_plan
     from repro.faults.campaign import execute_plan
@@ -264,71 +257,6 @@ def execute_request(program, msg: dict, tracker_factory=None) -> dict:
                 "shard": msg.get("shard"),
                 "error": f"{type(exc).__name__}: {exc}"}
     return {"op": OP_RESULT, "shard": msg["shard"], "values": values}
-
-
-# --------------------------------------------------------- analyze frames
-def analyze_request(shard: int, plans, max_instr: Optional[int]) -> dict:
-    """Build an ``analyze`` frame (traced patterns-by-region shard)."""
-    from repro.engine.keys import encode_plan
-    return {"op": OP_ANALYZE, "shard": shard, "max_instr": max_instr,
-            "plans": [encode_plan(p) for p in plans]}
-
-
-def encode_analysis(analysis) -> dict:
-    """Wire image of one traced analysis: manifestation + pattern table.
-
-    Pattern sets become **sorted lists** so the serialized frame is
-    byte-stable — two workers analyzing the same plan produce identical
-    bytes, which the parity suite compares across backends.
-    """
-    return {"m": analysis.manifestation.value,
-            "patterns": {region: sorted(pats) for region, pats
-                         in analysis.patterns_by_region().items()}}
-
-
-def execute_analyze_request(tracker, msg: dict) -> dict:
-    """Worker-side body of an ``analyze`` frame -> ``analyzed`` frame.
-
-    ``tracker`` is the worker's :class:`~repro.core.FlipTracker` for
-    the (fingerprint-verified) program; its own golden trace supplies
-    the faulty-run budget, so ``max_instr`` in the request is not used
-    here — it only keys the client's by-product manifestation caching.
-    """
-    from repro.engine.keys import decode_plan
-    try:
-        results = [encode_analysis(tracker.analyze_injection(decode_plan(p)))
-                   for p in msg["plans"]]
-    except Exception as exc:  # surface worker-side failures in-band
-        return {"op": OP_ERROR, "code": ERR_EXEC,
-                "shard": msg.get("shard"),
-                "error": f"{type(exc).__name__}: {exc}"}
-    return {"op": OP_ANALYZED, "shard": msg["shard"], "results": results}
-
-
-def decode_analysis_results(reply: dict, n_plans: int
-                            ) -> list[tuple[str, dict]]:
-    """Validate an ``analyzed`` reply -> ``[(manifestation, patterns)]``.
-
-    Raises :class:`ProtocolError` on any malformed reply — wrong
-    count, non-object entries, missing/ill-typed ``m`` or ``patterns``
-    — so every socket connection rejects it identically and its
-    transport-failure handling (retry/failover) applies instead of an
-    uncaught ``KeyError`` killing the client.
-    """
-    results = reply.get("results")
-    if not isinstance(results, list) or len(results) != n_plans:
-        raise ProtocolError(
-            f"analyzed reply carries "
-            f"{len(results) if isinstance(results, list) else 'no'} "
-            f"results for {n_plans} plans")
-    decoded = []
-    for entry in results:
-        if not isinstance(entry, dict) or \
-                not isinstance(entry.get("m"), str) or \
-                not isinstance(entry.get("patterns"), dict):
-            raise ProtocolError(f"malformed analyzed entry: {entry!r}")
-        decoded.append((entry["m"], entry["patterns"]))
-    return decoded
 
 
 # ---------------------------------------------------------- service frames
@@ -364,16 +292,34 @@ def check_service_versions(msg: dict) -> Optional[dict]:
     return None
 
 
-def decode_run_values(reply: dict, n_plans: int) -> list:
-    """Validate a ``result`` reply -> manifestation values, plan order.
+def decode_run_values(reply: dict, plans) -> list[str]:
+    """Validate a ``result`` reply -> outcome values, plan order.
 
-    Same :class:`ProtocolError` contract as
-    :func:`decode_analysis_results`.
+    Raises :class:`ProtocolError` on any malformed reply — wrong count,
+    a value that is not a string, a campaign value that is not a
+    manifestation, or an analysis value that does not decode (``m`` a
+    string, ``patterns`` a dict of lists) — so the socket backend
+    rejects it like a transport failure (the shard gets its single
+    retry) instead of caching a value that breaks its reader later.
     """
+    from repro.faults.analysis import AnalysisPlan, decode_analysis
+    from repro.faults.campaign import Manifestation
+    from repro.vm.fault import FaultPlan
     values = reply.get("values")
-    if not isinstance(values, list) or len(values) != n_plans:
+    if not isinstance(values, list) or len(values) != len(plans):
         raise ProtocolError(
             f"result reply carries "
             f"{len(values) if isinstance(values, list) else 'no'} "
-            f"values for {n_plans} plans")
+            f"values for {len(plans)} plans")
+    manifestations = {m.value for m in Manifestation}
+    for plan, value in zip(plans, values):
+        if not isinstance(value, str):
+            raise ProtocolError(f"ill-typed result value {value!r}")
+        if isinstance(plan, FaultPlan) and value not in manifestations:
+            raise ProtocolError(f"unknown manifestation {value!r}")
+        if isinstance(plan, AnalysisPlan):
+            try:
+                decode_analysis(value)
+            except ValueError as exc:
+                raise ProtocolError(str(exc)) from exc
     return values

@@ -11,22 +11,21 @@ number of clients.  Start it from the CLI —
 the socket is listening (scripts can wait for that line), then accepts
 connections until interrupted.  Each connection is handled on its own
 thread: fingerprint handshake first (mismatches are rejected before
-any shard runs), then a loop of request/reply frames — ``run`` ->
-``result`` for untraced campaign shards and ``analyze`` ->
-``analyzed`` for traced pattern analyses.
+any shard runs), then a loop of request/reply frames, ``run`` ->
+``result``, for shards of any plan kind — untraced campaign runs,
+protected recovery runs and traced pattern analyses.
 
-Analysis jobs need a :class:`~repro.core.FlipTracker` (golden trace,
-region model, pattern detectors); the server resolves one lazily on the
-first frame that needs it.  Its golden side comes from the process-wide
-cache keyed by program fingerprint (:mod:`repro.golden`), shared with
-every other shard server and the registry daemon in the process, and
-the tracker itself is the bundle's shared one — so a server that stops
-and rejoins (registry restart, port move) adopts the previous
-incarnation's tracker, recovery context and warm-start snapshot ladder
-instead of recomputing them.  The bundle builds each artifact once
-under its own lock; traced runs additionally execute under the
-server's analysis lock, since they are pure-Python CPU-bound work
-where thread concurrency buys nothing.
+Recovery and analysis plans need a :class:`~repro.core.FlipTracker`
+(golden trace, recovery context, region model, pattern detectors); the
+server resolves one lazily on the first plan that needs it.  Its golden
+side comes from the process-wide cache keyed by program fingerprint
+(:mod:`repro.golden`), shared with every other shard server and the
+registry daemon in the process, and the tracker itself is the bundle's
+shared one — so a server that stops and rejoins (registry restart,
+port move) adopts the previous incarnation's tracker, recovery context
+and warm-start snapshot ladder instead of recomputing them.  The bundle
+builds each artifact once under its own lock, so shards of every kind
+execute concurrently on the shared tracker.
 
 Tests (and embedders) use :meth:`ShardServer.start` /
 :meth:`ShardServer.stop` to run the accept loop on a background
@@ -100,7 +99,6 @@ class ShardServer:
         self.connections = 0
         self.rejected = 0
         self.shards_served = 0
-        self.analyses_served = 0
         self.heartbeats = 0
 
     # ------------------------------------------------------------ registry
@@ -197,9 +195,12 @@ class ShardServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # ------------------------------------------------------------ analyses
+    # ------------------------------------------------------------ tracker
     def _analysis_tracker(self):
-        """The server's FlipTracker: the cached golden bundle's own."""
+        """The server's FlipTracker: the cached golden bundle's own.
+
+        ``_analysis_lock`` guards only its lazy creation.
+        """
         with self._analysis_lock:
             if self._tracker is None:
                 golden, self.tracker_reused = shared_golden(
@@ -216,21 +217,14 @@ class ShardServer:
         """
         op = msg.get("op")
         if op == protocol.OP_RUN:
-            # recovery-carrying plans resolve the server's tracker; its
-            # golden bundle builds the context once under its own lock
-            # (no run lock — protected runs execute concurrently like
-            # plain runs)
+            # recovery and analysis plans resolve the server's tracker;
+            # its golden bundle builds each artifact once under its own
+            # lock, so every plan kind executes concurrently
             with self._count_inflight():
                 result = protocol.execute_request(
                     self.program, msg,
                     tracker_factory=self._analysis_tracker)
             self.shards_served += 1
-            return result
-        if op == protocol.OP_ANALYZE:
-            tracker = self._analysis_tracker()
-            with self._count_inflight(), self._analysis_lock:
-                result = protocol.execute_analyze_request(tracker, msg)
-            self.analyses_served += 1
             return result
         return {"op": protocol.OP_ERROR, "code": protocol.ERR_BAD_OP,
                 "error": f"unexpected op {op!r}"}

@@ -7,12 +7,14 @@ delegate here.
 
 Where a shard *executes* is a :class:`~repro.engine.backends.Backend`
 (``local`` process pool or ``socket`` remote shard servers — see
-:mod:`repro.engine.backends`) — and that
-holds for **both** shard operations: untraced campaign shards
-(:meth:`ExecutionEngine.run_plans`) and traced pattern analyses
-(:meth:`ExecutionEngine.analyze_plans`).  The engine keeps sole
-ownership of the :class:`PlanCache`, shard boundaries and plan-order
-assembly, so every backend inherits the determinism contract for free.
+:mod:`repro.engine.backends`), and every shard goes through its one
+operation, :meth:`~repro.engine.backends.Backend.run_shards`: untraced
+campaign plans, protected recovery plans and traced analysis plans
+(:meth:`ExecutionEngine.analyze_plans` wraps each fault plan in an
+:class:`~repro.faults.analysis.AnalysisPlan`) alike.  The engine keeps
+sole ownership of the :class:`PlanCache`, shard boundaries and
+plan-order assembly, so every backend inherits the determinism
+contract for free.
 
 Determinism: plan order — never worker arrival order — decides how
 results are assembled, shard boundaries depend only on the pending
@@ -221,10 +223,10 @@ class ExecutionEngine:
         group, in group order — or a :class:`~repro.recovery.outcome.
         RecoveryResult` for a group of recovery plans (protected runs;
         cached/shipped as encoded outcome strings, so the cache, demux
-        and alias machinery below are plan-kind agnostic).  The whole batch fans out through a
-        single :meth:`Backend.run_shards` call, so the socket
-        substrate overlaps shards *across* groups instead of placing a
-        barrier between consecutive campaigns.
+        and alias machinery are plan-kind agnostic).  The whole batch
+        fans out through a single :meth:`Backend.run_shards` call, so
+        the socket substrate overlaps shards *across* groups instead of
+        placing a barrier between consecutive campaigns.
 
         Demux contract (what makes the batch path byte-identical to
         calling :meth:`run_plans` once per group, in group order, on
@@ -237,6 +239,22 @@ class ExecutionEngine:
         With ``use_cache=False`` cross-group aliasing is disabled
         (sequential calls would re-execute), matching legacy semantics.
         """
+        return self._dispatch_groups(groups, max_instr, on_progress,
+                                     use_cache, traced=False)
+
+    def _dispatch_groups(self, groups, max_instr, on_progress,
+                         use_cache: bool, traced: bool):
+        """The one demux loop behind both public group entries.
+
+        ``traced`` marks a batch of :class:`~repro.faults.analysis.
+        AnalysisPlan` groups, with the analysis rules: values are never
+        looked up in or stored to the cache (nothing counts as
+        ``cached``), each run's manifestation is cached as a by-product
+        under its plain fault key when ``max_instr`` is given, progress
+        events carry ``phase="analysis"``, and each group returns its
+        per-plan pattern tables.
+        """
+        from repro.faults.analysis import decode_analysis
         from repro.faults.campaign import CampaignResult, Manifestation
         from repro.recovery.outcome import RecoveryOutcome, RecoveryResult
         from repro.recovery.plan import RecoveryPlan
@@ -251,8 +269,8 @@ class ExecutionEngine:
         for g_i, (_label, plans) in enumerate(groups):
             keys = [plan_key(self.program_fp, p, max_instr) for p in plans]
             group_keys.append(keys)
-            values = [self.cache.get(k) if use_cache else None
-                      for k in keys]
+            values = [self.cache.get(k) if use_cache and not traced
+                      else None for k in keys]
             outcomes.append(values)
             for i, value in enumerate(values):
                 if value is not None:
@@ -264,20 +282,25 @@ class ExecutionEngine:
         unique, shards, group_shard_base, group_shards, shard_plans = \
             self._shard_groups(groups, owner)
 
-        if any(isinstance(p, RecoveryPlan)
-               for plans in shard_plans for p in plans):
+        if traced:
+            # the tracker must exist before dispatch so fork-based
+            # backends warm it and children inherit the golden trace
+            self._tracker_for_analysis()
+        elif any(isinstance(p, RecoveryPlan)
+                 for plans in shard_plans for p in plans):
             # warm the recovery context before the backend (lazily)
             # forks its pool, so children inherit it copy-on-write;
             # late-started substrates derive the identical context
             # themselves (pure function of the program)
             self._tracker_for_analysis().recovery_context()
-        if self.warm_start and any(shard_plans):
+        if self.warm_start and shard_plans:
             # same pre-fork COW warming for the golden snapshot ladder:
-            # every pending run of either plan kind can draw on it
+            # every pending run of any plan kind can draw on it
             self._tracker_for_analysis().warm_ladder()
 
+        phase = "analysis" if traced else "campaign"
         totals = [len(plans) for _label, plans in groups]
-        cached = [totals[g_i] - len(unique[g_i])
+        cached = [0 if traced else totals[g_i] - len(unique[g_i])
                   for g_i in range(len(groups))]
         done = [sum(1 for v in values if v is not None)
                 for values in outcomes]
@@ -290,13 +313,21 @@ class ExecutionEngine:
                 for a_g, a_i in waiting[akey]:
                     outcomes[a_g][a_i] = value
                     done[a_g] += 1
-                self.cache.put(group_keys[g_i][i], value,
-                               meta={"plan": encode_plan(plans[i]),
-                                     "label": label})
+                if not traced:
+                    self.cache.put(group_keys[g_i][i], value,
+                                   meta={"plan": encode_plan(plans[i]),
+                                         "label": label})
+                elif max_instr is not None:
+                    fault = plans[i].fault
+                    self.cache.put(
+                        plan_key(self.program_fp, fault, max_instr),
+                        decode_analysis(value)[0],
+                        meta={"plan": encode_plan(fault),
+                              "label": "analysis"})
             self.executed += len(indices)
             if on_progress is not None:
                 on_progress(ProgressEvent(
-                    label=label, phase="campaign", done=done[g_i],
+                    label=label, phase=phase, done=done[g_i],
                     total=totals[g_i], cached=cached[g_i],
                     shard=s_i - group_shard_base[g_i] + 1,
                     shards=group_shards[g_i]))
@@ -304,13 +335,20 @@ class ExecutionEngine:
             for g_i, (label, _plans) in enumerate(groups):
                 if group_shards[g_i] == 0:
                     on_progress(ProgressEvent(
-                        label=label, phase="campaign", done=totals[g_i],
+                        label=label, phase=phase, done=totals[g_i],
                         total=totals[g_i], cached=cached[g_i],
                         shard=0, shards=0))
         self.cache.flush()
 
         results = []
         for g_i, (label, plans) in enumerate(groups):
+            if traced:
+                # decoded per position: aliases get fresh sets, since
+                # callers may mutate them
+                results.append([{region: set(pats) for region, pats
+                                 in decode_analysis(value)[1].items()}
+                                for value in outcomes[g_i]])
+                continue
             if plans and isinstance(plans[0], RecoveryPlan):
                 result = RecoveryResult(label=label)
                 for value in outcomes[g_i]:
@@ -328,7 +366,7 @@ class ExecutionEngine:
         return results
 
     def _shard_groups(self, groups, owner):
-        """Shared batch layout for both plan-group demux loops.
+        """Batch layout of the demux loop.
 
         ``owner`` maps each alias key to its first pending position
         ``(group, index)``.  Each group's owned positions are sharded
@@ -362,12 +400,12 @@ class ExecutionEngine:
                       ) -> list[dict[str, set[str]]]:
         """Patterns-by-region for many traced injections, in plan order.
 
-        Dispatches sharded analysis plans through ``self.backend``
-        exactly like :meth:`run_plans` — the local pool runs them on
-        fork children sharing the tracker's golden trace copy-on-write,
-        and the ``socket`` backend ships them to shard servers
-        as ``ANALYZE`` frames (same handshake, per-shard retry,
-        failover and local fallback as campaigns; see
+        Each plan travels as an :class:`~repro.faults.analysis.
+        AnalysisPlan` through ``self.backend`` exactly like a campaign
+        plan — the local pool runs it on fork children sharing the
+        tracker's golden trace copy-on-write, and the ``socket``
+        backend ships it to shard servers in a ``run`` frame (same
+        handshake, per-shard retry, failover and local fallback; see
         ``docs/protocol.md``).  Duplicate plans are analyzed once and
         aliased.  The manifestation of each traced run is cached as a
         by-product when ``max_instr`` is provided, so a later untraced
@@ -388,66 +426,20 @@ class ExecutionEngine:
                             ) -> list[list[dict[str, set[str]]]]:
         """Traced analyses for many labeled plan groups, one dispatch.
 
-        ``groups`` is a sequence of ``(label, plans)`` pairs; returns
-        one list of per-plan pattern tables per group, in group order.
-        All groups' shards ship through a single
-        :meth:`Backend.analyze_shards` call.  Duplicate plans are
-        analyzed once and aliased across the whole batch — a pattern
-        table is a pure function of the plan (determinism contract),
-        so aliasing never changes a group's result, only the number of
-        traced runs performed.
+        ``groups`` is a sequence of ``(label, plans)`` pairs of plain
+        fault plans; returns one list of per-plan pattern tables per
+        group, in group order.  All groups' shards ship through a
+        single :meth:`Backend.run_shards` call as analysis plans.
+        Duplicate plans are analyzed once and aliased across the whole
+        batch — a pattern table is a pure function of the plan
+        (determinism contract), so aliasing never changes a group's
+        result, only the number of traced runs performed.
         """
-        self._check_open()
-        groups = [(label, list(plans)) for label, plans in groups]
-        # the tracker must exist before dispatch so fork-based backends
-        # can warm it and let children inherit the golden trace
-        self._tracker_for_analysis()
-        group_keys: list[list[str]] = []
-        results: list[list[Optional[dict[str, set[str]]]]] = []
-        # one traced run per unique key; duplicates are aliased
-        waiting: dict[str, list[tuple[int, int]]] = {}
-        owner: dict[str, tuple[int, int]] = {}
-        for g_i, (_label, plans) in enumerate(groups):
-            keys = [plan_key(self.program_fp, p, max_instr) for p in plans]
-            group_keys.append(keys)
-            results.append([None] * len(plans))
-            for i, key in enumerate(keys):
-                waiting.setdefault(key, []).append((g_i, i))
-                owner.setdefault(key, (g_i, i))
-
-        unique, shards, group_shard_base, group_shards, shard_plans = \
-            self._shard_groups(groups, owner)
-        if self.warm_start and any(shard_plans):
-            # traced runs warm-start from the golden ladder too: build
-            # it before the fork, as run_plan_groups does
-            self._tracker_for_analysis().warm_ladder()
-
-        totals = [len(plans) for _label, plans in groups]
-        done = [0] * len(groups)
-        for s_i, pairs in self.backend.analyze_shards(shard_plans,
-                                                      max_instr):
-            g_i, indices = shards[s_i]
-            label, plans = groups[g_i]
-            for i, (value, patterns) in zip(indices, pairs):
-                for a_g, a_i in waiting[group_keys[g_i][i]]:
-                    # fresh sets per alias: callers may mutate them
-                    results[a_g][a_i] = {region: set(pats)
-                                         for region, pats
-                                         in patterns.items()}
-                    done[a_g] += 1
-                self._cache_manifestation(plans[i], value, max_instr)
-            self.executed += len(indices)
-            self._emit_analysis_progress(on_progress, done[g_i],
-                                         totals[g_i],
-                                         s_i - group_shard_base[g_i] + 1,
-                                         group_shards[g_i], label=label)
-        for g_i, (label, _plans) in enumerate(groups):
-            if group_shards[g_i] == 0:
-                self._emit_analysis_progress(on_progress, totals[g_i],
-                                             totals[g_i], 0, 0,
-                                             label=label)
-        self.cache.flush()
-        return results  # type: ignore[return-value]
+        from repro.faults.analysis import AnalysisPlan
+        return self._dispatch_groups(
+            [(label, [AnalysisPlan(p) for p in plans])
+             for label, plans in groups],
+            max_instr, on_progress, use_cache=True, traced=True)
 
     def _tracker_for_analysis(self):
         if self._tracker is None:
@@ -455,22 +447,6 @@ class ExecutionEngine:
             self._tracker = FlipTracker(self.program, workers=1,
                                         warm_start=self.warm_start)
         return self._tracker
-
-    def _cache_manifestation(self, plan: FaultPlan, value: str,
-                             max_instr: Optional[int]) -> None:
-        if max_instr is not None:
-            self.cache.put(plan_key(self.program_fp, plan, max_instr),
-                           value, meta={"plan": encode_plan(plan),
-                                        "label": "analysis"})
-
-    @staticmethod
-    def _emit_analysis_progress(on_progress, done: int, total: int,
-                                shard: int, shards: int,
-                                label: str = "analysis") -> None:
-        if on_progress is not None:
-            on_progress(ProgressEvent(label=label, phase="analysis",
-                                      done=done, total=total,
-                                      shard=shard, shards=shards))
 
     # ------------------------------------------------------------ stats
     def stats(self) -> dict:

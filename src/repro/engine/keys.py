@@ -36,14 +36,21 @@ def encode_plan(plan) -> dict:
     """Canonical JSON-safe dict image of a plan (cache/spill encoding).
 
     Recovery plans (:class:`~repro.recovery.plan.RecoveryPlan`) encode
-    as their wrapped fault plus a ``recovery`` sub-dict — the extra
-    field makes their keys disjoint from plain campaign keys without a
-    KEY_VERSION bump (plain plans never carry it).
+    as their wrapped fault plus a ``recovery`` sub-dict, analysis plans
+    (:class:`~repro.faults.analysis.AnalysisPlan`) as their wrapped
+    fault plus ``"analysis": true`` — the extra field makes their keys
+    disjoint from plain campaign keys (and from each other) without a
+    KEY_VERSION bump (plain plans never carry either).
     """
     if isinstance(plan, FaultPlan):
         return {f: getattr(plan, f) for f in _PLAN_FIELDS}
+    from repro.faults.analysis import AnalysisPlan
     payload = {f: getattr(plan.fault, f) for f in _PLAN_FIELDS}
-    payload["recovery"] = {f: getattr(plan, f) for f in _RECOVERY_FIELDS}
+    if isinstance(plan, AnalysisPlan):
+        payload["analysis"] = True
+    else:
+        payload["recovery"] = {f: getattr(plan, f)
+                               for f in _RECOVERY_FIELDS}
     return payload
 
 
@@ -52,6 +59,9 @@ def decode_plan(payload: Mapping):
     fault = FaultPlan(trigger=payload["trigger"], mode=payload["mode"],
                       bit=payload["bit"], loc=payload.get("loc"),
                       width=payload.get("width", 64))
+    if payload.get("analysis"):
+        from repro.faults.analysis import AnalysisPlan
+        return AnalysisPlan(fault)
     recovery = payload.get("recovery")
     if recovery is None:
         return fault

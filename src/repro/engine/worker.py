@@ -2,10 +2,10 @@
 
 One module-level state dict serves both start methods:
 
-* **fork** — the parent calls :func:`configure_parent_state` right
-  before creating the pool; children inherit the built program (and,
-  when bound, the whole warmed tracker with its golden trace) via
-  copy-on-write, so nothing large ever crosses a pipe;
+* **fork** — the parent creates the pool inside :func:`fork_state`;
+  children inherit the built program (and, when bound, the whole
+  warmed tracker with its golden trace) via copy-on-write, so nothing
+  large ever crosses a pipe;
 * **spawn** — :func:`init_spawn_worker` rebuilds the program from the
   app registry inside the child; traced analyses lazily build a
   private tracker there (one golden trace per worker, amortized over
@@ -15,26 +15,38 @@ Task payloads carry explicit indices so the engine can reassemble
 results in plan order no matter the arrival order — the root of the
 workers=1 vs workers=N determinism guarantee.
 
-These tasks serve the :class:`~repro.engine.backends.local.
-LocalPoolBackend`; shard servers execute the equivalent request bodies in
-:mod:`repro.engine.backends.protocol` instead — both sort pattern
-sets into lists so the two paths produce byte-identical tables.
+The task serves the :class:`~repro.engine.backends.local.
+LocalPoolBackend`; shard servers execute the equivalent request body in
+:mod:`repro.engine.backends.protocol` instead — both through
+:func:`~repro.faults.campaign.execute_plan`, so the two paths produce
+byte-identical values for every plan kind.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Optional, Sequence
-
-from repro.vm.fault import FaultPlan
 
 #: per-process worker state: {"program": Program, "tracker": FlipTracker|None}
 _STATE: dict = {}
 
 
-def configure_parent_state(program, tracker=None) -> None:
-    """Install state in the *parent* for fork children to inherit."""
+@contextlib.contextmanager
+def fork_state(program, tracker=None):
+    """Install state in the *parent* for the children forked inside.
+
+    On exit the parent drops its tracker reference: the children hold
+    their own copy, and a parent-side one would pin the tracker — and
+    through it the engine and its pool — so an engine dropped without
+    ``close()`` could never be collected.  The program stays for
+    workers the pool forks later; they build a private tracker lazily.
+    """
     _STATE["program"] = program
     _STATE["tracker"] = tracker
+    try:
+        yield
+    finally:
+        _STATE["tracker"] = None
 
 
 def clear_parent_state() -> None:
@@ -60,16 +72,15 @@ def _tracker():
 
 
 def run_plans_task(task: tuple[int, Optional[int], str, object,
-                               Sequence[FaultPlan]]
-                   ) -> tuple[int, list[str]]:
-    """Execute one chunk of untraced faulty runs -> outcome values.
+                               Sequence]) -> tuple[int, list[str]]:
+    """Execute one chunk of plans of any kind -> outcome values.
 
     The engine's resolved execution tier and warm-start setting ride in
     the payload so pool workers never depend on environment inheritance
-    for an *explicit* engine option.  Recovery plans resolve this
-    worker's tracker (fork children inherit the parent's warmed
-    recovery context and snapshot ladder via copy-on-write; spawn
-    workers derive their own, identical ones).
+    for an *explicit* engine option.  Recovery and analysis plans
+    resolve this worker's tracker (fork children inherit the parent's
+    warmed golden trace, recovery context and snapshot ladder via
+    copy-on-write; spawn workers derive their own, identical ones).
     """
     from repro.faults.campaign import execute_plan
     index, max_instr, exec_tier, warm_start, plans = task
@@ -79,18 +90,3 @@ def run_plans_task(task: tuple[int, Optional[int], str, object,
                                 tracker_factory=_tracker,
                                 warm_start=warm_start)
                    for plan in plans]
-
-
-def analyze_task(task: tuple[int, FaultPlan]
-                 ) -> tuple[int, str, dict[str, list[str]]]:
-    """One traced analysis -> (index, manifestation, patterns-by-region).
-
-    The result travels in the canonical
-    :func:`~repro.engine.backends.protocol.encode_analysis` image
-    (pattern sets as sorted lists) — one encoder for the pool and the
-    wire paths, so cross-backend byte-parity cannot drift.
-    """
-    from repro.engine.backends.protocol import encode_analysis
-    index, plan = task
-    encoded = encode_analysis(_tracker().analyze_injection(plan))
-    return index, encoded["m"], encoded["patterns"]

@@ -6,46 +6,18 @@
   stay in the pytest process for the rest of the session.  Each cached
   bundle's shared tracker is closed first, so its engine releases
   pools and sockets.
-* A module that leaves live child processes behind fails: after its
-  teardown, ``multiprocessing.active_children()`` must drain within a
-  few seconds.  Each straggler is reported once, by the module that
-  left it, so one leak does not fail every later module.  Stragglers
-  are not killed: a pool whose workers die would start new ones.
+* A module that leaves live child processes behind fails (the shared
+  ``no_leaked_children`` guard of the root ``conftest.py``).
 """
-
-import multiprocessing
-import time
 
 import pytest
 
 from repro import golden
 
-#: how long finished children get to be reaped after a module
-CHILD_GRACE_S = 10.0
-
-#: pids of the stragglers already reported
-_REPORTED: set = set()
-
-
-def _stragglers() -> list:
-    return [child for child in multiprocessing.active_children()
-            if child.pid not in _REPORTED]
-
 
 @pytest.fixture(scope="module", autouse=True)
-def _no_leaked_children(request):
+def _no_leaked_children(no_leaked_children):
     yield
-    deadline = time.monotonic() + CHILD_GRACE_S
-    children = _stragglers()
-    while children and time.monotonic() < deadline:
-        time.sleep(0.05)
-        children = _stragglers()
-    if children:
-        _REPORTED.update(child.pid for child in children)
-        names = sorted(f"{child.name} (pid {child.pid})"
-                       for child in children)
-        pytest.fail(f"{request.module.__name__} left live child processes: "
-                    f"{', '.join(names)}", pytrace=False)
 
 
 @pytest.fixture(scope="module", autouse=True)

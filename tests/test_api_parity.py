@@ -21,6 +21,7 @@ from repro.api import (AnalysisSpec, CampaignSpec, Experiment,
 from repro.apps import REGISTRY
 from repro.core import FlipTracker
 from repro.engine.backends import LocalPoolBackend
+from repro.faults.analysis import AnalysisPlan
 from repro.faults.sites import NoFaultSitesError
 
 SEED = 424242
@@ -28,7 +29,8 @@ N = 4
 
 
 class CountingBackend(LocalPoolBackend):
-    """Local backend that counts dispatches (= backend fan-outs)."""
+    """Local backend that counts dispatches (= backend fan-outs),
+    campaign and traced-analysis batches apart."""
 
     def __init__(self):
         super().__init__()
@@ -36,12 +38,11 @@ class CountingBackend(LocalPoolBackend):
         self.analyze_dispatches = 0
 
     def run_shards(self, shards, max_instr):
-        self.run_dispatches += 1
+        if shards and isinstance(shards[0][0], AnalysisPlan):
+            self.analyze_dispatches += 1
+        else:
+            self.run_dispatches += 1
         return super().run_shards(shards, max_instr)
-
-    def analyze_shards(self, shards, max_instr):
-        self.analyze_dispatches += 1
-        return super().analyze_shards(shards, max_instr)
 
 
 def fresh_tracker(app: str, backend=None) -> FlipTracker:

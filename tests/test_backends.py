@@ -29,6 +29,8 @@ from repro.engine.backends import (ShardServer, SocketBackend,
                                    parse_addresses, resolve_backend)
 from repro.engine.backends import protocol
 from repro.engine.backends.base import reassemble
+from repro.engine.cache import SPILL_NAME
+from repro.faults.analysis import AnalysisPlan, decode_analysis
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="worker processes need fork here")
@@ -183,8 +185,7 @@ class TestSocketBackend:
 # --------------------------------------------------------- socket failure
 class DroppingServer(ShardServer):
     """Shard server that abruptly drops the first ``drop_first``
-    requests (``run`` and ``analyze`` alike) mid-shard, accepting
-    reconnects afterwards."""
+    requests mid-shard, accepting reconnects afterwards."""
 
     def __init__(self, program, drop_first: int):
         super().__init__(program, port=0)
@@ -209,7 +210,7 @@ class DroppingServer(ShardServer):
                         self._drop_remaining -= 1
                 if drop:
                     return  # vanish mid-shard, no reply
-                # the real op dispatch (run/analyze), counters included
+                # the real op dispatch, counters included
                 protocol.send_msg(conn, self._dispatch(msg))
         except (OSError, protocol.ProtocolError):
             pass
@@ -250,36 +251,54 @@ class TestSocketRetry:
                 eng.close()
 
 
-# ----------------------------------------------------------- ANALYZE op
+# ------------------------------------------------- analysis plans in run
 def sequential_analyses(plans):
     """Reference traced results on a fresh sequential tracker."""
     with FlipTracker(tiny_program(), seed=9) as ft:
         return ft._analyze_many(plans)
 
 
+def analysis_frame(shard, plans):
+    """A ``run`` frame whose plans are traced analyses."""
+    return protocol.run_request(shard, [AnalysisPlan(p) for p in plans],
+                                None)
+
+
 class TestAnalyzeOp:
-    """Failure paths and happy paths of the ANALYZE shard operation."""
+    """Traced analyses as analysis plans in ``run`` shards: happy paths,
+    in-band errors, handshake rejection, retry, worker death, malformed
+    replies and duplicate aliasing."""
 
     def test_protocol_roundtrip_is_sorted_lists(self):
         prog = tiny_program()
         ft = FlipTracker(prog, seed=9)
         plans = ft.make_plans(loop_instance(ft), "internal", 2)
-        from repro.engine.keys import encode_plan
-        reply = protocol.execute_analyze_request(
-            ft, {"op": "analyze", "shard": 5,
-                 "plans": [encode_plan(p) for p in plans]})
-        assert reply["op"] == "analyzed" and reply["shard"] == 5
-        assert len(reply["results"]) == 2
-        for result in reply["results"]:
-            assert isinstance(result["m"], str)
-            for pats in result["patterns"].values():
+        msg = analysis_frame(5, plans)
+        assert all(p["analysis"] is True for p in msg["plans"])
+        reply = protocol.execute_request(prog, msg,
+                                         tracker_factory=lambda: ft)
+        assert reply["op"] == "result" and reply["shard"] == 5
+        values = protocol.decode_run_values(
+            reply, [AnalysisPlan(p) for p in plans])
+        for value in values:
+            m, patterns = decode_analysis(value)
+            assert isinstance(m, str)
+            for pats in patterns.values():
                 assert pats == sorted(pats)  # canonical wire image
 
     def test_execute_analyze_reports_errors_in_band(self):
         ft = FlipTracker(tiny_program(), seed=9)
-        reply = protocol.execute_analyze_request(
-            ft, {"op": "analyze", "shard": 2, "plans": [{"bogus": 1}]})
+        reply = protocol.execute_request(
+            tiny_program(), {"op": "run", "shard": 2,
+                             "plans": [{"bogus": 1, "analysis": True}]},
+            tracker_factory=lambda: ft)
         assert reply["op"] == "error" and reply["shard"] == 2
+        assert reply["code"] == protocol.ERR_EXEC
+        # a worker without a tracker refuses analysis plans in-band
+        plans = ft.make_plans(loop_instance(ft), "internal", 1)
+        reply = protocol.execute_request(tiny_program(),
+                                         analysis_frame(3, plans))
+        assert reply["op"] == "error" and reply["shard"] == 3
         assert reply["code"] == protocol.ERR_EXEC
 
     def test_socket_analyze_end_to_end(self):
@@ -297,8 +316,8 @@ class TestAnalyzeOp:
                                        ft.faulty_budget) for p in plans})
                 results = eng.analyze_plans(plans,
                                             max_instr=ft.faulty_budget)
-            # one ANALYZE frame per shard of unique plans
-            assert srv.analyses_served == -(-unique // 2)
+            # one run frame per shard of unique plans
+            assert srv.shards_served == -(-unique // 2)
         assert results == baseline
 
     def test_analyze_server_fallback_when_unreachable(self):
@@ -325,7 +344,7 @@ class TestAnalyzeOp:
                 with ExecutionEngine(tiny_program(),
                                      backend=backend) as eng:
                     eng.analyze_plans(plans, max_instr=ft.faulty_budget)
-            assert srv.rejected == 1 and srv.analyses_served == 0
+            assert srv.rejected == 1 and srv.shards_served == 0
 
     def test_analyze_mid_shard_drop_retries_once(self):
         prog = tiny_program()
@@ -340,19 +359,19 @@ class TestAnalyzeOp:
                 results = eng.analyze_plans(plans,
                                             max_instr=ft.faulty_budget)
             # the dropped shard was re-sent once; every shard answered
-            assert srv.run_requests == srv.analyses_served + 1
+            assert srv.run_requests == srv.shards_served + 1
         assert results == baseline
 
     @needs_fork
     def test_analyze_dead_pool_worker_fails_shard(self, monkeypatch):
-        """A pool worker dying mid-ANALYZE must fail the shard with its
+        """A pool worker dying mid-analysis must fail the shard with its
         index (and close() must report it), like the campaign path."""
         import repro.engine.worker as worker_mod
         prog = tiny_program()
         ft = FlipTracker(prog, seed=9)
         plans = ft.make_plans(loop_instance(ft), "internal", 8)
         eng = ExecutionEngine(tiny_program(), workers=2, min_parallel=1)
-        monkeypatch.setattr(worker_mod, "analyze_task", _exit_worker)
+        monkeypatch.setattr(worker_mod, "run_plans_task", _exit_worker)
         with pytest.raises(EngineError, match="shard 0"):
             eng.analyze_plans(plans, max_instr=ft.faulty_budget)
         assert eng.backend.failed_shard == 0
@@ -361,14 +380,12 @@ class TestAnalyzeOp:
 
     def test_malformed_analyzed_reply_fails_not_hangs(self):
         """A rogue server passing the handshake but replying null
-        results must fail the shard through the retry machinery — a
+        values must fail the shard through the retry machinery — a
         bounded EngineError, never a dead thread and a hung engine."""
         class RogueServer(ShardServer):
             def _dispatch(self, msg):
-                if msg.get("op") == "analyze":
-                    return {"op": "analyzed", "shard": msg["shard"],
-                            "results": [None] * len(msg["plans"])}
-                return super()._dispatch(msg)
+                return {"op": "result", "shard": msg["shard"],
+                        "values": [None] * len(msg["plans"])}
 
         prog = tiny_program()
         ft = FlipTracker(prog, seed=9)
@@ -381,6 +398,42 @@ class TestAnalyzeOp:
                 eng.analyze_plans(plans, max_instr=ft.faulty_budget)
             with pytest.raises(EngineError, match="failed"):
                 eng.close()
+
+    @pytest.mark.parametrize("analyze,bad", [
+        (False, 1),
+        (False, "bogus"),
+        (True, 1),
+        (True, '{"m":1,"patterns":{}}'),
+        (True, '{"m":"success","patterns":{"w0":"DO"}}'),
+        (True, "not json"),
+    ])
+    def test_ill_typed_values_fail_and_cache_nothing(self, tmp_path,
+                                                     analyze, bad):
+        """A value of the wrong type or shape never reaches the cache
+        or its spill: the shard fails through the retry path instead."""
+        class RogueServer(ShardServer):
+            def _dispatch(self, msg):
+                self.shards_served += 1
+                return {"op": "result", "shard": msg["shard"],
+                        "values": [bad] * len(msg["plans"])}
+
+        prog = tiny_program()
+        ft = FlipTracker(prog, seed=9)
+        plans = ft.make_plans(loop_instance(ft), "internal", 3)
+        with RogueServer(tiny_program(), port=0).start() as srv:
+            backend = SocketBackend([("127.0.0.1", srv.port)],
+                                    fallback=False)
+            eng = ExecutionEngine(tiny_program(), backend=backend,
+                                  cache_dir=str(tmp_path))
+            run = eng.analyze_plans if analyze else eng.run_plans
+            with pytest.raises(EngineError, match="failed twice"):
+                run(plans, max_instr=ft.faulty_budget)
+            assert srv.shards_served == 2  # the shard and its one retry
+            with pytest.raises(EngineError, match="failed"):
+                eng.close()
+        assert len(eng.cache) == 0
+        spill = tmp_path / SPILL_NAME
+        assert not spill.exists() or spill.read_text() == ""
 
     def test_duplicate_plans_analyzed_once(self):
         prog = tiny_program()
@@ -397,6 +450,22 @@ class TestAnalyzeOp:
             pats.add("MUTATED")
         assert all("MUTATED" not in pats
                    for pats in results[1].values())
+
+
+    def test_analyze_shards_adapter_delegates_to_run_shards(self):
+        """``Backend.analyze_shards`` is an adapter over ``run_shards``:
+        same shard order, values decoded to ``(m, sorted patterns)``."""
+        prog = tiny_program()
+        ft = FlipTracker(prog, seed=9)
+        plans = ft.make_plans(loop_instance(ft), "internal", 3)
+        baseline = sequential_analyses(plans)
+        with ExecutionEngine(tiny_program()) as eng:
+            pairs = list(eng.backend.analyze_shards(
+                [plans[:2], plans[2:]], ft.faulty_budget))
+        assert [index for index, _values in pairs] == [0, 1]
+        decoded = [pair for _index, values in pairs for pair in values]
+        assert [{region: set(pats) for region, pats in patterns.items()}
+                for _m, patterns in decoded] == baseline
 
 
 # --------------------------------------------------------- handshake v2
@@ -416,6 +485,16 @@ class TestHandshakeVersioning:
         accepted, reply = protocol.hello_reply(
             {"op": "hello", "pv": protocol.PROTOCOL_VERSION + 1,
              "v": 1, "fp": "fp"}, "fp")
+        assert not accepted
+        assert reply["code"] == protocol.ERR_PROTOCOL_VERSION
+
+    def test_v4_client_refused(self):
+        """Version 5 retired the ANALYZE op: a v4 peer would run an
+        analysis plan as its bare fault, so the handshake refuses it."""
+        assert protocol.PROTOCOL_VERSION == 5
+        accepted, reply = protocol.hello_reply(
+            {"op": "hello", "pv": 4, "v": protocol.KEY_VERSION,
+             "fp": "fp"}, "fp")
         assert not accepted
         assert reply["code"] == protocol.ERR_PROTOCOL_VERSION
 
@@ -497,7 +576,7 @@ class TestCliBackendFlag:
             assert srv.shards_served >= 1
 
     def test_patterns_over_socket_backend(self, capsys):
-        """The Table I sweep ships ANALYZE shards to the shard server."""
+        """The Table I sweep ships analysis plans to the shard server."""
         from repro.cli import main
         with ShardServer(REGISTRY.build("kmeans"), port=0).start() as srv:
             code = main(["--seed", "3", "--backend", "socket",
@@ -506,7 +585,7 @@ class TestCliBackendFlag:
                          "--loop-only"])
             out = capsys.readouterr().out
             assert code == 0 and "resilience patterns" in out
-            assert srv.analyses_served >= 1
+            assert srv.shards_served >= 1
 
     def test_serve_parser_accepts_host_port(self):
         from repro.cli import build_parser

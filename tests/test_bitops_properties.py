@@ -8,7 +8,9 @@ Hypothesis checks the algebra the injector and the plan cache lean on:
 * a :class:`~repro.vm.fault.FaultPlan` survives the engine's cache-key
   encoding round-trip, and the content-addressed key is a function of
   the plan's *content* — stable under re-encoding, different for any
-  field perturbation.
+  field perturbation; an :class:`~repro.faults.analysis.AnalysisPlan`
+  round-trips too, with a key disjoint from the plain and recovery
+  keys of the same flip.
 """
 
 import json
@@ -16,6 +18,8 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.keys import decode_plan, encode_plan, plan_key
+from repro.faults.analysis import AnalysisPlan
+from repro.recovery.plan import DETECTORS, POLICIES, RecoveryPlan
 from repro.vm.bitops import (bits_to_float64, flip_float64, flip_int,
                              flip_value, float64_to_bits, to_signed,
                              to_unsigned)
@@ -137,3 +141,22 @@ class TestPlanKeyEncoding:
         key = plan_key("fp", plan, None)
         assert len(key) == 64
         int(key, 16)
+
+    @given(fault_plans(), st.sampled_from(DETECTORS),
+           st.sampled_from(POLICIES))
+    @settings(max_examples=100, deadline=None)
+    def test_analysis_plan_roundtrip_and_disjoint_keys(self, plan,
+                                                       detector, policy):
+        """An analysis plan round-trips through the JSON image, and its
+        key differs from the plain and recovery keys of the same flip."""
+        analysis = AnalysisPlan(plan)
+        wire = json.loads(json.dumps(encode_plan(analysis)))
+        assert decode_plan(wire) == analysis
+        recovery = RecoveryPlan(fault=plan, detector=detector,
+                                policy=policy)
+        keys = {plan_key("fp", p, 1000)
+                for p in (plan, analysis, recovery)}
+        assert len(keys) == 3
+        assert plan_key("fp", decode_plan(wire), 1000) == \
+            plan_key("fp", analysis, 1000)
+

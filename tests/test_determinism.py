@@ -186,9 +186,10 @@ def patterns_baseline() -> bytes:
 class TestAnalysisBackendParity:
     """Traced analyses are byte-identical across every backend.
 
-    ``region_patterns`` dispatches ``ANALYZE`` shards through the
-    engine's backend (pattern tables travel as sorted lists — see
-    ``docs/protocol.md``); ``shard_size=2`` forces several analysis
+    ``region_patterns`` dispatches analysis plans in ``run`` shards
+    through the engine's backend (pattern tables travel as sorted
+    lists — see ``docs/protocol.md``); ``shard_size=2`` forces several
+    analysis
     shards so in-order reassembly is exercised, exactly as in the
     campaign parity class.
     """

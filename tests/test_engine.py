@@ -2,6 +2,7 @@
 
 import gc
 import json
+import multiprocessing
 import os
 import warnings
 
@@ -306,6 +307,21 @@ class TestPersistentPool:
         del eng  # no close()
         gc.collect()  # the pool's finalizer terminates and reaps workers
         assert not any(_pid_running(pid) for pid in pids)
+
+    def test_dropped_tracker_terminates_its_workers(self):
+        """A tracker-bound engine is collectable once its pool has
+        forked: nothing in the worker module pins the tracker."""
+        if not hasattr(os, "fork"):
+            pytest.skip("needs fork")
+        ft = FlipTracker(tiny_program(), seed=9, workers=2)
+        ft._analyze_many(ft.make_plans(loop_instance(ft), "internal", 6))
+        pids = set(ft.engine.backend._worker_pids)
+        assert len(pids) == 2
+        del ft  # no close()
+        gc.collect()
+        assert not any(_pid_running(pid) for pid in pids)
+        assert not {child.pid for child in
+                    multiprocessing.active_children()} & pids
 
     def test_analysis_caches_manifestations(self):
         """A traced analysis warms the cache for an untraced campaign."""
