@@ -32,7 +32,7 @@ APPS = ("kmeans", "cg")
 def test_warm_start_speedup():
     report = measure_warmstart(
         apps=APPS, count=scaled(30),
-        tracker_factory=lambda app: tracker(app))
+        trackers={app: tracker(app) for app in APPS})
 
     rows = []
     for app, r in report["apps"].items():

@@ -93,23 +93,23 @@ def measure_app(tracker, count: int) -> dict:
 
 
 def measure_warmstart(apps=("kmeans", "cg"), count: int = 30,
-                      tracker_factory=None) -> dict:
+                      trackers=None) -> dict:
     """The full measurement: one entry per app + the overall verdict.
 
-    ``tracker_factory(app) -> FlipTracker`` lets callers share
-    session-cached trackers (the pytest benchmarks do); the default
-    builds a fresh sequential tracker per app.
+    ``trackers`` (app name -> FlipTracker) lets callers share
+    session-cached trackers (the pytest benchmarks do); an app without
+    one gets a fresh sequential tracker.
     """
-    if tracker_factory is None:
-        from repro.apps import REGISTRY
-        from repro.core import FlipTracker
-
-        def tracker_factory(app):
-            return FlipTracker(REGISTRY.build(app), seed=20181111,
-                               workers=1)
-
-    per_app = {app: measure_app(tracker_factory(app), count)
-               for app in apps}
+    from repro.apps import REGISTRY
+    from repro.core import FlipTracker
+    trackers = trackers or {}
+    per_app = {}
+    for app in apps:
+        tracker = trackers.get(app)
+        if tracker is None:
+            tracker = FlipTracker(REGISTRY.build(app), seed=20181111,
+                                  workers=1)
+        per_app[app] = measure_app(tracker, count)
     return {
         "benchmark": "warmstart",
         "tail": TAIL,

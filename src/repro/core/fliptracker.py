@@ -47,6 +47,7 @@ from repro.trace.events import Trace, TraceMeta
 from repro.trace.index import TraceIndex
 from repro.util.rng import DeterministicRNG
 from repro.vm.errors import VMError
+from repro.vm.exec_tier import resolve_exec_tier
 from repro.vm.fault import FaultPlan
 from repro.warmstart import resolve_warmstart, warm_start_interp
 
@@ -241,9 +242,9 @@ class FlipTracker:
         ``backend`` is unset); see :mod:`repro.service`.
     exec_tier:
         VM execution tier for every run this tracker performs (golden
-        trace, traced analyses, campaign shards):
-        ``"compiled"``/``"interp"``; ``None`` resolves ``REPRO_EXEC``,
-        else ``"compiled"``.
+        trace, capture replay, traced analyses, every plan its engine
+        runs): ``"compiled"``/``"interp"``; ``None`` resolves
+        ``REPRO_EXEC``, else ``"compiled"``.
         Byte-identical observables on either tier.
     warm_start:
         Golden snapshot-ladder warm start for campaign, recovery and
@@ -256,6 +257,12 @@ class FlipTracker:
         ``program`` object (service processes pass the process-wide
         cached one); ``None`` builds a private bundle on this tracker's
         exec tier.
+
+    The two run settings are resolved once, here, and kept as
+    :attr:`exec_tier` (a tier name) and :attr:`warm_start` (a bool):
+    every executor — the sequential path, pool workers and shard
+    servers — runs plans on a tracker through
+    :func:`~repro.faults.campaign.execute_plan`, which reads them.
     """
 
     def __init__(self, program: Program, seed: int = 1234,
@@ -275,11 +282,11 @@ class FlipTracker:
         self.backend = backend
         self.backend_addr = backend_addr
         self.registry = registry
-        self.exec_tier = exec_tier
-        self.warm_start = warm_start
+        self.exec_tier = resolve_exec_tier(exec_tier)
+        self.warm_start = resolve_warmstart(warm_start)
         self._engine: Optional[ExecutionEngine] = None
         self._golden = golden if golden is not None \
-            else GoldenArtifacts(program, exec_tier)
+            else GoldenArtifacts(program, self.exec_tier)
         self._rates: Optional[PatternRates] = None
 
     # ------------------------------------------------------------ engine
@@ -291,8 +298,7 @@ class FlipTracker:
                 self.program, workers=self.workers,
                 cache_dir=self.cache_dir, resume=self.resume,
                 shard_size=self.shard_size, backend=self.backend,
-                backend_addr=self.backend_addr, registry=self.registry,
-                exec_tier=self.exec_tier, warm_start=self.warm_start)
+                backend_addr=self.backend_addr, registry=self.registry)
             self._engine.bind_tracker(self)
         return self._engine
 
@@ -532,8 +538,7 @@ class FlipTracker:
         """
         golden = self._traced_golden()
         ff = golden.trace
-        ladder = self.warm_ladder() if resolve_warmstart(self.warm_start) \
-            else None
+        ladder = self.warm_ladder() if self.warm_start else None
         interp = self.program.fresh_interpreter(
             trace=True, fault=plan, max_instr=self.faulty_budget,
             exec_tier=self.exec_tier)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.acl.table import same_value
 from repro.dddg.builder import DDDG, build_dddg
 from repro.regions.model import RegionInstance, split_instances
 from repro.regions.variables import classify_io
@@ -85,12 +86,6 @@ class RegionComparison:
         return ", ".join(bits)
 
 
-def _same(a, b) -> bool:
-    if a == b:
-        return True
-    return a != a and b != b  # NaN == NaN for our purposes
-
-
 def compare_instance(ff_records: Sequence, ff_index: TraceIndex,
                      ff_inst: RegionInstance,
                      faulty_records: Sequence,
@@ -125,7 +120,7 @@ def compare_instance(ff_records: Sequence, ff_index: TraceIndex,
             v_f = faulty_dddg.sources[loc].value
         else:
             continue  # never consumed in the faulty slice
-        if not _same(v_ff, v_f):
+        if not same_value(v_ff, v_f):
             cmp.corrupted_inputs[loc] = (v_ff, v_f)
             cmp.input_magnitudes[loc] = error_magnitude(v_ff, v_f)
 
@@ -134,7 +129,7 @@ def compare_instance(ff_records: Sequence, ff_index: TraceIndex,
         found, v_f = faulty_dddg.value_of(loc)
         if not found:
             continue
-        if not _same(v_ff, v_f):
+        if not same_value(v_ff, v_f):
             cmp.corrupted_outputs[loc] = (v_ff, v_f)
             cmp.output_magnitudes[loc] = error_magnitude(v_ff, v_f)
 

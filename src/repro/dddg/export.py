@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.acl.table import same_value
 from repro.dddg.builder import CONST, DDDG, DEF, SINK, SOURCE
 from repro.ir import opcodes as oc
 
@@ -60,8 +61,8 @@ def to_dot(dddg: DDDG, title: Optional[str] = None,
             style = 'shape=box, style=filled, fillcolor="#d0ffd0"'
         corrupt = (ref_nodes is not None
                    and node.nid < len(ref_nodes)
-                   and not _values_match(ref_nodes[node.nid].value,
-                                         node.value))
+                   and not same_value(ref_nodes[node.nid].value,
+                                      node.value))
         extra = ', color=red, penwidth=2.5' if corrupt else ""
         lines.append(f'  n{node.nid} [label="{_escape(node.label())}", '
                      f"{style}{extra}];")
@@ -70,9 +71,3 @@ def to_dot(dddg: DDDG, title: Optional[str] = None,
         lines.append(f'  n{u} -> n{v} [label="{_escape(opn)}"];')
     lines.append("}")
     return "\n".join(lines)
-
-
-def _values_match(a, b) -> bool:
-    if a == b:
-        return True
-    return a != a and b != b

@@ -18,7 +18,8 @@ operation, :meth:`Backend.run_shards`:
 * ``values`` holds one outcome string per plan, in plan order — a
   manifestation, an encoded recovery outcome or an encoded traced
   analysis (:func:`~repro.faults.campaign.execute_plan` produces all
-  three).
+  three, on a tracker whose VM tier and warm start decide how the
+  run executes, never what it yields).
 
 Because the engine alone touches the :class:`~repro.engine.cache.
 PlanCache` and assembles results by plan index, any backend that
@@ -89,20 +90,14 @@ class Backend:
                        max_instr: Optional[int]) -> list[str]:
         """In-process reference execution (shared fallback path).
 
-        Recovery and analysis plans resolve the engine's analysis
-        tracker (building one if the engine was created standalone) —
-        they need its golden-side artifacts, which are a pure function
-        of the program, so this path stays byte-identical to every
-        distributed substrate.
+        Every plan runs on the engine's tracker (built on first use if
+        the engine was created standalone); its golden-side artifacts
+        are a pure function of the program, so this path stays
+        byte-identical to every distributed substrate.
         """
         from repro.faults.campaign import execute_plan
-        tier = self.engine.exec_tier
-        return [execute_plan(self.engine.program, plan, max_instr,
-                             exec_tier=tier,
-                             tracker_factory=self.engine
-                             ._tracker_for_analysis,
-                             warm_start=self.engine.warm_start)
-                for plan in plans]
+        tracker = self.engine.tracker
+        return [execute_plan(tracker, plan, max_instr) for plan in plans]
 
 
 def reassemble(completions, n_shards: int

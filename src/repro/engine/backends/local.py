@@ -2,8 +2,8 @@
 
 Behavior-preserving extraction of the pool logic that used to live in
 :class:`~repro.engine.core.ExecutionEngine`: one persistent
-``multiprocessing.Pool`` per engine (fork children inherit the built
-program — and, when a tracker is bound, its warmed golden trace —
+``multiprocessing.Pool`` per engine (fork children inherit the
+engine's tracker — program, run settings and warmed golden trace —
 copy-on-write), small shards run sequentially in-process
 (``min_parallel``), and results are reassembled in task order.  Every
 plan kind — campaign, recovery and traced-analysis plans — runs
@@ -67,10 +67,10 @@ class LocalPoolBackend(Backend):
         if self._pool is not None:
             return self._pool
         engine = self.engine
+        tracker = engine.tracker
         if hasattr(os, "fork"):
-            if engine._tracker is not None:
-                engine._warm_tracker()
-            with worker_mod.fork_state(engine.program, engine._tracker):
+            engine._warm_tracker()
+            with worker_mod.fork_state(tracker):
                 self._pool = mp.get_context("fork").Pool(engine.workers)
         else:  # pragma: no cover - no fork on this platform
             from repro.apps.base import REGISTRY
@@ -83,7 +83,8 @@ class LocalPoolBackend(Backend):
             ctx = mp.get_context("spawn")
             self._pool = ctx.Pool(
                 engine.workers, initializer=worker_mod.init_spawn_worker,
-                initargs=(engine.program.name, engine.program.params))
+                initargs=(engine.program.name, engine.program.params,
+                          tracker.exec_tier, tracker.warm_start))
         self._worker_pids = {w.pid for w in self._pool._pool}
         # an engine dropped without close() still terminates its
         # workers; the finalizer holds the pool, never the backend
@@ -126,8 +127,7 @@ class LocalPoolBackend(Backend):
         if pool is None:
             return self.run_sequential(plans, max_instr)
         chunk = max(1, -(-len(plans) // (self.engine.workers * 4)))
-        tasks = [(j, max_instr, self.engine.exec_tier,
-                  self.engine.warm_start, plans[j:j + chunk])
+        tasks = [(j, max_instr, plans[j:j + chunk])
                  for j in range(0, len(plans), chunk)]
         parts: dict[int, list[str]] = {}
         it = pool.imap_unordered(worker_mod.run_plans_task, tasks)
@@ -139,7 +139,7 @@ class LocalPoolBackend(Backend):
                 continue
             parts[j] = values
         out: list[str] = []
-        for j, _mi, _tier, _ws, _chunk in tasks:
+        for j, _mi, _chunk in tasks:
             out.extend(parts[j])
         return out
 

@@ -234,23 +234,23 @@ def run_request(shard: int, plans, max_instr: Optional[int]) -> dict:
             "plans": [encode_plan(p) for p in plans]}
 
 
-def execute_request(program, msg: dict, tracker_factory=None) -> dict:
+def execute_request(tracker, msg: dict) -> dict:
     """Worker-side body of a ``run`` frame -> ``result`` frame.
 
-    ``tracker_factory`` lazily resolves the worker's tracker for
-    recovery plans (v4 ``recovery`` sub-object) and analysis plans (v5
-    ``analysis`` marker); a worker without one rejects such plans
-    in-band with :data:`ERR_EXEC` rather than executing the bare fault
-    and poisoning the cache.  A traced analysis uses the worker's own
-    faulty-run budget, which the fingerprint gate guarantees equals
-    the client's.
+    Every plan — plain, recovery (v4 ``recovery`` sub-object) or
+    analysis (v5 ``analysis`` marker) — runs on the worker's
+    ``tracker``, on its VM tier and warm-start setting.  A traced
+    analysis uses the worker's own faulty-run budget, which the
+    fingerprint gate guarantees equals the client's.  A plan that
+    fails to decode or execute is reported in-band with
+    :data:`ERR_EXEC`.
     """
     from repro.engine.keys import decode_plan
     from repro.faults.campaign import execute_plan
     try:
         plans = [decode_plan(p) for p in msg["plans"]]
-        values = [execute_plan(program, plan, msg.get("max_instr"),
-                               tracker_factory=tracker_factory)
+        max_instr = msg.get("max_instr")
+        values = [execute_plan(tracker, plan, max_instr)
                   for plan in plans]
     except Exception as exc:  # surface worker-side failures in-band
         return {"op": OP_ERROR, "code": ERR_EXEC,

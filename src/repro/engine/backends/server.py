@@ -15,9 +15,9 @@ any shard runs), then a loop of request/reply frames, ``run`` ->
 ``result``, for shards of any plan kind — untraced campaign runs,
 protected recovery runs and traced pattern analyses.
 
-Recovery and analysis plans need a :class:`~repro.core.FlipTracker`
-(golden trace, recovery context, region model, pattern detectors); the
-server resolves one lazily on the first plan that needs it.  Its golden
+Every plan runs on a :class:`~repro.core.FlipTracker` (run settings,
+golden trace, recovery context, region model, pattern detectors); the
+server resolves one lazily on its first ``run`` frame.  Its golden
 side comes from the process-wide cache keyed by program fingerprint
 (:mod:`repro.golden`), shared with every other shard server and the
 registry daemon in the process, and the tracker itself is the bundle's
@@ -217,13 +217,12 @@ class ShardServer:
         """
         op = msg.get("op")
         if op == protocol.OP_RUN:
-            # recovery and analysis plans resolve the server's tracker;
-            # its golden bundle builds each artifact once under its own
-            # lock, so every plan kind executes concurrently
+            # plans run on the server's tracker; its golden bundle
+            # builds each artifact once under its own lock, so every
+            # plan kind executes concurrently
             with self._count_inflight():
                 result = protocol.execute_request(
-                    self.program, msg,
-                    tracker_factory=self._analysis_tracker)
+                    self._analysis_tracker(), msg)
             self.shards_served += 1
             return result
         return {"op": protocol.OP_ERROR, "code": protocol.ERR_BAD_OP,

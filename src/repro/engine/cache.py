@@ -7,7 +7,8 @@ With a ``cache_dir`` every store is appended to
 double as a campaign checkpoint: a killed campaign that already
 finished some shards resumes by replaying the file and skipping every
 recorded plan.  Appending line-by-line keeps partial files valid —
-a truncated final line (crash mid-write) is simply dropped on load.
+a truncated final line (crash mid-write) is simply dropped on load,
+and the next writer terminates it before its first append.
 """
 
 from __future__ import annotations
@@ -22,18 +23,28 @@ SPILL_NAME = "plan_results.jsonl"
 
 
 # ---------------------------------------------------------------- JSONL
-# Shared append-only JSONL primitives (used by PlanCache and the
-# cross-experiment ResultStore in :mod:`repro.profiles.store`).
+# Shared append-only JSONL primitives (used by PlanCache, the
+# cross-experiment ResultStore in :mod:`repro.profiles.store` and the
+# service JobQueue in :mod:`repro.service.queue`).
 
 def jsonl_open_append(path: str) -> int:
-    """O_APPEND fd for ``path`` (created if missing).
+    """O_APPEND fd for ``path`` (created if missing), torn tail repaired.
 
     POSIX guarantees each ``os.write`` on an O_APPEND fd lands as one
     atomic append, so concurrent writers interleave whole lines rather
     than shearing each other's records — a plain buffered ``open(path,
     "a")`` only promises that for writes that fit the stdio buffer.
+
+    A writer killed mid-append can leave the file without a final
+    newline; appending straight after it would concatenate the next
+    record onto the torn fragment and lose *both* lines.  One newline
+    quarantines the fragment as an (ignored) invalid line.
     """
-    return os.open(path, os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
+    fd = os.open(path, os.O_APPEND | os.O_CREAT | os.O_RDWR, 0o644)
+    size = os.fstat(fd).st_size
+    if size and os.pread(fd, 1, size - 1) != b"\n":
+        os.write(fd, b"\n")
+    return fd
 
 
 def jsonl_append(fd: int, record: dict) -> None:

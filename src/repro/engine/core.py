@@ -16,11 +16,18 @@ sole ownership of the :class:`PlanCache`, shard boundaries and
 plan-order assembly, so every backend inherits the determinism
 contract for free.
 
+Run settings: every plan runs on the engine's :attr:`~ExecutionEngine.
+tracker` (the bound :class:`~repro.core.FlipTracker`, or one built
+lazily for a standalone engine), which resolved the VM tier and warm
+start once.  The sequential path and fork children run on it; spawn
+workers and shard servers build their own.
+
 Determinism: plan order — never worker arrival order — decides how
 results are assembled, shard boundaries depend only on the pending
 count and ``shard_size``, and cache keys are content-addressed
 (:mod:`repro.engine.keys`), so a campaign's result is a pure function
-of (program, plans, budget) regardless of ``workers`` *or* backend.
+of (program, plans, budget) regardless of ``workers``, backend, tier
+*or* warm start.
 """
 
 from __future__ import annotations
@@ -71,42 +78,25 @@ class ExecutionEngine:
         for registry-resolved shard placement; implies
         ``backend="socket"`` when ``backend`` is ``None``.  Mutually
         exclusive with ``backend_addr``.  See :mod:`repro.service`.
-    exec_tier:
-        VM execution tier for faulty runs (``"compiled"``/``"interp"``);
-        ``None`` resolves ``REPRO_EXEC``, else ``"compiled"`` (see
-        :mod:`repro.vm.exec_tier`).
-        Both tiers are byte-identical across all observables, so the
-        choice never affects results.  The resolved tier rides the
-        local backend's task payloads; shard servers resolve
-        ``REPRO_EXEC`` in their own process.
-    warm_start:
-        Warm-start faulty runs from the golden snapshot ladder
-        (:mod:`repro.warmstart`); ``None`` defers to ``REPRO_WARMSTART``
-        (default on).  Byte-identical to cold starts on every
-        observable — cache keys are unchanged, so spills and stores
-        written either way stay valid.  Resolved like ``exec_tier``:
-        rides local-pool task payloads, env-resolved by shard servers.
+
+    The VM tier and warm start of every run are the :attr:`tracker`'s;
+    neither changes a result or a cache key, so spills and stores
+    written under any setting stay valid.
     """
 
     def __init__(self, program, *, workers: Optional[int] = 1,
                  cache: Optional[PlanCache] = None,
                  cache_dir: Optional[str] = None, resume: bool = True,
                  shard_size: int = 64, min_parallel: int = 4,
-                 backend=None, backend_addr=None, registry=None,
-                 exec_tier: Optional[str] = None,
-                 warm_start=None):
+                 backend=None, backend_addr=None, registry=None):
         from repro.engine.backends import (LocalPoolBackend,
                                            resolve_backend)
-        from repro.vm.exec_tier import resolve_exec_tier
-        from repro.warmstart import resolve_warmstart
         if workers is None:
             workers = min(4, os.cpu_count() or 1)
         if shard_size < 1:
             raise ValueError("shard_size must be >= 1")
         self.program = program
         self.workers = max(1, int(workers))
-        self.exec_tier = resolve_exec_tier(exec_tier)
-        self.warm_start = resolve_warmstart(warm_start)
         self.shard_size = shard_size
         self.min_parallel = min_parallel
         self._owns_cache = cache is None
@@ -137,9 +127,18 @@ class ExecutionEngine:
         return self._local
 
     def bind_tracker(self, tracker) -> None:
-        """Attach the owning FlipTracker (enables traced analyses and
-        lets fork children inherit its warmed golden trace)."""
+        """Attach the owning FlipTracker: its settings and golden
+        artifacts serve every plan this engine runs."""
         self._tracker = tracker
+
+    @property
+    def tracker(self):
+        """The tracker every plan runs on: the bound one, or — for a
+        standalone engine — a sequential one built on first use."""
+        if self._tracker is None:
+            from repro.core.fliptracker import FlipTracker
+            self._tracker = FlipTracker(self.program, workers=1)
+        return self._tracker
 
     def close(self) -> None:
         """Shut down the backend(s) and flush/close an owned cache.
@@ -186,7 +185,7 @@ class ExecutionEngine:
 
     def _warm_tracker(self) -> None:
         """Materialize everything fork children should COW-share."""
-        tracker = self._tracker
+        tracker = self.tracker
         tracker.fault_free_trace()
         tracker.trace_index()
         tracker.region_model()
@@ -282,21 +281,17 @@ class ExecutionEngine:
         unique, shards, group_shard_base, group_shards, shard_plans = \
             self._shard_groups(groups, owner)
 
-        if traced:
-            # the tracker must exist before dispatch so fork-based
-            # backends warm it and children inherit the golden trace
-            self._tracker_for_analysis()
-        elif any(isinstance(p, RecoveryPlan)
-                 for plans in shard_plans for p in plans):
+        if not traced and any(isinstance(p, RecoveryPlan)
+                              for plans in shard_plans for p in plans):
             # warm the recovery context before the backend (lazily)
             # forks its pool, so children inherit it copy-on-write;
             # late-started substrates derive the identical context
             # themselves (pure function of the program)
-            self._tracker_for_analysis().recovery_context()
-        if self.warm_start and shard_plans:
+            self.tracker.recovery_context()
+        if shard_plans and self.tracker.warm_start:
             # same pre-fork COW warming for the golden snapshot ladder:
             # every pending run of any plan kind can draw on it
-            self._tracker_for_analysis().warm_ladder()
+            self.tracker.warm_ladder()
 
         phase = "analysis" if traced else "campaign"
         totals = [len(plans) for _label, plans in groups]
@@ -441,19 +436,12 @@ class ExecutionEngine:
              for label, plans in groups],
             max_instr, on_progress, use_cache=True, traced=True)
 
-    def _tracker_for_analysis(self):
-        if self._tracker is None:
-            from repro.core.fliptracker import FlipTracker
-            self._tracker = FlipTracker(self.program, workers=1,
-                                        warm_start=self.warm_start)
-        return self._tracker
-
     # ------------------------------------------------------------ stats
     def stats(self) -> dict:
         return {"workers": self.workers, "executed": self.executed,
                 "backend": self.backend.name,
-                "exec_tier": self.exec_tier,
-                "warm_start": self.warm_start,
+                "exec_tier": self.tracker.exec_tier,
+                "warm_start": self.tracker.warm_start,
                 "pool_starts": self.pool_starts,
                 "pool_alive": self._local.pool_alive,
                 "shard_size": self.shard_size,

@@ -1,19 +1,22 @@
 """Worker-process side of the execution engine.
 
-One module-level state dict serves both start methods:
+One module-level state dict serves both start methods, and every plan
+runs on the worker's tracker, whose VM tier and warm start are the
+engine tracker's:
 
 * **fork** — the parent creates the pool inside :func:`fork_state`;
-  children inherit the built program (and, when bound, the whole
-  warmed tracker with its golden trace) via copy-on-write, so nothing
-  large ever crosses a pipe;
+  children inherit the engine's whole warmed tracker (program, run
+  settings, golden trace) via copy-on-write, so nothing large ever
+  crosses a pipe;
 * **spawn** — :func:`init_spawn_worker` rebuilds the program from the
-  app registry inside the child; traced analyses lazily build a
-  private tracker there (one golden trace per worker, amortized over
-  the pool's lifetime).
+  app registry inside the child and keeps the engine tracker's
+  settings; the first plan lazily builds a private tracker with them
+  (one golden trace per worker, amortized over the pool's lifetime).
 
-Task payloads carry explicit indices so the engine can reassemble
-results in plan order no matter the arrival order — the root of the
-workers=1 vs workers=N determinism guarantee.
+Task payloads are ``(index, max_instr, plans)``: the explicit index
+lets the engine reassemble results in plan order no matter the
+arrival order — the root of the workers=1 vs workers=N determinism
+guarantee.
 
 The task serves the :class:`~repro.engine.backends.local.
 LocalPoolBackend`; shard servers execute the equivalent request body in
@@ -27,22 +30,24 @@ from __future__ import annotations
 import contextlib
 from typing import Optional, Sequence
 
-#: per-process worker state: {"program": Program, "tracker": FlipTracker|None}
+#: per-process worker state: the program, the run settings
+#: ``(exec_tier, warm_start)`` and the tracker (``None`` until built)
 _STATE: dict = {}
 
 
 @contextlib.contextmanager
-def fork_state(program, tracker=None):
-    """Install state in the *parent* for the children forked inside.
+def fork_state(tracker):
+    """Install ``tracker`` in the *parent* for the children forked inside.
 
     On exit the parent drops its tracker reference: the children hold
     their own copy, and a parent-side one would pin the tracker — and
     through it the engine and its pool — so an engine dropped without
-    ``close()`` could never be collected.  The program stays for
-    workers the pool forks later; they build a private tracker lazily.
+    ``close()`` could never be collected.  The program and settings
+    stay for workers the pool forks later; they build a private
+    tracker lazily.
     """
-    _STATE["program"] = program
-    _STATE["tracker"] = tracker
+    _STATE.update(program=tracker.program, tracker=tracker,
+                  settings=(tracker.exec_tier, tracker.warm_start))
     try:
         yield
     finally:
@@ -53,40 +58,39 @@ def clear_parent_state() -> None:
     _STATE.clear()
 
 
-def init_spawn_worker(app_name: str, params: dict) -> None:
+def init_spawn_worker(app_name: str, params: dict, exec_tier: str,
+                      warm_start: bool) -> None:
     """Spawn-mode initializer: rebuild the program from the registry."""
     import repro.apps  # populate the registry  # noqa: F401
     from repro.apps.base import REGISTRY
-    _STATE["program"] = REGISTRY.build(app_name, **params)
-    _STATE["tracker"] = None
+    _STATE.update(program=REGISTRY.build(app_name, **params), tracker=None,
+                  settings=(exec_tier, warm_start))
 
 
 def _tracker():
     tracker = _STATE.get("tracker")
     if tracker is None:
-        # spawn fallback: build (and keep) a private tracker
+        # spawn (or late-forked) worker: build (and keep) a private
+        # tracker on the engine tracker's settings
         from repro.core.fliptracker import FlipTracker
-        tracker = FlipTracker(_STATE["program"], workers=1)
+        exec_tier, warm_start = _STATE["settings"]
+        tracker = FlipTracker(_STATE["program"], workers=1,
+                              exec_tier=exec_tier, warm_start=warm_start)
         _STATE["tracker"] = tracker
     return tracker
 
 
-def run_plans_task(task: tuple[int, Optional[int], str, object,
-                               Sequence]) -> tuple[int, list[str]]:
+def run_plans_task(task: tuple[int, Optional[int], Sequence]
+                   ) -> tuple[int, list[str]]:
     """Execute one chunk of plans of any kind -> outcome values.
 
-    The engine's resolved execution tier and warm-start setting ride in
-    the payload so pool workers never depend on environment inheritance
-    for an *explicit* engine option.  Recovery and analysis plans
-    resolve this worker's tracker (fork children inherit the parent's
-    warmed golden trace, recovery context and snapshot ladder via
-    copy-on-write; spawn workers derive their own, identical ones).
+    Every plan runs on this worker's tracker: fork children inherit
+    the parent's warmed golden trace, recovery context and snapshot
+    ladder via copy-on-write; spawn workers derive their own,
+    identical ones.
     """
     from repro.faults.campaign import execute_plan
-    index, max_instr, exec_tier, warm_start, plans = task
-    program = _STATE["program"]
-    return index, [execute_plan(program, plan, max_instr,
-                                exec_tier=exec_tier,
-                                tracker_factory=_tracker,
-                                warm_start=warm_start)
+    index, max_instr, plans = task
+    tracker = _tracker()
+    return index, [execute_plan(tracker, plan, max_instr)
                    for plan in plans]

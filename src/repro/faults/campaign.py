@@ -17,6 +17,9 @@ campaigns.  :func:`run_campaign` remains the convenience entry point —
 it builds a short-lived engine per call; anything that runs more than
 one campaign should hold an :class:`~repro.engine.ExecutionEngine` (or
 a :class:`~repro.core.FlipTracker`, which owns one) instead.
+
+Every executor runs a plan through :func:`execute_plan` on a tracker,
+and the tracker alone decides the run's VM tier and warm start.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.apps.base import Program
 from repro.faults.analysis import AnalysisPlan, encode_analysis
 from repro.vm.errors import VMError
 from repro.vm.fault import FaultPlan
-from repro.warmstart import resolve_warmstart, warm_start_interp
+from repro.warmstart import warm_start_interp
 
 
 class Manifestation(Enum):
@@ -169,47 +172,32 @@ def run_plan(program: Program, plan: FaultPlan,
     return classify_check(program, interp)
 
 
-def execute_plan(program: Program, plan,
-                 max_instr: Optional[int] = None,
-                 exec_tier: Optional[str] = None,
-                 tracker_factory=None,
-                 warm_start=None) -> str:
-    """Execute one plan of any kind, returning its cache/wire value.
+def execute_plan(tracker, plan, max_instr: Optional[int] = None) -> str:
+    """Execute one plan of any kind on ``tracker``; returns its value.
 
-    Plain :class:`~repro.vm.fault.FaultPlan` runs are classified and
-    the manifestation's string value returned (the engine's historical
-    outcome encoding).  Recovery plans (:mod:`repro.recovery`) and
-    analysis plans (:mod:`repro.faults.analysis`) need a tracker — the
-    recovery session consumes the golden-trace recovery context, a
-    traced analysis the golden trace, regions and index — so executors
-    that can serve them pass a ``tracker_factory`` returning their
-    per-process :class:`~repro.core.FlipTracker`.  A recovery plan
-    returns the encoded :class:`~repro.recovery.outcome.RecoveryOutcome`;
-    an analysis plan returns :func:`~repro.faults.analysis.
-    encode_analysis` of the tracker's traced run, which uses the
-    tracker's own budget, tier and warm-start setting.
-
-    ``warm_start`` (``None`` defers to ``REPRO_WARMSTART``, default on)
-    sources the golden snapshot ladder from the tracker: FaultPlans
-    skip their golden prefix, recovery sessions share ladder rungs as
-    checkpoints.  Executors without a ``tracker_factory`` simply run
-    cold — warm-start never changes a result, only wall-clock.
+    The tracker (:class:`~repro.core.FlipTracker`) owns the program
+    and the run settings, resolved once at its construction: the VM
+    tier (``tracker.exec_tier``) and the golden snapshot-ladder warm
+    start (``tracker.warm_start``).  Plain
+    :class:`~repro.vm.fault.FaultPlan` runs are classified and the
+    manifestation's string value returned (the engine's historical
+    outcome encoding); warm, they skip their golden prefix.  A
+    recovery plan (:mod:`repro.recovery`) returns the encoded
+    :class:`~repro.recovery.outcome.RecoveryOutcome` of a protected
+    run over the tracker's recovery context; an analysis plan
+    (:mod:`repro.faults.analysis`) returns :func:`~repro.faults.
+    analysis.encode_analysis` of the tracker's traced run, which uses
+    the tracker's own budget.  Neither setting ever changes a value,
+    only wall-clock.
     """
-    warm = tracker_factory is not None and resolve_warmstart(warm_start)
     if isinstance(plan, FaultPlan):
-        ladder = tracker_factory().warm_ladder() if warm else None
-        return run_plan(program, plan, max_instr=max_instr,
-                        exec_tier=exec_tier, ladder=ladder).value
-    if tracker_factory is None:
-        raise TypeError(
-            f"plan {plan!r} needs a tracker_factory-capable executor")
+        ladder = tracker.warm_ladder() if tracker.warm_start else None
+        return run_plan(tracker.program, plan, max_instr=max_instr,
+                        exec_tier=tracker.exec_tier, ladder=ladder).value
     if isinstance(plan, AnalysisPlan):
-        return encode_analysis(
-            tracker_factory().analyze_injection(plan.fault))
+        return encode_analysis(tracker.analyze_injection(plan.fault))
     from repro.recovery.run import run_recovery_plan
-    return run_recovery_plan(tracker_factory(), plan,
-                             max_instr=max_instr, exec_tier=exec_tier,
-                             warm_start=warm)
+    return run_recovery_plan(tracker, plan, max_instr=max_instr)
 
 
 def run_campaign(program: Program, plans: Iterable[FaultPlan], *,
@@ -219,7 +207,6 @@ def run_campaign(program: Program, plans: Iterable[FaultPlan], *,
                  cache=None, cache_dir: Optional[str] = None,
                  resume: bool = True,
                  backend=None, backend_addr=None,
-                 exec_tier: Optional[str] = None,
                  on_progress=None) -> CampaignResult:
     """Run all ``plans`` against ``program`` and aggregate outcomes.
 
@@ -229,12 +216,13 @@ def run_campaign(program: Program, plans: Iterable[FaultPlan], *,
     ``cache_dir`` feed the engine's plan-result cache (see
     :mod:`repro.engine`); ``backend``/``backend_addr`` pick the shard
     substrate (:mod:`repro.engine.backends`); results are identical
-    for any worker count and any backend.
+    for any worker count and any backend.  The runs use the engine's
+    tracker settings, here ``REPRO_EXEC`` and ``REPRO_WARMSTART``.
     """
     from repro.engine import ExecutionEngine
     with ExecutionEngine(program, workers=workers, cache=cache,
                          cache_dir=cache_dir, resume=resume,
-                         backend=backend, backend_addr=backend_addr,
-                         exec_tier=exec_tier) as engine:
+                         backend=backend,
+                         backend_addr=backend_addr) as engine:
         return engine.run_plans(plans, max_instr=max_instr, label=label,
                                 on_progress=on_progress)

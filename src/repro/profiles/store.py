@@ -95,7 +95,6 @@ class ResultStore:
                 f"{existing.get('app')!r})")
         if self._fd is None:
             self._fd = jsonl_open_append(self.path)
-            self._repair_tail()
         jsonl_append(self._fd, {"v": STORE_VERSION, "key": key,
                                 "profile": profile})
         self._mem[key] = profile
@@ -117,26 +116,6 @@ class ResultStore:
                 "path": self.path}
 
     # ------------------------------------------------------------ open/close
-    def _repair_tail(self) -> None:
-        """Terminate a torn final line before this handle appends.
-
-        A writer killed mid-append can leave the file without a final
-        newline; appending straight after it would concatenate the new
-        record onto the torn fragment and lose *both* lines.  One
-        newline quarantines the fragment as an (ignored) invalid line.
-        """
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                if fh.tell() == 0:
-                    return
-                fh.seek(-1, os.SEEK_END)
-                torn = fh.read(1) != b"\n"
-        except OSError:
-            return
-        if torn:
-            os.write(self._fd, b"\n")
-
     def _adopt(self, key, payload) -> None:
         if not isinstance(key, str) or not isinstance(payload, dict):
             return
@@ -250,7 +229,6 @@ class ResultStore:
         missing = [key for key in self._mem if key not in on_disk]
         if missing:
             self._fd = jsonl_open_append(self.path)
-            self._repair_tail()
             for key in missing:
                 jsonl_append(self._fd, {"v": STORE_VERSION, "key": key,
                                         "profile": self._mem[key]})

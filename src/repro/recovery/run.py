@@ -41,7 +41,6 @@ from repro.faults.campaign import Manifestation, classify_check
 from repro.recovery.outcome import RecoveryOutcome
 from repro.recovery.plan import RecoveryPlan
 from repro.vm.errors import VMError
-from repro.warmstart import resolve_warmstart
 
 #: the campaign crash surface (see faults.campaign.run_plan): VM-level
 #: faults plus Python-level errors surfaced by type-confused values
@@ -211,27 +210,24 @@ class _Session:
 
 
 def run_recovery_plan(tracker, plan: RecoveryPlan,
-                      max_instr: Optional[int] = None,
-                      exec_tier: Optional[str] = None,
-                      warm_start=None) -> str:
+                      max_instr: Optional[int] = None) -> str:
     """Execute one protected faulty run; returns the encoded outcome.
 
-    ``tracker`` supplies the program and the memoized
+    ``tracker`` supplies the program, the memoized
     :class:`~repro.acl.online.RecoveryContext` (a pure function of the
-    program, so workers/shard servers derive identical contexts).  The
+    program, so workers/shard servers derive identical contexts) and
+    the run settings: the session runs on ``tracker.exec_tier``.  The
     return value is the outcome's canonical JSON string — the engine
     caches and ships it exactly like a manifestation value.
 
-    With warm-start on (``warm_start``, deferring to
-    ``REPRO_WARMSTART``), the session sources checkpoints from the
-    tracker's golden snapshot ladder whenever a boundary has a rung
-    and the live state is still golden — skipping the snapshot copy
-    without changing a single outcome byte (counters included).
+    With ``tracker.warm_start`` on, the session sources checkpoints
+    from the tracker's golden snapshot ladder whenever a boundary has a
+    rung and the live state is still golden — skipping the snapshot
+    copy without changing a single outcome byte (counters included).
     """
     ctx = tracker.recovery_context()
-    ladder = tracker.warm_ladder() if resolve_warmstart(warm_start) \
-        else None
+    ladder = tracker.warm_ladder() if tracker.warm_start else None
     budget = tracker.faulty_budget if max_instr is None else max_instr
-    session = _Session(tracker.program, ctx, plan, budget, exec_tier,
-                       ladder=ladder)
+    session = _Session(tracker.program, ctx, plan, budget,
+                       tracker.exec_tier, ladder=ladder)
     return session.run().encode()

@@ -8,12 +8,14 @@ execution.  Its lifecycle is a straight line through
                       \\-> failed
 
 Every transition is appended to ``jobs.jsonl`` under the queue's spill
-directory — the same append-only JSONL discipline the plan cache uses
-— so the queue is a pure function of its spill file: a restarted
-daemon replays the file and carries on.  A job that was ``running``
-when the daemon died is requeued on replay (execution is idempotent:
-results are content-addressed, so a re-run of a half-finished job
-reuses every cached plan).
+directory through the plan cache's JSONL helpers
+(:mod:`repro.engine.cache`) and fsynced before the call returns, so
+the queue is a pure function of its spill file: a restarted daemon
+replays the file and carries on.  A torn final line (a daemon killed
+mid-append) is skipped on replay and terminated before the next
+append.  A job that was ``running`` when the daemon died is requeued
+on replay (execution is idempotent: results are content-addressed, so
+a re-run of a half-finished job reuses every cached plan).
 
 In-memory only: per-job progress events (``watch`` streams them live;
 they are derivable by re-running, so spilling them would be dead
@@ -23,11 +25,12 @@ watchers.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import Optional
+
+from repro.engine.cache import jsonl_append, jsonl_open_append, jsonl_records
 
 #: the job lifecycle, in order (docs drift-check anchor)
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -66,13 +69,13 @@ class JobQueue:
         self.changed = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
         self._next = 1
-        self._spill: Optional[IO[str]] = None
+        self._spill: Optional[int] = None
         self._spill_path: Optional[str] = None
         if spill_dir is not None:
             os.makedirs(spill_dir, exist_ok=True)
             self._spill_path = os.path.join(spill_dir, "jobs.jsonl")
             self._replay()
-            self._spill = open(self._spill_path, "a", encoding="utf-8")
+            self._spill = jsonl_open_append(self._spill_path)
 
     # ------------------------------------------------------------ durability
     def _replay(self) -> None:
@@ -80,13 +83,8 @@ class JobQueue:
         if self._spill_path is None or \
                 not os.path.exists(self._spill_path):
             return
-        with open(self._spill_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                self._apply(entry)
+        for entry, _offset in jsonl_records(self._spill_path):
+            self._apply(entry)
         for job in self._jobs.values():
             if job.state == "running":
                 # the daemon died mid-job; requeue (re-running is safe:
@@ -120,15 +118,13 @@ class JobQueue:
     def _spill_entry(self, entry: dict) -> None:
         if self._spill is None:
             return
-        self._spill.write(json.dumps(entry, sort_keys=True,
-                                     separators=(",", ":")) + "\n")
-        self._spill.flush()
-        os.fsync(self._spill.fileno())
+        jsonl_append(self._spill, entry)
+        os.fsync(self._spill)
 
     def close(self) -> None:
         with self._lock:
             if self._spill is not None:
-                self._spill.close()
+                os.close(self._spill)
                 self._spill = None
 
     # ------------------------------------------------------------ lifecycle

@@ -696,30 +696,12 @@ class CompiledInterpreter(Interpreter):
                          comm=comm, rank=rank)
         self._stack_words = stack_words
 
-    def run(self, entry: Optional[str] = None, args: tuple = ()):
-        compiled = None
-        if self.comm is None:
-            compiled = compile_module(self.module, self.records is not None)
-        if compiled is None:
-            return super().run(entry, args)
-        self.exec_tier = "compiled"
-        self.start(entry, args)
-        try:
-            self._drive(compiled)
-        except VMError:
-            raise  # anticipated crash surface: state is interpreter-exact
-        except Exception:
-            # unanticipated (e.g. fault-corrupted value hit a type error
-            # mid-segment, where dyn_count is stale): replay through a
-            # twin interpreter, adopt its exact state, re-raise its error
-            self._replay_interpreted(entry, args)
-            raise  # pragma: no cover - replay did not reproduce the error
-        return self.result
-
     def resume_run(self, entry: Optional[str] = None, args: tuple = ()):
-        """Warm-start drive: finish an already-restored execution.
+        """Drive compiled bodies to completion from the current state.
 
-        A snapshot rung may stop mid-basic-block (ladder grid points
+        :meth:`run` lands here right after its :meth:`start`; a
+        warm start lands here after a snapshot restore.  A snapshot
+        rung may stop mid-basic-block (ladder grid points
         are arbitrary ``run_to`` boundaries), so the trampoline first
         single-steps through the interpreter window until the pc
         re-aligns with a compiled segment entry — the same mechanism
@@ -746,6 +728,9 @@ class CompiledInterpreter(Interpreter):
         except VMError:
             raise  # anticipated crash surface: state is interpreter-exact
         except Exception:
+            # unanticipated (e.g. fault-corrupted value hit a type error
+            # mid-segment, where dyn_count is stale): replay through a
+            # twin interpreter, adopt its exact state, re-raise its error
             self._replay_interpreted(entry, args)
             raise  # pragma: no cover - replay did not reproduce the error
         return self.result

@@ -168,24 +168,26 @@ class Interpreter:
         self._push(fn, tuple(args), ret_slot=None)
 
     def run(self, entry: Optional[str] = None, args: tuple = ()) -> Any:
-        """Run to completion as a standalone process; returns the result."""
+        """Run to completion as a standalone process; returns the result.
+
+        :meth:`start` then :meth:`resume_run` on either tier: a fresh
+        start sits at a compiled segment entry, so the compiled tier
+        drives exactly the bodies (and twin-replay fallback) of a
+        resumed run.
+        """
         self.start(entry, args)
-        status = self._loop(None)
-        if status == "blocked":
-            raise VMError("MPI operation blocked with no communicator peers")
-        return self.result
+        return self.resume_run(entry, args)
 
     def resume_run(self, entry: Optional[str] = None,
                    args: tuple = ()) -> Any:
         """Run an already-started execution to completion.
 
-        Exactly :meth:`run` minus the :meth:`start` — used by warm-start
+        Used by :meth:`run` after its :meth:`start`, and by warm-start
         to drive the suffix of a snapshot-restored execution.  ``entry``
         and ``args`` describe the run being resumed (the compiled tier
         needs them for its cold twin-replay fallback); the interpreter
-        itself ignores them.  Hang and crash semantics are identical to
-        a straight :meth:`run`: the hard budget is ``max_instr`` and a
-        blocked MPI op raises the same :class:`VMError`.
+        itself ignores them.  The hard budget is ``max_instr`` and a
+        blocked MPI op raises :class:`VMError`.
         """
         status = self._loop(None)
         if status == "blocked":

@@ -79,7 +79,7 @@ class TestProtocol:
         b.close()
 
     def test_execute_request_reports_errors_in_band(self):
-        reply = protocol.execute_request(tiny_program(),
+        reply = protocol.execute_request(FlipTracker(tiny_program()),
                                          {"op": "run", "shard": 7,
                                           "plans": [{"bogus": 1}]})
         assert reply["op"] == "error" and reply["shard"] == 7
@@ -275,8 +275,7 @@ class TestAnalyzeOp:
         plans = ft.make_plans(loop_instance(ft), "internal", 2)
         msg = analysis_frame(5, plans)
         assert all(p["analysis"] is True for p in msg["plans"])
-        reply = protocol.execute_request(prog, msg,
-                                         tracker_factory=lambda: ft)
+        reply = protocol.execute_request(ft, msg)
         assert reply["op"] == "result" and reply["shard"] == 5
         values = protocol.decode_run_values(
             reply, [AnalysisPlan(p) for p in plans])
@@ -289,16 +288,9 @@ class TestAnalyzeOp:
     def test_execute_analyze_reports_errors_in_band(self):
         ft = FlipTracker(tiny_program(), seed=9)
         reply = protocol.execute_request(
-            tiny_program(), {"op": "run", "shard": 2,
-                             "plans": [{"bogus": 1, "analysis": True}]},
-            tracker_factory=lambda: ft)
+            ft, {"op": "run", "shard": 2,
+                 "plans": [{"bogus": 1, "analysis": True}]})
         assert reply["op"] == "error" and reply["shard"] == 2
-        assert reply["code"] == protocol.ERR_EXEC
-        # a worker without a tracker refuses analysis plans in-band
-        plans = ft.make_plans(loop_instance(ft), "internal", 1)
-        reply = protocol.execute_request(tiny_program(),
-                                         analysis_frame(3, plans))
-        assert reply["op"] == "error" and reply["shard"] == 3
         assert reply["code"] == protocol.ERR_EXEC
 
     def test_socket_analyze_end_to_end(self):

@@ -120,6 +120,24 @@ class TestPlanCache:
         resumed = PlanCache(str(tmp_path))
         assert resumed.get("k") == "crashed"
 
+    def test_put_after_torn_tail_survives_reopen(self, tmp_path):
+        """Regression: a killed writer leaves a final line without its
+        newline; the next ``put`` used to append onto that fragment, so
+        a resumed run dropped the new record along with the torn one."""
+        c = PlanCache(str(tmp_path))
+        c.put("k1", "success")
+        c.close()
+        with open(tmp_path / SPILL_NAME, "ab") as fh:
+            fh.write(b'{"v": 1, "key": "k2", "m": "fai')
+        torn = PlanCache(str(tmp_path))
+        assert "k1" in torn and "k2" not in torn
+        torn.put("k3", "crashed")
+        torn.close()
+        resumed = PlanCache(str(tmp_path))
+        assert resumed.get("k1") == "success"
+        assert resumed.get("k3") == "crashed"
+        assert "k2" not in resumed
+
 
 class TestTierCrossingSpill:
     def test_spill_compiled_resume_interpreted(self, tmp_path):

@@ -212,18 +212,12 @@ class TestPolicySemantics:
 class TestExecutePlanDispatch:
     def test_fault_plan_passthrough(self, kmeans):
         fault = fault_plans(kmeans, n=1)[0]
-        value = execute_plan(kmeans.program, fault,
-                             max_instr=kmeans.faulty_budget)
+        value = execute_plan(kmeans, fault, max_instr=kmeans.faulty_budget)
         assert isinstance(value, str) and not value.startswith("{")
 
-    def test_recovery_plan_needs_tracker_factory(self, kmeans):
+    def test_recovery_plan_runs_on_tracker(self, kmeans):
         plan = RecoveryPlan(fault=fault_plans(kmeans, n=1)[0])
-        with pytest.raises(TypeError):
-            execute_plan(kmeans.program, plan,
-                         max_instr=kmeans.faulty_budget)
-        value = execute_plan(kmeans.program, plan,
-                             max_instr=kmeans.faulty_budget,
-                             tracker_factory=lambda: kmeans)
+        value = execute_plan(kmeans, plan, max_instr=kmeans.faulty_budget)
         outcome = RecoveryOutcome.decode(value)
         assert outcome.final in FINAL_STATES
 

@@ -256,6 +256,33 @@ class TestJobQueue:
         assert again.get(job.id).state == "queued"
         again.close()
 
+    def test_restart_after_torn_tail(self, tmp_path):
+        """Regression: a daemon killed mid-append leaves ``jobs.jsonl``
+        without its final newline; replay used to raise
+        ``JSONDecodeError``, so the queue could not restart."""
+        spill = tmp_path / "svc"
+        q = JobQueue(str(spill))
+        done = q.submit({"s": 1}, name="done-job")
+        q.claim()
+        q.finish(done.id, {"answer": 42})
+        queued = q.submit({"s": 2}, name="queued-job")
+        q.close()
+        with open(spill / "jobs.jsonl", "ab") as fh:
+            fh.write(b'{"job": "job-000002", "sta')
+        revived = JobQueue(str(spill))
+        assert revived.get(done.id).result == {"answer": 42}
+        assert revived.get(queued.id).state == "queued"
+        assert revived.get(queued.id).spec == {"s": 2}
+        late = revived.submit({"s": 3}, name="late-job")
+        assert revived.claim().id == queued.id
+        revived.close()
+        again = JobQueue(str(spill))
+        assert again.get(done.id).state == "done"
+        assert again.get(queued.id).state == "queued"  # requeued
+        assert again.get(late.id).spec == {"s": 3}
+        assert again.get(late.id).state == "queued"
+        again.close()
+
 
 # --------------------------------------- registry-resolved socket backend
 def sequential_outcome(prog, plans, max_instr):

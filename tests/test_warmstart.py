@@ -53,6 +53,12 @@ def ft_for(name: str) -> FlipTracker:
     return _trackers[name]
 
 
+def tracker_with(ft: FlipTracker, **run_settings) -> FlipTracker:
+    """A tracker over ``ft``'s golden bundle with other run settings."""
+    return FlipTracker(ft.program, workers=1, golden=ft._golden,
+                       **run_settings)
+
+
 def record_image(interp) -> str:
     # repr-compare: flipped values can be nan, and two runs produce
     # distinct nan objects that tuple equality rejects (nan != nan)
@@ -221,12 +227,12 @@ def test_warm_equals_cold_every_app(name):
                        bit=(i * 13) % 64) for i in range(3)]
     # the cold side runs on the interp reference tier, so each check
     # compares warm default-tier runs against the reference
+    cold_ft = tracker_with(ft, exec_tier="interp", warm_start="off")
+    warm_ft = tracker_with(ft, warm_start="on")
     for plan in plans:
         # engine-layer outcome value parity
-        cold = execute_plan(ft.program, plan, exec_tier="interp",
-                            tracker_factory=lambda: ft, warm_start=False)
-        warm = execute_plan(ft.program, plan,
-                            tracker_factory=lambda: ft, warm_start=True)
+        cold = execute_plan(cold_ft, plan)
+        warm = execute_plan(warm_ft, plan)
         assert cold == warm
         # VM-layer parity: FaultRecord, memory, output, crash surface
         assert _faulty_run(ft.program, plan, None, exec_tier="interp") \
@@ -384,6 +390,62 @@ def test_shard_server_reuses_tracker_by_fingerprint():
                 GOLDEN_CACHE.pop(first.fingerprint, None)
             else:
                 GOLDEN_CACHE[first.fingerprint] = prior
+
+
+# ------------------------------------------------------- run settings
+def _spy_interpreters(monkeypatch) -> list:
+    """Record the class of every interpreter a program builds."""
+    import repro.apps.base as apps_base
+    made = []
+    real = apps_base.make_interpreter
+
+    def spy(module, **kwargs):
+        interp = real(module, **kwargs)
+        made.append(type(interp))
+        return interp
+    monkeypatch.setattr(apps_base, "make_interpreter", spy)
+    return made
+
+
+@pytest.mark.parametrize("exec_tier,warm", [("interp", "off"),
+                                            ("compiled", "on")])
+def test_tracker_settings_govern_every_run(monkeypatch, exec_tier, warm):
+    """The tracker resolves its tier and warm start once; the golden
+    run, the capture replay and plain, recovery and analysis plans on
+    the sequential path all use them, whatever the environment says
+    later.  The ``compiled``/``on`` case shows the spies can see the
+    other setting."""
+    from repro.recovery.plan import RecoveryPlan
+    from repro.vm.compile import CompiledInterpreter
+    made = _spy_interpreters(monkeypatch)
+    warmstart.reset_stats()
+    with FlipTracker(REGISTRY.build("kmeans"), workers=1,
+                     exec_tier=exec_tier, warm_start=warm) as ft:
+        monkeypatch.setenv("REPRO_EXEC",
+                           "compiled" if exec_tier == "interp" else "interp")
+        monkeypatch.setenv(warmstart.ENV_VAR,
+                           "on" if warm == "off" else "off")
+        plans = ft.make_plans(ft.instance_of("k_d"), "internal", 3)
+        budget = ft.faulty_budget
+        ft.engine.run_plans(plans, max_instr=budget)
+        ft.engine.run_plans([RecoveryPlan(fault=p) for p in plans],
+                            max_instr=budget)
+        ft.engine.analyze_plans(plans, max_instr=budget)
+        assert ft.engine.tracker is ft
+        stats = ft.engine.stats()
+        assert ft._golden._capture is not None  # the replay ran
+    stats_warm = dict(WARM_STATS)
+    warmstart.reset_stats()
+    assert stats["exec_tier"] == exec_tier
+    assert stats["warm_start"] is (warm == "on")
+    # golden run + capture replay + 3 plans of each of the three kinds
+    assert len(made) >= 2 + 3 * 3
+    want = Interpreter if exec_tier == "interp" else CompiledInterpreter
+    assert set(made) == {want}
+    if warm == "off":
+        assert stats_warm == {"hits": 0, "misses": 0, "saved_instr": 0}
+    else:
+        assert stats_warm["hits"] > 0
 
 
 # ----------------------------------------------------------------- CLI
