@@ -49,6 +49,12 @@ def _no_leaked_children(no_leaked_children):
 
 
 @pytest.fixture(scope="module", autouse=True)
+def _gc_left_enabled(gc_left_enabled):
+    """The shared GC-state guard (root ``conftest.py``)."""
+    yield
+
+
+@pytest.fixture(scope="module", autouse=True)
 def _close_trackers(_no_leaked_children):
     """Close every cached tracker (and its worker pool) after each module.
 

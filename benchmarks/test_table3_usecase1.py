@@ -60,6 +60,8 @@ def test_table3(benchmark):
     assert by["all"].extra["viv_sr"] > base.extra["viv_sr"]
     assert by["all"].success_rate > base.success_rate
     # performance cost of the transforms is small (paper: <0.1%; we
-    # allow interpreter noise)
+    # allow interpreter noise); medians, so one lap slowed by other
+    # load on a shared host does not decide it
     for variant in ("dcl_overwrite", "truncation", "all"):
-        assert by[variant].time_avg <= by["baseline"].time_avg * 1.15
+        assert by[variant].time_median <= \
+            by["baseline"].time_median * 1.15

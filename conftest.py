@@ -1,5 +1,10 @@
 """Shared test fixtures for ``tests/`` and ``benchmarks/``.
 
+``gc_left_enabled`` is the module-level GC-state guard: a module that
+ends with the cyclic garbage collector disabled (a pause that never
+ended, see :mod:`repro.util.gcpause`) fails, and the guard turns the
+collector back on so that later modules do not run without it.
+
 ``no_leaked_children`` is the module-level child-process guard: a
 module that leaves live child processes behind fails.  After its
 teardown, ``multiprocessing.active_children()`` must drain within a
@@ -7,10 +12,11 @@ few seconds.  Each straggler is reported once, by the module that left
 it, so one leak does not fail every later module.  Stragglers are not
 killed: a pool whose workers die would start new ones.
 
-The fixture is not autouse here; each suite's conftest opts in with a
-module-scoped autouse fixture that requests it.
+Neither fixture is autouse here; each suite's conftest opts in with
+module-scoped autouse fixtures that request them.
 """
 
+import gc
 import multiprocessing
 import time
 
@@ -42,3 +48,12 @@ def no_leaked_children(request):
                        for child in children)
         pytest.fail(f"{request.module.__name__} left live child processes: "
                     f"{', '.join(names)}", pytrace=False)
+
+
+@pytest.fixture(scope="module")
+def gc_left_enabled(request):
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail(f"{request.module.__name__} left the cyclic garbage "
+                    "collector disabled", pytrace=False)

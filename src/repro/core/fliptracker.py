@@ -45,6 +45,7 @@ from repro.regions.variables import RegionIO, classify_io
 from repro.trace.columnar import CHUNK, GoldenTrace, SplicedRecords
 from repro.trace.events import Trace, TraceMeta
 from repro.trace.index import TraceIndex
+from repro.util.gcpause import gc_paused
 from repro.util.rng import DeterministicRNG
 from repro.vm.errors import VMError
 from repro.vm.exec_tier import resolve_exec_tier
@@ -126,25 +127,27 @@ class GoldenArtifacts:
     def fault_free_trace(self) -> GoldenTrace:
         def run() -> GoldenTrace:
             # the golden run stops every CHUNK instructions to encode
-            # its records, so its tuple list never outgrows one chunk
-            program = self.program
-            interp = program.fresh_interpreter(trace=True,
-                                               exec_tier=self.exec_tier)
-            golden = GoldenTrace(program.module,
-                                 TraceMeta(program=program.name))
-            interp.start(program.entry)
-            stop = 0
-            while not interp.finished:
-                stop += CHUNK
-                interp.run_to(stop)
-                golden.extend(interp.records)
-                interp.records.clear()
-            program.verify_fault_free(interp)
-            golden.seal()
-            self.dyn_count = interp.dyn_count
-            self.record_map = record_dyn_map(golden, program.module,
-                                             interp.dyn_count)
-            return golden
+            # its records, so its tuple list never outgrows one chunk;
+            # the collector stays off meanwhile (repro.util.gcpause)
+            with gc_paused():
+                program = self.program
+                interp = program.fresh_interpreter(trace=True,
+                                                   exec_tier=self.exec_tier)
+                golden = GoldenTrace(program.module,
+                                     TraceMeta(program=program.name))
+                interp.start(program.entry)
+                stop = 0
+                while not interp.finished:
+                    stop += CHUNK
+                    interp.run_to(stop)
+                    golden.extend(interp.records)
+                    interp.records.clear()
+                program.verify_fault_free(interp)
+                golden.seal()
+                self.dyn_count = interp.dyn_count
+                self.record_map = record_dyn_map(golden, program.module,
+                                                 interp.dyn_count)
+                return golden
         return self._lazy("trace", run)
 
     def trace_index(self) -> TraceIndex:

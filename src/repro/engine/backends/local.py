@@ -160,21 +160,35 @@ class LocalPoolBackend(Backend):
     def _kill_broken_pool(pool) -> None:
         """Tear down a pool whose worker died, without risking a hang.
 
-        ``Pool.terminate()``/``join()`` can deadlock when a worker was
-        killed while holding a queue lock, so the workers are killed
-        directly first and the pool's own teardown runs on a daemon
-        thread with a deadline — if it wedges, it is abandoned rather
-        than hanging ``ExecutionEngine.close()``.
+        ``Pool.terminate()`` first takes the task queue's read lock,
+        and an idle worker waits in ``SimpleQueue.get()`` holding that
+        lock, so a worker killed while idle leaves it held for good.
+        The pool's worker handler is stopped first (no replacement
+        worker can start, or take the lock, after that), the workers
+        are killed and reaped, and the lock is then left free: no live
+        process can hold it.  The pool's own teardown still runs on a
+        daemon thread with a deadline, so anything else that wedges it
+        is abandoned rather than hanging ``ExecutionEngine.close()``.
         """
+        handler = pool._worker_handler
+        handler._state = mp.pool.TERMINATE
+        pool._change_notifier.put(None)
+        handler.join(_BROKEN_JOIN_S)
         for proc in list(pool._pool):
             if proc.is_alive():
                 proc.terminate()
+        for proc in list(pool._pool):
+            proc.join(_BROKEN_JOIN_S)
+        if not handler.is_alive():
+            rlock = pool._inqueue._rlock
+            rlock.acquire(block=False)
+            rlock.release()
         reaper = threading.Thread(target=pool.terminate, daemon=True)
         reaper.start()
         reaper.join(_BROKEN_JOIN_S)
-        # the pool replaces the workers killed above until terminate()
-        # stops its worker handler, and a wedged terminate() never
-        # reaches its own worker sweep: kill the replacements too
+        # a handler that outlived its deadline may have replaced the
+        # workers killed above, and a wedged terminate() never reaches
+        # its own worker sweep: kill the replacements too
         for proc in list(pool._pool):
             if proc.is_alive():
                 proc.kill()

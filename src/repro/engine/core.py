@@ -160,6 +160,10 @@ class ExecutionEngine:
         else:
             self.cache.flush()
         self._closed = True
+        # unbound, the backends no longer form a cycle with the engine,
+        # so a closed tracker and its golden bundle are freed as soon
+        # as they are dropped, not at the next cyclic collection
+        self.backend.engine = self._local.engine = None
         if failed is not None:
             raise EngineError(
                 f"engine closed after shard {failed} failed "

@@ -30,6 +30,7 @@ from typing import Iterable, Optional
 
 from repro.apps.base import Program
 from repro.faults.analysis import AnalysisPlan, encode_analysis
+from repro.util.gcpause import gc_paused
 from repro.vm.errors import VMError
 from repro.vm.fault import FaultPlan
 from repro.warmstart import warm_start_interp
@@ -187,15 +188,20 @@ def execute_plan(tracker, plan, max_instr: Optional[int] = None) -> str:
     run over the tracker's recovery context; an analysis plan
     (:mod:`repro.faults.analysis`) returns :func:`~repro.faults.
     analysis.encode_analysis` of the tracker's traced run, which uses
-    the tracker's own budget.  Neither setting ever changes a value,
-    only wall-clock.
+    the tracker's own budget, with the cyclic garbage collector paused
+    until the analysis is encoded and its traces are freed.  Neither
+    setting ever changes a value, only wall-clock.
     """
     if isinstance(plan, FaultPlan):
         ladder = tracker.warm_ladder() if tracker.warm_start else None
         return run_plan(tracker.program, plan, max_instr=max_instr,
                         exec_tier=tracker.exec_tier, ladder=ladder).value
     if isinstance(plan, AnalysisPlan):
-        return encode_analysis(tracker.analyze_injection(plan.fault))
+        # the traced run allocates one acyclic record per instruction:
+        # no collection runs until the encoded value is all that is
+        # left of it (see repro.util.gcpause)
+        with gc_paused():
+            return encode_analysis(tracker.analyze_injection(plan.fault))
     from repro.recovery.run import run_recovery_plan
     return run_recovery_plan(tracker, plan, max_instr=max_instr)
 

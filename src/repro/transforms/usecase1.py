@@ -68,6 +68,7 @@ class UseCase1Row:
     time_min: float
     time_max: float
     time_avg: float
+    time_median: float
     injections: int
     crashes: int = 0
     sdc: int = 0
@@ -204,6 +205,7 @@ def run_table3(variants=tuple(TABLE3_VARIANTS), *, n_injections: int = 80,
                         time_min=timer.min,
                         time_max=timer.max,
                         time_avg=timer.mean,
+                        time_median=timer.median,
                         injections=result.total,
                         crashes=result.crashed,
                         sdc=result.failed,

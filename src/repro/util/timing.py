@@ -45,6 +45,19 @@ class Timer:
         return self.elapsed / len(self.laps) if self.laps else 0.0
 
     @property
+    def median(self) -> float:
+        """Median lap time; 0.0 when no laps have been recorded.  Unlike
+        the mean, one lap slowed by other load on the machine barely
+        moves it."""
+        if not self.laps:
+            return 0.0
+        laps = sorted(self.laps)
+        mid = len(laps) // 2
+        if len(laps) % 2:
+            return laps[mid]
+        return (laps[mid - 1] + laps[mid]) / 2
+
+    @property
     def min(self) -> float:
         return min(self.laps) if self.laps else 0.0
 

@@ -7,7 +7,9 @@
   bundle's shared tracker is closed first, so its engine releases
   pools and sockets.
 * A module that leaves live child processes behind fails (the shared
-  ``no_leaked_children`` guard of the root ``conftest.py``).
+  ``no_leaked_children`` guard of the root ``conftest.py``), and so
+  does one that leaves the cyclic garbage collector disabled
+  (``gc_left_enabled``).
 """
 
 import pytest
@@ -17,6 +19,11 @@ from repro import golden
 
 @pytest.fixture(scope="module", autouse=True)
 def _no_leaked_children(no_leaked_children):
+    yield
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _gc_left_enabled(gc_left_enabled):
     yield
 
 

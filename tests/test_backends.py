@@ -546,6 +546,37 @@ class TestPoolDeath:
                 eng.run_plans(plans, max_instr=ft.faulty_budget)
         assert "engine closed after" not in str(excinfo.value)
 
+    def test_broken_pool_close_is_prompt_and_releases_all(self,
+                                                          monkeypatch):
+        """A broken pool's teardown must not wedge: each ``close()``
+        after a worker death returns well inside the abandon deadline,
+        and leaves no thread, pool worker or child process behind."""
+        import multiprocessing as mp
+        import time
+        import repro.engine.worker as worker_mod
+        from repro.engine.backends import local
+        prog = tiny_program()
+        ft = FlipTracker(prog, seed=9)
+        plans = ft.make_plans(loop_instance(ft), "internal", 8)
+        threads = threading.active_count()
+        children = {p.pid for p in mp.active_children()}
+        for _ in range(3):
+            eng = ExecutionEngine(tiny_program(), workers=2, min_parallel=1)
+            with monkeypatch.context() as m:
+                m.setattr(worker_mod, "run_plans_task", _exit_worker)
+                with pytest.raises(EngineError, match="shard 0"):
+                    eng.run_plans(plans, max_instr=ft.faulty_budget)
+            start = time.monotonic()
+            with pytest.raises(EngineError, match="shard 0 failed"):
+                eng.close()
+            assert time.monotonic() - start < local._BROKEN_JOIN_S / 2
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > threads and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert threading.active_count() == threads
+        assert {p.pid for p in mp.active_children()} <= children
+
     def test_healthy_close_still_silent(self):
         prog = tiny_program()
         ft = FlipTracker(prog, seed=9)

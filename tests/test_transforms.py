@@ -116,6 +116,7 @@ class TestEvaluation:
         assert row.injections == 8
         assert 0.0 <= row.success_rate <= 1.0
         assert row.time_min <= row.time_avg <= row.time_max
+        assert row.time_min <= row.time_median <= row.time_max
         assert "viv_sr" in row.extra and "pq_sr" in row.extra
         assert "/" in row.time_range
 

@@ -96,6 +96,7 @@ class TestTimer:
     def test_empty(self):
         t = Timer()
         assert t.mean == 0.0 and t.min == 0.0 and t.max == 0.0
+        assert t.median == 0.0
 
     def test_custom_clock(self):
         ticks = iter([1.0, 3.5, 10.0, 11.0])
@@ -105,3 +106,14 @@ class TestTimer:
         with t:
             pass
         assert t.laps == [2.5, 1.0] and t.elapsed == 3.5
+
+    def test_median_ignores_one_slow_lap(self):
+        ticks = iter([0.0, 1.0, 1.0, 2.0, 2.0, 12.0])
+        t = Timer(clock=lambda: next(ticks))
+        for _ in range(3):
+            with t:
+                pass
+        assert t.laps == [1.0, 1.0, 10.0]
+        assert t.median == 1.0 and t.mean == 4.0
+        t.laps.append(3.0)
+        assert t.median == 2.0
