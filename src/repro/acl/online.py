@@ -5,16 +5,12 @@ died.  This module turns the same golden evidence into checks cheap
 enough to run *inside* a faulty execution, at region-instance exit
 boundaries (see :mod:`repro.recovery`):
 
-* **boundary images** — every region instance's record-index span maps
-  to *dynamic-instruction* boundaries, and one untraced golden capture
-  replay on the tracker's own exec tier stops at every instance exit to
-  record the stack pointer, frame depth and a checksum of all live
-  state.  The map is exact for any program: a NOP advances the dynamic
-  count but appends no record, so record index == dyn index only when
-  the golden run executed no NOP (``dyn_count == len(records)``, the
-  case for every registered app); otherwise the NOP positions are
-  recovered from the golden record stream (:func:`record_dyn_map`),
-  and the same map gives each warm-start rung its record count;
+* **boundary images** — every executed instruction appends exactly
+  one record, NOPs included, so a region instance's record-index span
+  is its *dynamic-instruction* span; one untraced golden capture
+  replay on the tracker's own exec tier stops at every instance exit
+  to record the stack pointer, frame depth and a checksum of all live
+  state;
 * **value ranges** — per instance, the memory locations the region
   wrote in the golden run with their finite value range (the ``range``
   detector's evidence, ACL-informed: these are exactly the locations a
@@ -37,13 +33,11 @@ results inherit from campaigns.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.ir import opcodes as oc
 from repro.trace.columnar import T_BOOL, T_FLOAT, T_INT, GoldenTrace
 from repro.trace.events import R_DVAL
 from repro.trace.index import TraceIndex
@@ -157,121 +151,30 @@ def _forward_fraction(index: TraceIndex, locs, end: int) -> float:
     return dead / len(locs)
 
 
-class RecordDynMap:
-    """Exact record-index <-> dyn-index map of one golden execution.
-
-    Every executed instruction appends one record except NOP, so the
-    two indices coincide exactly when the golden run executed no NOP
-    (``total_dyn == n_records``).  Otherwise ``at`` lists the record
-    indices preceded by NOPs and ``before`` the running NOP count up
-    to each of them.
-    """
-
-    __slots__ = ("n_records", "total_dyn", "_at", "_before")
-
-    def __init__(self, n_records: int, total_dyn: int,
-                 at: Sequence = (), before: Sequence = ()):
-        self.n_records = n_records
-        self.total_dyn = total_dyn
-        self._at = at
-        self._before = before
-
-    def dyn_at(self, s: int) -> int:
-        """The dynamic index at which exactly ``s`` records exist (just
-        after the instruction that appended record ``s - 1``; 0 for
-        ``s == 0``)."""
-        if s == 0 or not self._at:
-            return s
-        i = bisect_right(self._at, s - 1)
-        return s + (self._before[i - 1] if i else 0)
-
-    def records_at(self, dyn: int) -> int:
-        """Records appended before the instruction at ``dyn`` executes:
-        the record index of that instruction, or of the first record
-        after it when it is a NOP."""
-        return bisect_right(range(self.n_records + 1), dyn,
-                            key=self.dyn_at) - 1
-
-
-def record_dyn_map(g: GoldenTrace, module, total_dyn: int) -> RecordDynMap:
-    """The :class:`RecordDynMap` of a golden execution.
-
-    The map is the identity exactly when ``total_dyn == len(g)``.
-    Otherwise the NOPs are located from the record stream: each record
-    fixes the next pc its frame executes (fall-through, branch target,
-    callee entry, or the caller's pc after the matching CALL), and any
-    shortfall to the next record's pc was covered by NOPs, which only
-    fall through.
-    """
-    n = len(g)
-    if total_dyn == n:
-        return RecordDynMap(n, total_dyn)
-    # static successor tables, indexed by fn base + pc
-    fns = sorted(module.functions.values(), key=lambda fn: fn.index)
-    base = np.zeros(len(fns) + 1, dtype=np.int64)
-    base[1:] = np.cumsum([len(fn.code) for fn in fns])
-    on_true = np.zeros(int(base[-1]), dtype=np.int64)
-    on_false = np.zeros(int(base[-1]), dtype=np.int64)
-    for fn in fns:
-        for pc, (op, _dest, _srcs, aux, _line) in enumerate(fn.code):
-            sid = base[fn.index] + pc
-            if op == oc.CBR:
-                on_true[sid], on_false[sid] = aux
-            elif op == oc.BR:
-                on_true[sid] = on_false[sid] = aux
-    pc = g.pc.astype(np.int64)
-    sid = base[g.fn] + pc
-    nxt = pc + 1
-    jump = np.flatnonzero((g.op == oc.CBR) | (g.op == oc.BR))
-    taken = np.array([bool(v) for v in g.dvals_at(jump)], dtype=bool)
-    nxt[jump] = np.where(taken, on_true[sid[jump]], on_false[sid[jump]])
-    nxt[g.op == oc.CALL] = 0
-    calls: list = []     # pc of every CALL whose frame is still live
-    frames = np.flatnonzero((g.op == oc.CALL) | (g.op == oc.RET))
-    for j, op in zip(frames.tolist(), g.op[frames].tolist()):
-        if op == oc.CALL:
-            calls.append(int(pc[j]))
-        elif calls:
-            nxt[j] = calls.pop() + 1
-    expect = np.zeros(n, dtype=np.int64)   # the entry frame starts at 0
-    expect[1:] = nxt[:-1]
-    at = np.flatnonzero(pc != expect)
-    before = np.cumsum(pc[at] - expect[at])
-    nops = int(before[-1]) if len(before) else 0
-    if n + nops != total_dyn:
-        raise ValueError(
-            f"record stream of {n} records and {nops} NOPs "
-            f"does not add up to the golden dyn_count {total_dyn}")
-    return RecordDynMap(n, total_dyn, at.tolist(), before.tolist())
-
-
 def build_recovery_context(program, records: GoldenTrace,
                            index: TraceIndex, instances: Sequence, *,
-                           record_map: RecordDynMap, exec_tier=None):
+                           exec_tier=None):
     """Derive the online-check context and the warm-start ladder.
 
     ``records``/``index``/``instances`` are the tracker's golden trace,
-    its read/write index and the time-ordered region instances;
-    ``record_map`` is the golden run's :func:`record_dyn_map`.
-    Boundaries and each rung's record count come from that map, so
-    every stop point is known before anything executes.  One untraced
-    replay on ``exec_tier`` then walks the program once, stopping at
-    every instance exit (stack pointer, frame depth, state checksum)
-    and at every ladder point (a snapshot rung); ``run_to`` stops are
-    byte-identical on either tier, so the result does not depend on it.
+    its read/write index and the time-ordered region instances.  A
+    record index is a dyn index, so every boundary and rung is known
+    before anything executes.  One untraced replay on ``exec_tier``
+    then walks the program once, stopping at every instance exit
+    (stack pointer, frame depth, state checksum) and at every ladder
+    point (a snapshot rung); ``run_to`` stops are byte-identical on
+    either tier, so the result does not depend on it.
 
     Returns ``(RecoveryContext, WarmLadder)``.
     """
     from repro.warmstart import (Rung, build_warm_ladder, ladder_points,
                                  ladder_stride)
-    total_dyn = record_map.total_dyn
-    dyn_at = record_map.dyn_at
+    total_dyn = len(records)
     ordered = sorted(instances, key=lambda inst: inst.start)
-    spans = [(dyn_at(inst.start), dyn_at(inst.end)) for inst in ordered]
     stride = ladder_stride(total_dyn)
-    points = set(ladder_points([entry for entry, _exit in spans],
+    points = set(ladder_points([inst.start for inst in ordered],
                                total_dyn, stride))
-    exits = {exit_dyn for _entry, exit_dyn in spans}
+    exits = {inst.end for inst in ordered}
 
     interp = program.fresh_interpreter(exec_tier=exec_tier)
     interp.start(program.entry)
@@ -284,17 +187,17 @@ def build_recovery_context(program, records: GoldenTrace,
             states[stop] = (interp.sp, depth,
                             state_checksum(interp.mem, interp.sp, depth))
         if stop in points:
-            rungs.append(Rung(stop, record_map.records_at(stop),
-                              interp.snapshot(), tuple(interp.output)))
+            rungs.append(Rung(stop, interp.snapshot(),
+                              tuple(interp.output)))
 
     invariants = []
-    for inst, (entry_dyn, exit_dyn) in zip(ordered, spans):
-        sp, depth, checksum = states[exit_dyn]
+    for inst in ordered:
+        sp, depth, checksum = states[inst.end]
         locs, lo, hi, nonfinite = _instance_values(records, inst.start,
                                                    inst.end)
         invariants.append(BoundaryInvariant(
             region=inst.region.name, kind=inst.region.kind,
-            index=inst.index, entry_dyn=entry_dyn, exit_dyn=exit_dyn,
+            index=inst.index, entry_dyn=inst.start, exit_dyn=inst.end,
             sp=sp, depth=depth, checksum=checksum,
             locs=tuple(sorted(locs)), lo=lo, hi=hi, nonfinite=nonfinite,
             forward_frac=_forward_fraction(index, locs, inst.end)))

@@ -19,7 +19,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.acl.online import record_dyn_map
 from repro.acl.table import ACLResult, build_acl
 from repro.api.compile import (aggregate_patterns, compile_analysis,
                                compile_campaign)
@@ -75,9 +74,9 @@ class GoldenArtifacts:
     """The golden-side state of one program, built lazily and once.
 
     Everything FlipTracker derives from the fault-free run depends only
-    on the program: the golden trace and ``dyn_count``, the trace
-    index, the region model and instances, the per-instance I/O
-    classification, the recovery context and the warm-start ladder.
+    on the program: the golden trace, the trace index, the region model
+    and instances, the per-instance I/O classification, the recovery
+    context and the warm-start ladder.
     The golden trace is columnar (:class:`~repro.trace.columnar.
     GoldenTrace`): the traced golden run stops every
     :data:`~repro.trace.columnar.CHUNK` instructions, encodes the
@@ -98,10 +97,6 @@ class GoldenArtifacts:
         self.exec_tier = exec_tier
         #: the golden trace, ``None`` until the golden run has happened
         self.trace: Optional[GoldenTrace] = None
-        #: the golden run's dynamic instruction count
-        self.dyn_count: Optional[int] = None
-        #: the golden run's exact record <-> dyn index map
-        self.record_map = None
         #: artifacts built so far (a shared bundle's reuse shows as a
         #: count that stops moving)
         self.builds = 0
@@ -144,9 +139,13 @@ class GoldenArtifacts:
                     interp.records.clear()
                 program.verify_fault_free(interp)
                 golden.seal()
-                self.dyn_count = interp.dyn_count
-                self.record_map = record_dyn_map(golden, program.module,
-                                                 interp.dyn_count)
+                # one record per executed instruction: record index is
+                # dyn index everywhere downstream
+                if interp.dyn_count != len(golden):
+                    raise ValueError(
+                        f"{program.name}: golden run executed "
+                        f"{interp.dyn_count} instructions but recorded "
+                        f"{len(golden)}")
                 return golden
         return self._lazy("trace", run)
 
@@ -183,7 +182,7 @@ class GoldenArtifacts:
             return build_recovery_context(
                 self.program, self.fault_free_trace(),
                 self.trace_index(), self.instances(),
-                record_map=self.record_map, exec_tier=self.exec_tier)
+                exec_tier=self.exec_tier)
         return self._lazy("_capture", capture)
 
     def recovery_context(self):
@@ -569,10 +568,8 @@ class FlipTracker:
             manifestation = classify_check(self.program, interp)
         frec = interp.fault_record
         if frec.fired:
-            # the prefix up to the flip is golden, so the golden map
-            # turns the flip's dyn index into its record index
             injected_loc = frec.loc
-            injected_time = golden.record_map.records_at(frec.dyn_index)
+            injected_time = frec.dyn_index
             start = injected_time
         else:
             injected_loc = injected_time = None

@@ -20,7 +20,10 @@ Run settings: every plan runs on the engine's :attr:`~ExecutionEngine.
 tracker` (the bound :class:`~repro.core.FlipTracker`, or one built
 lazily for a standalone engine), which resolved the VM tier and warm
 start once.  The sequential path and fork children run on it; spawn
-workers and shard servers build their own.
+workers and shard servers build their own.  A bound tracker owns its
+engine, so the engine refers back to it weakly: a tracker dropped
+without ``close()`` and its golden bundle are freed by reference
+counting.
 
 Determinism: plan order — never worker arrival order — decides how
 results are assembled, shard boundaries depend only on the pending
@@ -33,6 +36,7 @@ of (program, plans, budget) regardless of ``workers``, backend, tier
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Iterable, Optional, Sequence
 
 from repro.engine.cache import PlanCache
@@ -103,7 +107,8 @@ class ExecutionEngine:
         self.cache = cache if cache is not None else \
             PlanCache(cache_dir, resume=resume)
         self.program_fp = program_fingerprint(program)
-        self._tracker = None
+        self._tracker_ref = None    # weakref to the bound tracker
+        self._own_tracker = None    # a standalone engine's own tracker
         self._closed = False
         self.executed = 0      # faulty runs actually performed (parent view)
         self.pool_starts = 0   # pools/worker fleets created over the lifetime
@@ -128,17 +133,24 @@ class ExecutionEngine:
 
     def bind_tracker(self, tracker) -> None:
         """Attach the owning FlipTracker: its settings and golden
-        artifacts serve every plan this engine runs."""
-        self._tracker = tracker
+        artifacts serve every plan this engine runs.  Held weakly, since
+        the tracker holds the engine."""
+        self._tracker_ref = weakref.ref(tracker)
 
     @property
     def tracker(self):
         """The tracker every plan runs on: the bound one, or — for a
-        standalone engine — a sequential one built on first use."""
-        if self._tracker is None:
+        standalone engine — a sequential one built on first use.
+        Raises :class:`EngineError` once a bound tracker is gone."""
+        if self._tracker_ref is not None:
+            tracker = self._tracker_ref()
+            if tracker is None:
+                raise EngineError("the engine's bound tracker is gone")
+            return tracker
+        if self._own_tracker is None:
             from repro.core.fliptracker import FlipTracker
-            self._tracker = FlipTracker(self.program, workers=1)
-        return self._tracker
+            self._own_tracker = FlipTracker(self.program, workers=1)
+        return self._own_tracker
 
     def close(self) -> None:
         """Shut down the backend(s) and flush/close an owned cache.

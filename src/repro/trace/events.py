@@ -1,7 +1,9 @@
 """Dynamic trace schema.
 
-Every executed instruction appends one 9-tuple record (see
-:mod:`repro.vm.interp`).  Field indices are exported as constants so the
+Every executed instruction appends exactly one 9-tuple record, NOPs
+included (see :mod:`repro.vm.interp`), so a record index is a dynamic
+instruction index: region boundaries, ladder rungs and fault triggers
+share one index.  Field indices are exported as constants so the
 analysis passes can index tuples directly (attribute-free hot loops):
 
 ===========  =====================================================

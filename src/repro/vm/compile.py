@@ -605,11 +605,8 @@ class _FunctionLowering:
                        f"{self.slocs_tup(srcs)}, _vs, {line}, "
                        f"{fnidx}, {pc}, _t))")
 
-        elif op == oc.NOP:
-            pass  # counted by the segment's dyn += L; never recorded
-
-        elif op == oc.MPI_BARRIER:
-            # comm is always None on the compiled path: record-only no-op
+        elif op in (oc.NOP, oc.MPI_BARRIER):
+            # record-only no-ops (comm is always None on the compiled path)
             if t:
                 self.w(f"recs.append(({op}, None, None, (), (), {line}, "
                        f"{fnidx}, {pc}, None))")

@@ -74,16 +74,18 @@ class VMSnapshot:
     Captures everything a resumed execution can observe — memory, stack
     pointer, the frame stack (function, registers, pc, uid, return slot,
     stack mark), dynamic instruction count, uid counter, fault
-    bookkeeping and the *lengths* of the append-only output/record
-    streams (restore truncates them back; a snapshot therefore only
-    restores an earlier point of the same execution).  One snapshot may
-    be restored any number of times: :meth:`Interpreter.restore` copies
-    out of it, never aliases into it.
+    bookkeeping and the *length* of the append-only output stream
+    (restore truncates it back, and a traced run's records back to the
+    snapshot's dynamic count — one record per executed instruction; a
+    snapshot therefore only restores an earlier point of the same
+    execution).  One snapshot may be restored any number of times:
+    :meth:`Interpreter.restore` copies out of it, never aliases into
+    it.
     """
 
     __slots__ = ("mem", "sp", "frames", "dyn_count", "next_uid",
-                 "n_output", "n_records", "fault_state", "ftrig",
-                 "finished", "result")
+                 "n_output", "fault_state", "ftrig", "finished",
+                 "result")
 
     def __init__(self, interp: "Interpreter"):
         self.mem = list(interp.mem)
@@ -93,8 +95,6 @@ class VMSnapshot:
         self.dyn_count = interp.dyn_count
         self.next_uid = interp.next_uid
         self.n_output = len(interp.output)
-        self.n_records = (None if interp.records is None
-                          else len(interp.records))
         rec = interp.fault_record
         self.fault_state = (rec.fired, rec.loc, rec.old_value,
                             rec.new_value, rec.dyn_index)
@@ -234,7 +234,7 @@ class Interpreter:
 
         Memory and registers are copied out of the snapshot (it stays
         reusable); the append-only output/record streams are truncated
-        back to their snapshot lengths.  Fault bookkeeping — including
+        back to the snapshot's point.  Fault bookkeeping — including
         the armed/disarmed trigger — is restored faithfully: a caller
         modelling a *transient* fault must disarm ``_ftrig`` itself
         after restoring.
@@ -249,8 +249,9 @@ class Interpreter:
         self.dyn_count = snap.dyn_count
         self.next_uid = snap.next_uid
         del self.output[snap.n_output:]
-        if self.records is not None and snap.n_records is not None:
-            del self.records[snap.n_records:]
+        if self.records is not None:
+            # one record per instruction executed since record_base
+            del self.records[snap.dyn_count - self.record_base:]
         fired, loc, old_value, new_value, dyn_index = snap.fault_state
         rec = self.fault_record
         rec.fired = fired
@@ -704,6 +705,9 @@ class Interpreter:
 
                     elif op == 56:  # NOP
                         dyn += 1
+                        if recs is not None:
+                            recs.append((op, None, None, (), (), line,
+                                         fnidx, pc, None))
                         pc += 1
                         continue
 

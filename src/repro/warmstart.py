@@ -95,19 +95,17 @@ class Rung:
     """One ladder rung: the golden state about to execute ``dyn``.
 
     Carries the snapshot plus a materialized copy of the golden output
-    prefix: ``VMSnapshot`` records stream *lengths* only (restore
+    prefix: ``VMSnapshot`` records the output *length* only (restore
     truncates), so restoring into a fresh interpreter needs the prefix
-    installed explicitly.  ``n_records`` is the number of golden trace
-    records appended before ``dyn`` (it differs from ``dyn`` once a NOP
-    has executed): the golden prefix a traced run restored here reads
-    through the columns.
+    installed explicitly.  Every executed instruction appends one
+    record, so ``dyn`` is also the length of the golden trace prefix a
+    traced run restored here reads through the columns.
     """
 
-    __slots__ = ("dyn", "n_records", "snap", "output")
+    __slots__ = ("dyn", "snap", "output")
 
-    def __init__(self, dyn: int, n_records: int, snap, output: tuple):
+    def __init__(self, dyn: int, snap, output: tuple):
         self.dyn = dyn
-        self.n_records = n_records
         self.snap = snap
         self.output = output
 
@@ -204,14 +202,15 @@ def warm_start_interp(interp, ladder: Optional[WarmLadder],
     Returns True when a rung was restored — the caller must then drive
     the interpreter with ``resume_run`` instead of ``run``.  A traced
     interpreter keeps only the records of the suffix it executes:
-    ``interp.record_base`` is set to the rung's record count, and the
-    caller sees the whole run as the golden trace ``golden`` up to
-    there followed by ``interp.records``
-    (:class:`~repro.trace.columnar.SplicedRecords`).  Returns False
-    (cold start) whenever equivalence is not guaranteed: traced runs
-    without ``golden``, runs attached to a communicator/scheduler, no
-    rung at or below the trigger, or a rung at/past the hang budget
-    (the cold run would raise ``HangError`` from inside the prefix).
+    ``interp.record_base`` is set to the rung's dyn index (one record
+    per executed instruction), and the caller sees the whole run as
+    the golden trace ``golden`` up to there followed by
+    ``interp.records`` (:class:`~repro.trace.columnar.SplicedRecords`).
+    Returns False (cold start) whenever equivalence is not guaranteed:
+    traced runs without ``golden``, runs attached to a
+    communicator/scheduler, no rung at or below the trigger, or a rung
+    at/past the hang budget (the cold run would raise ``HangError``
+    from inside the prefix).
     """
     if ladder is None or plan is None:
         return False
@@ -230,7 +229,7 @@ def warm_start_interp(interp, ladder: Optional[WarmLadder],
     # in place (restore's truncation on a fresh interpreter is a no-op)
     interp.output[:] = rung.output
     if interp.records is not None:
-        interp.record_base = rung.n_records
+        interp.record_base = rung.dyn
     # the rung is golden (trigger -1); re-arm this plan's trigger
     interp._ftrig = trigger
     WARM_STATS["hits"] += 1

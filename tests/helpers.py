@@ -69,8 +69,8 @@ def oracle_recovery_context(program, records, index, instances):
     The test oracle for :func:`repro.acl.online.build_recovery_context`:
     a traced replay on the interpreter tier is stepped until its record
     count reaches each instance boundary, so the boundary dyn indices
-    are observed rather than derived (record index != dyn index once a
-    NOP executes).  Never used by the program itself.
+    are observed rather than taken to equal the record indices.  Never
+    used by the program itself.
     """
     from repro.acl.online import (FORWARD_THRESHOLD, BoundaryInvariant,
                                   RecoveryContext, _forward_fraction,
@@ -122,9 +122,9 @@ def oracle_recovery_context(program, records, index, instances):
 def oracle_warm_ladder(program, ctx):
     """Reference warm-start ladder from a separate replay.
 
-    The replay is traced so each rung's record count is observed, not
-    derived; the snapshot itself is taken untraced, like the real
-    ladder's.
+    The replay is traced so each rung's record count is observed and
+    checked against its dyn index; the snapshot itself is taken
+    untraced, like the real ladder's.
     """
     from repro.warmstart import (Rung, WarmLadder, ladder_points,
                                  ladder_stride)
@@ -137,8 +137,8 @@ def oracle_warm_ladder(program, ctx):
         if interp.run_to(point) == "done":
             break
         records, interp.records = interp.records, None
-        rungs.append(Rung(point, len(records), interp.snapshot(),
-                          tuple(interp.output)))
+        assert len(records) == point, (len(records), point)
+        rungs.append(Rung(point, interp.snapshot(), tuple(interp.output)))
         interp.records = records
     return WarmLadder(program.name, stride, rungs, ctx.total_dyn)
 
@@ -147,9 +147,8 @@ def rung_image(rung) -> tuple:
     """Every restorable field of a ladder rung, as one comparable value
     (``repr`` so nan-valued memory compares equal to itself)."""
     snap = rung.snap
-    return (rung.dyn, rung.n_records, rung.output, snap.words,
-            snap.dyn_count, snap.sp,
-            snap.next_uid, snap.n_output, snap.n_records, repr(snap.mem),
+    return (rung.dyn, rung.output, snap.words, snap.dyn_count, snap.sp,
+            snap.next_uid, snap.n_output, repr(snap.mem),
             repr([(fn.name, regs, pc, uid, ret_slot, mark)
                   for fn, regs, pc, uid, ret_slot, mark in snap.frames]),
             snap.fault_state, snap.ftrig, snap.finished, snap.result)

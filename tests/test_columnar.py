@@ -194,8 +194,9 @@ def test_golden_decodes_to_the_traced_records(name, tier):
     program = REGISTRY.build(name)
     bundle = GoldenArtifacts(program, exec_tier=tier)
     golden = bundle.fault_free_trace()
-    plain = program.run_fault_free(trace=True, exec_tier=tier).records
-    assert len(golden) == len(plain) == bundle.dyn_count
+    plain_run = program.run_fault_free(trace=True, exec_tier=tier)
+    plain = plain_run.records
+    assert len(golden) == len(plain) == plain_run.dyn_count
     for lo in range(0, len(plain), 4 * CHUNK):
         hi = min(lo + 4 * CHUNK, len(plain))
         assert [_exact(r) for r in golden.iter_range(lo, hi)] == \

@@ -7,7 +7,9 @@
 * the traced-analysis branch of ``execute_plan``: no collection runs
   while its records are built and dropped, and the GC is back on after;
 * a closed tracker's golden bundle is freed without a collection, so
-  a pause cannot keep a dropped bundle alive beside a new one.
+  a pause cannot keep a dropped bundle alive beside a new one;
+* so is an unclosed one's: its engine refers back to it weakly, and
+  the engine of a dropped tracker says so instead of running plans.
 """
 
 import gc
@@ -23,6 +25,7 @@ from test_engine import loop_instance, tiny_program
 from repro.apps import REGISTRY
 from repro.core import FlipTracker
 from repro.core.fliptracker import GoldenArtifacts
+from repro.engine import EngineError
 from repro.faults.analysis import AnalysisPlan
 from repro.faults.campaign import execute_plan
 from repro.trace.columnar import GoldenTrace
@@ -180,3 +183,22 @@ def test_closed_tracker_is_freed_without_a_collection():
     with gc_paused():
         del ft
         assert bundle() is None
+
+
+def test_unclosed_tracker_is_freed_without_a_collection():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ft = FlipTracker(tiny_program(), seed=9)
+        plans = ft.make_plans(loop_instance(ft), "internal", 2)
+        ft.engine.run_plans(plans, max_instr=ft.faulty_budget)
+        bundle = weakref.ref(ft._golden)
+        engine = ft.engine
+        del ft
+        assert bundle() is None
+        with pytest.raises(EngineError, match="tracker is gone"):
+            engine.tracker
+        engine.close()
+    finally:
+        if was_enabled:
+            gc.enable()

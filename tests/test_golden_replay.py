@@ -1,17 +1,20 @@
 """Golden capture replay: one untraced pass builds context and ladder.
 
-``repro.acl.online.build_recovery_context`` derives every region
-boundary's dynamic-instruction index from the golden record stream and
-then replays the program once, untraced, on the tracker's exec tier —
-recording boundary facts at instance exits and snapshotting ladder
-rungs on the way.  This suite checks it against the stepping oracle in
-``tests/helpers.py`` (a traced interpreter replay stepped record by
-record, plus a separate ladder replay):
+Every executed instruction appends exactly one trace record, NOPs
+included, so a record index is a dynamic-instruction index.
+``repro.acl.online.build_recovery_context`` takes every region
+boundary straight from the golden record stream and then replays the
+program once, untraced, on the tracker's exec tier — recording boundary
+facts at instance exits and snapshotting ladder rungs on the way.  This
+suite checks it against the stepping oracle in ``tests/helpers.py`` (a
+traced interpreter replay stepped record by record, plus a separate
+ladder replay):
 
 * **all ten apps, both tiers** — context and rungs equal the oracle's
   under the default tier and under ``REPRO_EXEC=interp``;
-* **NOP kernel** — a hand-built program whose NOPs make record index
-  differ from dyn index gets the exact record -> dyn map;
+* **NOP kernel** — a hand-built program that executes NOPs records one
+  record per instruction on both tiers, matches the oracle, and every
+  sampled or probed result-mode plan flips the record it names;
 * **one traced run** — building a tracker's context and ladder creates
   exactly one traced interpreter, the golden run;
 * **contention** — threads racing on one shared bundle build each
@@ -25,7 +28,7 @@ import pytest
 
 from helpers import oracle_recovery_context, oracle_warm_ladder, rung_image
 
-from repro.acl.online import build_recovery_context, record_dyn_map
+from repro.acl.online import build_recovery_context
 from repro.apps import ALL_APPS, REGISTRY
 from repro.apps.base import Program
 import repro.golden
@@ -37,7 +40,6 @@ from repro.ir import opcodes as oc
 from repro.ir.function import Function
 from repro.ir.instructions import Instr
 from repro.ir.types import F64, I64
-from repro.trace.columnar import GoldenTrace
 from repro.trace.events import R_DLOC
 from repro.vm.fault import FaultPlan
 from repro.vm.exec_tier import ENV_VAR
@@ -72,9 +74,6 @@ def assert_matches_oracle(ft: FlipTracker) -> None:
 @pytest.mark.parametrize("name", sorted(ALL_APPS))
 def test_capture_matches_oracle_every_app(name, tier_env):
     with FlipTracker(REGISTRY.build(name), workers=1) as ft:
-        # every registered app is NOP-free: record index == dyn index
-        ft.fault_free_trace()
-        assert ft._golden.dyn_count == len(ft.fault_free_trace())
         assert_matches_oracle(ft)
 
 
@@ -100,7 +99,7 @@ def main() -> None:
 def nop_program(monkeypatch) -> Program:
     """The kernel above with a NOP opening every basic block and
     following every CALL: NOPs run at the entry, at callee entry, at
-    branch targets and on return, so record and dyn indices drift."""
+    branch targets and on return."""
     finalize = Function.finalize
 
     def finalize_with_nops(fn):
@@ -125,35 +124,24 @@ def nop_program(monkeypatch) -> Program:
                    region_prefix="n", main_fn="main")
 
 
-def test_record_dyn_map_is_exact_with_nops(monkeypatch):
+@pytest.mark.parametrize("tier", ["interp", "compiled"])
+def test_nop_kernel_records_every_instruction(monkeypatch, tier):
     program = nop_program(monkeypatch)
-    interp = program.fresh_interpreter(trace=True, exec_tier="interp")
-    interp.start(program.entry)
-    observed = [0]  # dyn index at which exactly s records exist
-    while interp.step(1) != "done":
-        if len(interp.records) == len(observed):
-            observed.append(interp.dyn_count)
-    observed.append(interp.dyn_count)
-    assert len(observed) == len(interp.records) + 1
-    assert interp.dyn_count > len(interp.records)  # NOPs executed
-    golden = GoldenTrace.from_records(interp.records)
-    record_map = record_dyn_map(golden, program.module, interp.dyn_count)
-    assert [record_map.dyn_at(s) for s in range(len(observed))] == observed
-    # the inverse: records appended before each dyn index executes
-    for s, dyn in enumerate(observed[:-1]):
-        assert record_map.records_at(dyn) == s
-        assert record_map.records_at(observed[s + 1] - 1) == s
-    assert record_map.records_at(interp.dyn_count) == len(interp.records)
-    with pytest.raises(ValueError):
-        record_dyn_map(golden, program.module, interp.dyn_count + 1)
+    want = program.run_fault_free(trace=True, exec_tier="interp")
+    got = program.run_fault_free(trace=True, exec_tier=tier)
+    assert getattr(got, "exec_tier", "interp") == tier
+    assert got.dyn_count == len(got.records)
+    assert any(rec[0] == oc.NOP for rec in got.records)
+    assert got.records == want.records
 
 
 def test_capture_matches_oracle_with_nops(monkeypatch, tier_env):
     program = nop_program(monkeypatch)
     with FlipTracker(program, workers=1) as ft:
-        assert ft._golden.dyn_count != len(ft.fault_free_trace())
-        assert any(inv.entry_dyn != inst.start for inv, inst in
-                   zip(ft.recovery_context().invariants, ft.instances()))
+        assert (ft.fault_free_trace().op == oc.NOP).any()
+        assert all((inv.entry_dyn, inv.exit_dyn) == (inst.start, inst.end)
+                   for inv, inst in zip(ft.recovery_context().invariants,
+                                        ft.instances()))
         assert ft.warm_ladder().rungs
         assert_matches_oracle(ft)
 
@@ -169,28 +157,45 @@ def analysis_image(analysis) -> str:
                  [(m.time, m.op) for m in acl.maskings]))
 
 
-def test_warm_traced_analysis_with_nops(monkeypatch):
-    """The injected birth sits on the trigger's record even where NOPs
-    make record and dyn indices drift, and a warm traced analysis
-    equals a cold interpreter one."""
+def test_nop_kernel_plans_flip_their_sampled_record(monkeypatch):
+    """Site selection names a record index and the plan fires at that
+    dyn index: every sampled and probed result-mode plan's first birth
+    is the sampled record's destination, warm and cold."""
     program = nop_program(monkeypatch)
     with FlipTracker(program, workers=1, warm_start="on") as warm, \
             FlipTracker(program, workers=1, exec_tier="interp",
                         warm_start="off") as cold:
         records = warm.fault_free_trace().records
-        record_map = warm._golden.record_map
+        plans = []
+        for inst in warm.instances():
+            if inst.region.kind == "loop":
+                plans += warm.make_plans(inst, "internal", 5)
+                plans += warm.probe_plans(inst, n_sites=2)
+        plans = [plan for plan in plans if plan.mode == "result"]
+        assert len(plans) >= 20
+        for plan in plans:
+            want = (records[plan.trigger][R_DLOC], plan.trigger)
+            for ft in (warm, cold):
+                assert ft.analyze_injection(plan).acl.births[0] == want
+
+
+def test_warm_traced_analysis_with_nops(monkeypatch):
+    """A warm traced analysis past NOPs equals a cold interpreter one,
+    and the injected birth sits on the trigger's record."""
+    program = nop_program(monkeypatch)
+    with FlipTracker(program, workers=1, warm_start="on") as warm, \
+            FlipTracker(program, workers=1, exec_tier="interp",
+                        warm_start="off") as cold:
+        records = warm.fault_free_trace().records
         ladder = warm.warm_ladder()
-        assert any(r.n_records != r.dyn for r in ladder.rungs)
         # late definitions of a[] (memory writes), each past a rung
         sites = [t for t, rec in enumerate(records)
                  if rec[R_DLOC] is not None and rec[R_DLOC] >= 0
-                 and record_map.dyn_at(t + 1) - 1 > ladder.rungs[0].dyn]
+                 and t > ladder.rungs[0].dyn]
         assert sites
         for t in sites[len(sites) // 2::max(1, len(sites) // 4)]:
-            trigger = record_map.dyn_at(t + 1) - 1
-            assert trigger != t
-            for plan in (FaultPlan(trigger=trigger, mode="result", bit=52),
-                         FaultPlan(trigger=trigger, mode="loc", bit=52,
+            for plan in (FaultPlan(trigger=t, mode="result", bit=52),
+                         FaultPlan(trigger=t, mode="loc", bit=52,
                                    loc=records[t][R_DLOC])):
                 warmstart.reset_stats()
                 got = warm.analyze_injection(plan)
@@ -221,8 +226,7 @@ def test_replay_entry_point_returns_context_and_ladder():
     with FlipTracker(REGISTRY.build("ft"), workers=1) as ft:
         records = ft.fault_free_trace().records
         ctx, ladder = build_recovery_context(
-            ft.program, records, ft.trace_index(), ft.instances(),
-            record_map=ft._golden.record_map)
+            ft.program, records, ft.trace_index(), ft.instances())
         assert ctx == ft.recovery_context()
         assert [rung_image(r) for r in ladder.rungs] == \
             [rung_image(r) for r in ft.warm_ladder().rungs]

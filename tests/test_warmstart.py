@@ -281,7 +281,7 @@ def test_traced_warm_start_splices_golden_prefix(tier, mode):
                                            exec_tier=tier)
         assert warm_start_interp(interp, ladder, plan, golden) is True
         assert interp.records == []
-        assert interp.record_base == rung.n_records
+        assert interp.record_base == rung.dyn
         assert interp.dyn_count == rung.dyn
         cold = PROGRAM.fresh_interpreter(trace=True, fault=plan,
                                          exec_tier="interp")

@@ -5,7 +5,7 @@ Run from the repository root (CI's ``docs`` job does):
 
     PYTHONPATH=src python tools/check_docs.py
 
-Two checks, both fatal on failure:
+Ten checks, all fatal on failure:
 
 1. **Link check** — every relative markdown link in ``README.md``,
    ``ROADMAP.md`` and ``docs/*.md`` must point at an existing file;
@@ -44,10 +44,15 @@ Two checks, both fatal on failure:
    "Global flags" and the backend table in the "Backends" section of
    ``docs/architecture.md`` must list exactly ``sorted(BACKENDS)``, so
    a retired backend cannot linger in the docs.
+10. **Dotted-name drift check** — every backticked ``repro.…`` dotted
+    name in ``README.md`` and ``docs/*.md`` (a trailing ``()`` allowed)
+    must import as a module or resolve as an attribute of one, so a
+    deleted or renamed function cannot stay documented.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import sys
@@ -442,12 +447,44 @@ def check_backend_drift() -> list:
     return errors
 
 
+_DOTTED_RE = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
+
+
+def resolve_dotted(name: str):
+    """The object a dotted ``repro.…`` name denotes: the longest prefix
+    that imports as a module, then attributes; raises if none does."""
+    parts = name.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[i:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(name)
+
+
+def check_dotted_names() -> list:
+    sys.path.insert(0, str(REPO / "src"))
+    errors = []
+    for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        text = path.read_text(encoding="utf-8")
+        for name in sorted(set(_DOTTED_RE.findall(text))):
+            try:
+                resolve_dotted(name)
+            except (ImportError, AttributeError) as exc:
+                errors.append(f"{path.relative_to(REPO)}: `{name}` does "
+                              f"not resolve ({exc})")
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_protocol_drift()
               + check_experiment_drift() + check_service_drift()
               + check_profiles_drift() + check_recovery_drift()
               + check_warmstart_drift() + check_exec_tier_drift()
-              + check_backend_drift())
+              + check_backend_drift() + check_dotted_names())
     for error in errors:
         print(f"FAIL: {error}", file=sys.stderr)
     if errors:
