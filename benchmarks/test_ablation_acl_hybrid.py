@@ -52,10 +52,11 @@ def _collect():
         for plan in plans[:PROBES_PER_APP]:
             faulty, (loc, time) = _traced_faulty(ft, plan)
             hybrid = build_acl(ft.fault_free_trace(), faulty,
-                               injected_loc=loc, injected_time=time)
+                               injected_loc=loc, injected_time=time,
+                               index=ft.trace_index())
             taint = build_acl(ft.fault_free_trace(), faulty,
                               injected_loc=loc, injected_time=time,
-                              taint_only=True)
+                              taint_only=True, index=ft.trace_index())
             out.append((app, hybrid, taint))
     return out
 

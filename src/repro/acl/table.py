@@ -20,6 +20,17 @@ Corruption detection is **hybrid**:
   meaningless, and the pass degrades to classic taint propagation
   (conservative over-approximation), recording the divergence point.
 
+The value-aligned window is walked **by events**.  Only the records
+whose golden side reads or writes a *watched* location (every location
+born so far, never dropped), the injection record and the RETs while
+something is corrupted are visited.  Any other record runs the same
+static instruction as golden on sources whose values equal golden's,
+so it writes golden's value to golden's destination: it cannot birth,
+kill, mask or read anything corrupted, and skipping it changes no
+field of the result (:func:`build_acl` states the rule in full).  The
+same pass hands Repeated Additions its accumulator updates, which are
+events too.
+
 Death causes (consumed by the pattern detectors):
 
 =============  ==========================================================
@@ -38,17 +49,21 @@ Death causes (consumed by the pattern detectors):
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Optional
 
 import numpy as np
 
 from repro.ir import opcodes as oc
 from repro.ir.function import SLOT_LIMIT
-from repro.trace.columnar import records_view
+from repro.trace.columnar import (GoldenTrace, SplicedRecords, decode_locs,
+                                  records_view)
 from repro.trace.events import (R_DLOC, R_DVAL, R_EXTRA, R_FN, R_LINE, R_OP,
                                 R_PC, R_SLOCS, R_SVALS, Trace)
+from repro.trace.index import TraceIndex
 
 
 def same_value(a, b) -> bool:
@@ -115,6 +130,9 @@ class ACLResult:
     #: end of the control-aligned prefix: the divergence, else the
     #: shorter trace's length
     aligned: int = 0
+    #: loc -> the accumulator updates of ``loc`` in ``[start, aligned)``
+    #: at or after its first birth (what Repeated Additions reads)
+    updates: dict[int, list[int]] = field(default_factory=dict)
     #: loc -> (sorted births, running max of deaths), built on first use
     _spans: Optional[dict] = field(default=None, init=False, repr=False,
                                    compare=False)
@@ -162,10 +180,88 @@ def _frame_locs(corrupted: dict, dead_uid: int, stack_lo: int,
     return out
 
 
+#: golden records per chunk of the aligned window's event walk
+EVENT_CHUNK = 4096
+
+
+def _identical(a, b) -> bool:
+    """Are two values indistinguishable: the same type and bits?
+
+    Stricter than :func:`same_value`, which equates ``0.0`` with
+    ``-0.0`` and any two NaNs: a later division (or a format) can tell
+    the zeros apart, so the event walk keeps watching a location that
+    holds such a value.
+    """
+    if type(a) is not type(b):
+        return False
+    if type(a) is not float or (a == a and a != 0.0):
+        return a == b
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _hits(locs: np.ndarray, watched: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``locs`` found in the sorted ``watched``."""
+    if not len(watched):
+        return np.zeros(len(locs), dtype=bool)
+    i = np.minimum(watched.searchsorted(locs), len(watched) - 1)
+    return watched[i] == locs
+
+
+def accumulator_hit(op: int, dloc: int, vloc: int, def_of,
+                    op_slocs) -> bool:
+    """Is the STORE (or MOV) of register ``vloc`` into ``dloc`` an
+    accumulator update ``x = x + ...``?
+
+    Its value must come from an FADD/ADD whose def chain includes a
+    LOAD of ``dloc`` itself; for a MOV, the add must read ``dloc``.
+    ``def_of(loc)`` is the record of a register's latest def before the
+    update (-1 when it has none, and for a memory location), and
+    ``op_slocs(t)`` the op and source locations of record ``t``.
+    """
+    t_def = def_of(vloc)
+    if t_def < 0:
+        return False
+    def_op, def_srcs = op_slocs(t_def)
+    if def_op not in oc.ACCUM_CANDIDATES:
+        return False
+    if op == oc.MOV:
+        return dloc in (def_srcs or ())
+    return _walk(op_slocs, def_of, t_def, dloc)
+
+
+def _walk(op_slocs, def_of, t_def: int, target_loc: int,
+          depth: int = 6) -> bool:
+    """Depth-limited def-chain walk over the *current* latest defs.
+
+    Sound for the straight-line accumulator idiom (load -> adds ->
+    store all adjacent), which is the shape the frontend emits for
+    ``u[i] = u[i] + ...``.
+    """
+    stack = [(t_def, depth)]
+    seen = set()
+    while stack:
+        t, d = stack.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        op, srcs = op_slocs(t)
+        if op == oc.LOAD and srcs and srcs[0] == target_loc:
+            return True
+        if d == 0:
+            continue
+        for sloc in srcs:
+            if sloc is not None and sloc < 0:
+                prev = def_of(sloc)
+                if 0 <= prev < t:  # only walk defs that happened earlier
+                    stack.append((prev, d - 1))
+    return False
+
+
 def build_acl(ff: Trace, faulty: Trace,
               injected_loc: Optional[int] = None,
               injected_time: Optional[int] = None,
-              taint_only: bool = False, start: int = 0) -> ACLResult:
+              taint_only: bool = False, start: int = 0,
+              index: Optional[TraceIndex] = None) -> ACLResult:
     """Run the hybrid corrupted-location pass (see module docstring).
 
     Parameters
@@ -177,7 +273,8 @@ def build_acl(ff: Trace, faulty: Trace,
         :class:`~repro.vm.fault.FaultRecord`).  Required for
         "loc"-mode injections, whose flip leaves no trace record;
         "result"-mode flips are visible in the value comparison, but
-        passing them is still recommended for exact birth attribution.
+        without ``injected_time`` the pass visits every record of the
+        value-aligned window instead of its events.
     taint_only:
         Disable the value-alignment hybrid and run classic forward
         taint propagation throughout: any operation with a corrupted
@@ -192,12 +289,40 @@ def build_acl(ff: Trace, faulty: Trace,
         prefix is provably inert: nothing is corrupted yet, no value
         differs (no birth, no masking, no death) and no write is
         redirected.  Skipping it changes no field of the result.
+    index:
+        The :class:`~repro.trace.index.TraceIndex` of ``ff``; built
+        here when not given.
 
-    The golden side of the value-aligned window is read as column
-    lists, never as record tuples.  Past that window, once nothing is
-    corrupted and the injection is behind the scan, a birth would need
-    a corrupted source, so no later record can change any field and
-    the scan stops there.
+    **Events.**  In the value-aligned window ``[start, aligned)`` the
+    pass visits only event records: the injection, a RET while
+    anything is corrupted, and any record whose *golden* side reads or
+    writes a watched location.  The watched set holds every location
+    born so far, plus every location that holds a value
+    :func:`same_value`-equal to golden but not identical to it (a
+    ``-0.0``), and it never shrinks: a stack cell freed while
+    corrupted and read by a later call stays covered.  So every
+    location whose faulty value differs from golden is watched.  A
+    record that is not an event runs the same static instruction as
+    golden on sources outside that set.  Its address registers hold
+    golden's values, so it reads golden's locations with golden's
+    values and writes golden's value to golden's destination (a CALL
+    writes only its fresh frame's registers).  It births nothing,
+    kills nothing (the location it writes was never corrupted), reads
+    nothing corrupted and masks nothing, so skipping it changes no
+    field.  The one state no location holds is the stack pointer: once
+    an ALLOCA's size differs from golden, every later ALLOCA is an
+    event.  Event positions come a chunk of :data:`EVENT_CHUNK` golden
+    records at a time from the golden ``dloc``/``sloc``/``op``
+    columns; a location first watched inside a chunk adds the rest of
+    its chunk's positions from ``index``.  Faulty records are indexed,
+    and golden values decoded, only at events.
+
+    Past that window (everywhere, under ``taint_only``) the pass is a
+    taint walk over every record.  Once nothing is corrupted, the
+    injection is behind and the aligned window is done, a birth would
+    need a corrupted source, so no later record can change any field
+    and the walk stops there.  One handler processes every visited
+    record of both walks.
 
     Reads are tracked in the same pass: each record marks the
     corrupted locations it reads, and a birth marks its location when
@@ -205,15 +330,34 @@ def build_acl(ff: Trace, faulty: Trace,
     ``read`` flag (read at some record in ``[birth, time]``), and
     every location still corrupted at the end its last read — no
     second scan of the trace and no read index.
+
+    The pass also collects the accumulator updates Repeated Additions
+    needs (``ACLResult.updates``): the STORE/MOV records in
+    ``[start, aligned)`` that write a location at or after its first
+    birth and pass :func:`accumulator_hit`.  No earlier update can
+    count, since the location is not corrupted before its first birth.
+    Each such record writes a watched location, so the event walk
+    visits it.  The register defs its chain reaches are golden's (the
+    runs are aligned), looked up in ``index``.
     """
+    RET, CBR, EMIT, CALL, ALLOCA, STORE, MOV = (   # hot-loop locals
+        oc.RET, oc.CBR, oc.EMIT, oc.CALL, oc.ALLOCA, oc.STORE, oc.MOV)
     frecs_n = len(faulty)
     div = ff.first_divergence(faulty, start)
     aligned = div if div is not None else min(frecs_n, len(ff))
-    # under taint_only the taint fallback path handles every record
+    # under taint_only the taint walk handles every record
     aligned_until = 0 if taint_only else aligned
-    # the golden side of the value-aligned window, as column lists
-    ff_dlocs = ff.column(R_DLOC, start, aligned_until)
-    ff_dvals = ff.column(R_DVAL, start, aligned_until)
+    view = records_view(faulty.records)
+    if isinstance(view, SplicedRecords):
+        suffix, base = view.suffix, view.base
+    else:
+        suffix, base = view, 0
+    g = ff.records
+    if start < aligned:
+        if not isinstance(g, GoldenTrace):
+            g = GoldenTrace.from_records(g)
+        if index is None:
+            index = TraceIndex(g)
 
     corrupted: dict[int, int] = {}   # loc -> birth time
     births: list[tuple[int, int]] = []
@@ -223,6 +367,40 @@ def build_acl(ff: Trace, faulty: Trace,
     # loc -> latest record that read it while corrupted, or that read
     # it at its birth record (the read happens before the write)
     last_read: dict[int, int] = {}
+    born: set[int] = set()
+    watched: set[int] = set()
+    updates: dict[int, list[int]] = {}
+    # positions, inside the current chunk, of the locations first
+    # watched there; chunk_hi is 0 outside the event walk
+    added: list[int] = []
+    chunk_hi = 0
+    # the stack pointer is state no location holds: once an ALLOCA's
+    # size differs from golden, every later ALLOCA is an event
+    sp_moved = False
+
+    def op_slocs(t: int):
+        rec = suffix[t - base] if t >= base else view[t]
+        return rec[R_OP], rec[R_SLOCS]
+
+    def def_before(loc: int, t: int) -> int:
+        """Latest def of register ``loc`` before ``t``, golden's and so
+        the faulty run's (the runs are aligned before ``t``)."""
+        if loc >= 0:
+            return -1
+        # a def is usually a few records back
+        for d in range(t - 1, max(t - 8, base) - 1, -1):
+            if suffix[d - base][R_DLOC] == loc:
+                return d
+        return index.last_def_before(loc, t)
+
+    def watch(loc: int, t: int) -> None:
+        if loc in watched:
+            return
+        watched.add(loc)
+        if t + 1 < chunk_hi:
+            for rows in (index.reads, index.writes):
+                for p in rows.between(loc, t + 1, chunk_hi).tolist():
+                    heappush(added, p)
 
     def kill(loc: int, time: int, cause: str, rec=None) -> None:
         birth = corrupted.pop(loc)
@@ -239,8 +417,10 @@ def build_acl(ff: Trace, faulty: Trace,
         if loc not in corrupted:
             corrupted[loc] = time
             births.append((loc, time))
+            born.add(loc)
             if loc in slocs:
                 last_read[loc] = time
+            watch(loc, time)
 
     # The injected birth is registered when the scan *reaches* the
     # injection time, not up front: a clean write to the target
@@ -251,16 +431,19 @@ def build_acl(ff: Trace, faulty: Trace,
     pending_injection = (injected_loc is not None
                          and injected_time is not None)
 
-    for t, rec in enumerate(records_view(faulty.records).window(start),
-                            start):
-        if not corrupted and not pending_injection and \
-                t >= aligned_until and \
-                (injected_time is None or t > injected_time):
-            # past the aligned window a birth needs a corrupted source
-            # or the injection record: nothing later changes any field
-            break
+    def visit(t: int, rec, ff_dloc, ff_dval) -> None:
+        """Process record ``t``; ``ff_dloc``/``ff_dval`` are golden's
+        inside the aligned window."""
+        nonlocal pending_injection, sp_moved
+        in_window = t < aligned_until
         op = rec[R_OP]
         slocs = rec[R_SLOCS]
+        if op == ALLOCA and in_window and not sp_moved and \
+                not _identical(rec[R_SVALS][0], g.field(t, R_SVALS)[0]):
+            sp_moved = True
+            rest = g.op[t + 1:chunk_hi] == ALLOCA
+            for p in (np.flatnonzero(rest) + t + 1).tolist():
+                heappush(added, p)
         if pending_injection and t == injected_time:
             birth_loc(injected_loc, t, slocs)
             pending_injection = False
@@ -271,7 +454,7 @@ def build_acl(ff: Trace, faulty: Trace,
                     corrupted_src = True
                     last_read[sloc] = t
 
-        if op == oc.RET:
+        if op == RET:
             extra = rec[R_EXTRA]
             if extra is not None:
                 dead_uid, stack_lo, stack_hi = extra
@@ -279,18 +462,18 @@ def build_acl(ff: Trace, faulty: Trace,
                                        stack_hi):
                     kill(loc, t, "free", rec)
 
-        elif op == oc.CBR and corrupted_src and t < aligned_until:
+        elif op == CBR and corrupted_src and in_window:
             # corrupted condition, same branch direction: the conditional
             # masked the fault (Pattern 3 signature)
-            if same_value(rec[R_DVAL], ff_dvals[t - start]):
+            if same_value(rec[R_DVAL], ff_dval):
                 maskings.append(MaskEvent(t, op, rec[R_LINE], rec[R_FN],
                                           rec[R_PC]))
 
-        elif op == oc.EMIT and t < aligned_until:
+        elif op == EMIT and in_window:
             svals_differ = any(not same_value(a, b) for a, b in
-                               zip(rec[R_SVALS], ff.field(t, R_SVALS)))
+                               zip(rec[R_SVALS], g.field(t, R_SVALS)))
             if (corrupted_src or svals_differ) and \
-                    rec[R_EXTRA] == ff.field(t, R_EXTRA):
+                    rec[R_EXTRA] == g.field(t, R_EXTRA):
                 # corrupted value, identical formatted output: the format
                 # precision truncated the corruption away (Pattern 5)
                 maskings.append(MaskEvent(t, op, rec[R_LINE], rec[R_FN],
@@ -298,11 +481,13 @@ def build_acl(ff: Trace, faulty: Trace,
 
         dloc = rec[R_DLOC]
         if dloc is not None:
-            if t < aligned_until:
-                ff_dloc = ff_dlocs[t - start]
+            if in_window:
                 if dloc == ff_dloc:
-                    is_corrupt = not same_value(rec[R_DVAL],
-                                                ff_dvals[t - start])
+                    dval = rec[R_DVAL]
+                    is_corrupt = not same_value(dval, ff_dval)
+                    if not is_corrupt and dloc not in watched and \
+                            not _identical(dval, ff_dval):
+                        watch(dloc, t)
                 else:
                     # a corrupted address redirected the write: the cell
                     # actually written is corrupted, and so is the cell
@@ -316,7 +501,7 @@ def build_acl(ff: Trace, faulty: Trace,
                 # clean, so source taint alone would never register it)
                 is_corrupt = corrupted_src or (
                     t == injected_time and dloc == injected_loc)
-            if corrupted_src and not is_corrupt and t < aligned_until:
+            if corrupted_src and not is_corrupt and in_window:
                 maskings.append(MaskEvent(t, op, rec[R_LINE], rec[R_FN],
                                           rec[R_PC]))
             if is_corrupt:
@@ -324,17 +509,20 @@ def build_acl(ff: Trace, faulty: Trace,
             elif dloc in corrupted:
                 kill(dloc, t, "masked" if corrupted_src else "overwrite", rec)
 
-        if op == oc.CALL:
+        if op == CALL:
             uid, _callee, nargs = rec[R_EXTRA]
             rbase = -(uid * SLOT_LIMIT) - 1
             svals = rec[R_SVALS]
-            ffvals = ff.field(t, R_SVALS) if t < aligned_until else ()
+            ffvals = g.field(t, R_SVALS) if in_window else ()
             for i in range(nargs):
                 ploc = rbase - i
                 arg_corrupt = False
-                if t < aligned_until:
-                    if i < len(ffvals) and not same_value(svals[i], ffvals[i]):
-                        arg_corrupt = True
+                if in_window:
+                    if i < len(ffvals):
+                        arg_corrupt = not same_value(svals[i], ffvals[i])
+                        if not arg_corrupt and ploc not in watched and \
+                                not _identical(svals[i], ffvals[i]):
+                            watch(ploc, t)
                 else:
                     sloc = slocs[i] if i < len(slocs) else None
                     arg_corrupt = sloc is not None and sloc in corrupted
@@ -342,6 +530,86 @@ def build_acl(ff: Trace, faulty: Trace,
                     birth_loc(ploc, t, slocs)
                 elif ploc in corrupted:
                     kill(ploc, t, "overwrite", rec)
+
+        if t < aligned and dloc in born and (op == STORE or op == MOV):
+            vloc = slocs[0]
+            if vloc is not None and accumulator_hit(
+                    op, dloc, vloc,
+                    lambda loc: def_before(loc, t), op_slocs):
+                updates.setdefault(dloc, []).append(t)
+
+    # the event walk over the value-aligned window
+    lo = start
+    while lo < aligned_until:
+        if not watched and injected_time is not None and injected_time > lo:
+            # nothing is watched before the injection: no events
+            lo = min(injected_time, aligned_until)
+            continue
+        hi = chunk_hi = min(lo + EVENT_CHUNK, aligned_until)
+        if injected_time is None:
+            ev = np.arange(lo, hi)
+            ret_only = [False] * len(ev)
+        else:
+            warr = np.fromiter(watched, dtype=np.int64, count=len(watched))
+            warr.sort()
+            mask = _hits(g.dloc[lo:hi], warr)
+            soff = g.soff[lo:hi + 1]
+            slots = np.flatnonzero(_hits(g.sloc[soff[0]:soff[-1]], warr))
+            mask[soff.searchsorted(soff[0] + slots, "right") - 1] = True
+            rets = g.op[lo:hi] == RET
+            if sp_moved:
+                mask |= g.op[lo:hi] == ALLOCA
+            if lo <= injected_time < hi:
+                mask[injected_time - lo] = True
+            rets &= ~mask
+            mask |= rets
+            ev = np.flatnonzero(mask)
+            ret_only = rets[ev].tolist()
+            ev += lo
+        ts = ev.tolist()
+        ff_dlocs = decode_locs(g.dloc[ev])
+        ff_dvals = g.dvals_at(ev)
+        added.clear()
+        i, n, last = 0, len(ts), -1
+        while True:
+            if added and (i == n or added[0] < ts[i]):
+                t = heappop(added)
+                if t != last:
+                    last = t
+                    visit(t, suffix[t - base] if t >= base else view[t],
+                          g.field(t, R_DLOC), g.field(t, R_DVAL))
+            elif i < n:
+                t = ts[i]
+                # a RET that reads and writes nothing watched matters
+                # only while something is corrupted
+                if t != last and (corrupted or not ret_only[i]):
+                    last = t
+                    visit(t, suffix[t - base] if t >= base else view[t],
+                          ff_dlocs[i], ff_dvals[i])
+                i += 1
+            else:
+                break
+        lo = hi
+    chunk_hi = 0
+
+    # the taint walk past it
+    lo = max(start, aligned_until)
+    corrupted_locs = corrupted.keys()
+    for t, rec in enumerate(view.window(lo), lo):
+        if t >= aligned and t != injected_time:
+            if not corrupted and not pending_injection and \
+                    (injected_time is None or t > injected_time):
+                # a birth needs a corrupted source or the injection
+                # record: nothing later changes any field
+                break
+            # a record that is not a RET or CALL and neither reads nor
+            # writes a corrupted location changes nothing
+            op = rec[R_OP]
+            if op != RET and op != CALL and \
+                    rec[R_DLOC] not in corrupted and \
+                    corrupted_locs.isdisjoint(rec[R_SLOCS]):
+                continue
+        visit(t, rec, None, None)
 
     # a flip planned beyond the end of execution (e.g. the run crashed
     # first) never fired; record it if the caller says it did fire at
@@ -379,4 +647,5 @@ def build_acl(ff: Trace, faulty: Trace,
     return ACLResult(counts=counts, births=births, deaths=deaths,
                      divergence=div, corrupted_at_end=end_set,
                      injected_loc=injected_loc, intervals=intervals,
-                     maskings=maskings, start=start, aligned=aligned)
+                     maskings=maskings, start=start, aligned=aligned,
+                     updates=updates)

@@ -97,8 +97,9 @@ def measure_warmstart(apps=("kmeans", "cg"), count: int = 30,
     """The full measurement: one entry per app + the overall verdict.
 
     ``trackers`` (app name -> FlipTracker) lets callers share
-    session-cached trackers (the pytest benchmarks do); an app without
-    one gets a fresh sequential tracker.
+    session-cached trackers (the pytest benchmarks do), and they stay
+    open; an app without one gets a fresh sequential tracker, closed
+    once measured.
     """
     from repro.apps import REGISTRY
     from repro.core import FlipTracker
@@ -107,9 +108,11 @@ def measure_warmstart(apps=("kmeans", "cg"), count: int = 30,
     for app in apps:
         tracker = trackers.get(app)
         if tracker is None:
-            tracker = FlipTracker(REGISTRY.build(app), seed=20181111,
-                                  workers=1)
-        per_app[app] = measure_app(tracker, count)
+            with FlipTracker(REGISTRY.build(app), seed=20181111,
+                             workers=1) as fresh:
+                per_app[app] = measure_app(fresh, count)
+        else:
+            per_app[app] = measure_app(tracker, count)
     return {
         "benchmark": "warmstart",
         "tail": TAIL,

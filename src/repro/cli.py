@@ -92,155 +92,152 @@ def cmd_apps(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    ft = _tracker(args)
-    trace = ft.fault_free_trace()
-    print(trace.describe())
-    print(f"verification: PASS (fault-free)")
-    return 0
+    with _tracker(args) as ft:
+        trace = ft.fault_free_trace()
+        print(trace.describe())
+        print(f"verification: PASS (fault-free)")
+        return 0
 
 
 def cmd_regions(args) -> int:
-    ft = _tracker(args)
-    rows = []
-    for inst in ft.instances():
-        if args.instance is not None and inst.index != args.instance:
-            continue
-        r = inst.region
-        rows.append([r.name, r.kind, f"{r.line_lo}-{r.line_hi}",
-                     inst.index, inst.start, inst.end, inst.n_instr])
-    print(format_table(
-        ["Region", "Kind", "Lines", "Inst", "Start", "End", "#instr"],
-        rows, title=f"{args.app}: code-region instances"))
-    return 0
+    with _tracker(args) as ft:
+        rows = []
+        for inst in ft.instances():
+            if args.instance is not None and inst.index != args.instance:
+                continue
+            r = inst.region
+            rows.append([r.name, r.kind, f"{r.line_lo}-{r.line_hi}",
+                         inst.index, inst.start, inst.end, inst.n_instr])
+        print(format_table(
+            ["Region", "Kind", "Lines", "Inst", "Start", "End", "#instr"],
+            rows, title=f"{args.app}: code-region instances"))
+        return 0
 
 
 def cmd_io(args) -> int:
-    ft = _tracker(args)
-    inst = ft.instance_of(args.region, args.instance)
-    io = ft.io(inst)
-    print(io.summary())
-    if args.verbose:
-        for kind, locs in (("inputs", io.inputs), ("outputs", io.outputs)):
-            print(f"  {kind}:")
-            for loc in sorted(locs)[:args.limit]:
-                print(f"    loc {loc} = {locs[loc]!r}")
-    return 0
+    with _tracker(args) as ft:
+        inst = ft.instance_of(args.region, args.instance)
+        io = ft.io(inst)
+        print(io.summary())
+        if args.verbose:
+            for kind, locs in (("inputs", io.inputs), ("outputs", io.outputs)):
+                print(f"  {kind}:")
+                for loc in sorted(locs)[:args.limit]:
+                    print(f"    loc {loc} = {locs[loc]!r}")
+        return 0
 
 
 def cmd_inject(args) -> int:
     from repro.faults.sites import NoFaultSitesError
-    ft = _tracker(args)
-    inst = ft.instance_of(args.region, args.instance)
-    try:
-        plans = ft.make_plans(inst, args.kind, 1, seed_offset=args.draw)
-    except NoFaultSitesError:
-        print(f"no {args.kind} sites in {args.region}#{args.instance}",
-              file=sys.stderr)
-        return 1
-    analysis = ft.analyze_injection(plans[0])
-    plan = plans[0]
-    print(f"plan: {plan.mode} flip, bit {plan.bit}, trigger {plan.trigger}"
-          + (f", loc {plan.loc}" if plan.loc is not None else ""))
-    print(f"manifestation: {analysis.manifestation.value}")
-    acl = analysis.acl
-    print(f"ACL: peak={acl.peak} births={len(acl.births)} "
-          f"deaths={acl.deaths_by_cause()} divergence={acl.divergence}")
-    if analysis.patterns:
-        rows = [[p.pattern, p.time, p.region or "-", p.line] for p in
-                analysis.patterns[:args.limit]]
-        print(format_table(["Pattern", "t", "Region", "Line"], rows,
-                           title="resilience-pattern instances"))
-    else:
-        print("no resilience patterns observed")
-    return 0
+    with _tracker(args) as ft:
+        inst = ft.instance_of(args.region, args.instance)
+        try:
+            plans = ft.make_plans(inst, args.kind, 1, seed_offset=args.draw)
+        except NoFaultSitesError:
+            print(f"no {args.kind} sites in {args.region}#{args.instance}",
+                  file=sys.stderr)
+            return 1
+        analysis = ft.analyze_injection(plans[0])
+        plan = plans[0]
+        print(f"plan: {plan.mode} flip, bit {plan.bit}, trigger {plan.trigger}"
+              + (f", loc {plan.loc}" if plan.loc is not None else ""))
+        print(f"manifestation: {analysis.manifestation.value}")
+        acl = analysis.acl
+        print(f"ACL: peak={acl.peak} births={len(acl.births)} "
+              f"deaths={acl.deaths_by_cause()} divergence={acl.divergence}")
+        if analysis.patterns:
+            rows = [[p.pattern, p.time, p.region or "-", p.line] for p in
+                    analysis.patterns[:args.limit]]
+            print(format_table(["Pattern", "t", "Region", "Line"], rows,
+                               title="resilience-pattern instances"))
+        else:
+            print("no resilience patterns observed")
+        return 0
 
 
 def cmd_acl(args) -> int:
     from repro.faults.sites import NoFaultSitesError
     from repro.viz import acl_chart
-    ft = _tracker(args)
-    inst = ft.instance_of(args.region, args.instance)
-    try:
-        plans = ft.make_plans(inst, args.kind, 1, seed_offset=args.draw)
-    except NoFaultSitesError:
-        print("no sites", file=sys.stderr)
-        return 1
-    analysis = ft.analyze_injection(plans[0])
-    print(acl_chart(analysis.acl,
-                    title=f"{args.app}/{args.region}#{args.instance} "
-                          f"{args.kind} flip "
-                          f"({analysis.manifestation.value})"))
-    return 0
+    with _tracker(args) as ft:
+        inst = ft.instance_of(args.region, args.instance)
+        try:
+            plans = ft.make_plans(inst, args.kind, 1, seed_offset=args.draw)
+        except NoFaultSitesError:
+            print("no sites", file=sys.stderr)
+            return 1
+        analysis = ft.analyze_injection(plans[0])
+        print(acl_chart(analysis.acl,
+                        title=f"{args.app}/{args.region}#{args.instance} "
+                              f"{args.kind} flip "
+                              f"({analysis.manifestation.value})"))
+        return 0
 
 
 def cmd_campaign(args) -> int:
     from repro.faults.sites import NoFaultSitesError
-    ft = _tracker(args)
-    on_progress = None
-    if args.progress:
-        def on_progress(event):  # noqa: E306 - tiny local callback
-            print(f"  {event}", file=sys.stderr)
-    try:
-        res = ft.region_campaign(args.region, args.kind, n=args.n,
-                                 instance_index=args.instance,
-                                 on_progress=on_progress)
-    except NoFaultSitesError as exc:
-        print(f"no injectable sites: {exc}", file=sys.stderr)
-        ft.close()
-        return 1
-    print(res)
-    if args.cache_dir:
-        stats = ft.engine.cache.stats()
-        print(f"cache: {res.executed} executed, {res.cached} reused, "
-              f"{stats['entries']} entries @ {stats['path']}")
-    ft.close()
-    return 0
+    with _tracker(args) as ft:
+        on_progress = None
+        if args.progress:
+            def on_progress(event):  # noqa: E306 - tiny local callback
+                print(f"  {event}", file=sys.stderr)
+        try:
+            res = ft.region_campaign(args.region, args.kind, n=args.n,
+                                     instance_index=args.instance,
+                                     on_progress=on_progress)
+        except NoFaultSitesError as exc:
+            print(f"no injectable sites: {exc}", file=sys.stderr)
+            return 1
+        print(res)
+        if args.cache_dir:
+            stats = ft.engine.cache.stats()
+            print(f"cache: {res.executed} executed, {res.cached} reused, "
+                  f"{stats['entries']} entries @ {stats['path']}")
+        return 0
 
 
 def cmd_patterns(args) -> int:
-    ft = _tracker(args)
-    on_progress = None
-    if args.progress:
-        def on_progress(event):  # noqa: E306 - tiny local callback
-            print(f"  {event}", file=sys.stderr)
-    found = ft.region_patterns(runs_per_kind=args.runs_per_kind,
-                               instance_index=args.instance,
-                               loop_only=args.loop_only,
-                               probe_sites=args.probe_sites,
-                               on_progress=on_progress)
-    rows = [[region, ", ".join(sorted(pats)) if pats else "-"]
-            for region, pats in sorted(found.items())]
-    print(format_table(["Region", "Patterns"], rows,
-                       title=f"{args.app}: resilience patterns by region "
-                             f"(Table I, backend={args.backend})"))
-    ft.close()
-    return 0
+    with _tracker(args) as ft:
+        on_progress = None
+        if args.progress:
+            def on_progress(event):  # noqa: E306 - tiny local callback
+                print(f"  {event}", file=sys.stderr)
+        found = ft.region_patterns(runs_per_kind=args.runs_per_kind,
+                                   instance_index=args.instance,
+                                   loop_only=args.loop_only,
+                                   probe_sites=args.probe_sites,
+                                   on_progress=on_progress)
+        rows = [[region, ", ".join(sorted(pats)) if pats else "-"]
+                for region, pats in sorted(found.items())]
+        print(format_table(["Region", "Patterns"], rows,
+                           title=f"{args.app}: resilience patterns by region "
+                                 f"(Table I, backend={args.backend})"))
+        return 0
 
 
 def cmd_rates(args) -> int:
-    ft = _tracker(args)
-    r = ft.pattern_rates()
-    rows = [[f, f"{getattr(r, f):.6f}"] for f in type(r).FIELDS]
-    rows.append(["total_instructions", r.total_instructions])
-    print(format_table(["Feature", "Value"], rows,
-                       title=f"{args.app}: pattern rates (Table IV row)"))
-    return 0
+    with _tracker(args) as ft:
+        r = ft.pattern_rates()
+        rows = [[f, f"{getattr(r, f):.6f}"] for f in type(r).FIELDS]
+        rows.append(["total_instructions", r.total_instructions])
+        print(format_table(["Feature", "Value"], rows,
+                           title=f"{args.app}: pattern rates (Table IV row)"))
+        return 0
 
 
 def cmd_dot(args) -> int:
     from repro.dddg import build_dddg, to_dot
-    ft = _tracker(args)
-    inst = ft.instance_of(args.region, args.instance)
-    d = build_dddg(ft.fault_free_trace().records, inst,
-                   max_records=args.max_records)
-    dot = to_dot(d, max_nodes=args.max_nodes)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(dot)
-        print(f"wrote {args.output} ({d.graph.number_of_nodes()} nodes)")
-    else:
-        print(dot)
-    return 0
+    with _tracker(args) as ft:
+        inst = ft.instance_of(args.region, args.instance)
+        d = build_dddg(ft.fault_free_trace().records, inst,
+                       max_records=args.max_records)
+        dot = to_dot(d, max_nodes=args.max_nodes)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(dot)
+            print(f"wrote {args.output} ({d.graph.number_of_nodes()} nodes)")
+        else:
+            print(dot)
+        return 0
 
 
 def cmd_sample(args) -> int:

@@ -531,12 +531,12 @@ class FlipTracker:
         (:func:`~repro.warmstart.warm_start_interp`); the faulty trace
         is the golden prefix, read through the golden columns, plus the
         run's own suffix records (:class:`~repro.trace.columnar.
-        SplicedRecords`).  The analyses then scan only the records
+        SplicedRecords`).  The analyses then read only the records
         their answers depend on: the ACL pass starts at the injection
-        record, since the prefix before it is the golden trace; the
-        region split reuses the golden instances up to the divergence;
-        and the accumulator scan covers the injection to the
-        divergence, taking earlier defs from the golden index.
+        record, since the prefix before it is the golden trace, visits
+        only the events of the value-aligned window and collects the
+        accumulator updates Repeated Additions needs on the way; the
+        region split reuses the golden instances up to the divergence.
         """
         golden = self._traced_golden()
         ff = golden.trace
@@ -575,12 +575,12 @@ class FlipTracker:
             injected_loc = injected_time = None
             start = len(faulty.records)
         acl = build_acl(ff, faulty, injected_loc=injected_loc,
-                        injected_time=injected_time, start=start)
+                        injected_time=injected_time, start=start,
+                        index=golden.trace_index())
         faulty_instances = split_instances(
             faulty.records, self.region_model(), golden.instances(),
             acl.aligned)
-        patterns = detect_all(ff, faulty, acl, faulty_instances,
-                              golden.trace_index())
+        patterns = detect_all(ff, faulty, acl, faulty_instances)
         return RunAnalysis(plan, manifestation, faulty, acl, patterns)
 
     def probe_plans(self, instance: RegionInstance,

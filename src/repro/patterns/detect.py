@@ -11,14 +11,12 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Optional, Sequence
 
-from repro.acl.table import ACLResult
+from repro.acl.table import ACLResult, accumulator_hit, same_value
 from repro.ir import opcodes as oc
 from repro.patterns.base import PatternInstance
 from repro.regions.model import RegionInstance
 from repro.trace.events import (R_DLOC, R_DVAL, R_LINE, R_FN, R_OP, R_PC,
                                 R_SLOCS, Trace)
-from repro.trace.index import TraceIndex
-from repro.acl.table import same_value
 
 
 def region_locator(instances: Sequence[RegionInstance]
@@ -89,98 +87,44 @@ def detect_dcl(acl: ACLResult,
     return out
 
 
-def find_accumulator_updates(faulty: Trace, start: int = 0,
-                             stop: Optional[int] = None,
-                             golden_index: Optional[TraceIndex] = None
-                             ) -> dict[int, list[int]]:
+def find_accumulator_updates(trace: Trace) -> dict[int, list[int]]:
     """Locations updated via ``x = x + ...`` chains -> update times.
 
-    One forward scan tracking each register's latest def; a STORE (or
-    MOV) whose value derives from an FADD/ADD whose chain includes a
-    LOAD of the destination itself is an accumulator update.
-
-    The scan covers records ``[start, stop)``, read as column lists.
-    The register defs before ``start``, which the chains may reach,
-    come from ``golden_index``: the :class:`TraceIndex` of a trace
-    equal to ``faulty`` before ``start`` (the golden trace, for a
-    window starting at or before the injection), whose
-    :meth:`~TraceIndex.last_def_before` skips the CALL-parameter
-    writes that the scan never counts as defs.
+    One forward scan over the whole trace tracking each register's
+    latest def; a STORE (or MOV) whose value derives from an FADD/ADD
+    whose chain includes a LOAD of the destination itself is an
+    accumulator update (:func:`~repro.acl.table.accumulator_hit`).
+    A traced analysis takes its updates from the ACL pass instead
+    (``ACLResult.updates``).
     """
-    if start > 0 and golden_index is None:
-        raise ValueError("a scan from start > 0 needs the golden index")
-    stop = len(faulty) if stop is None else min(stop, len(faulty))
-    ops = faulty.column(R_OP, start, stop)
-    dlocs = faulty.column(R_DLOC, start, stop)
-    slocs = faulty.column(R_SLOCS, start, stop)
-    # loc -> record of its latest def so far, -1 when it has none
+    n = len(trace)
+    ops = trace.column(R_OP, 0, n)
+    dlocs = trace.column(R_DLOC, 0, n)
+    slocs = trace.column(R_SLOCS, 0, n)
+    # loc -> record of its latest def so far
     last_def: dict[int, int] = {}
     updates: dict[int, list[int]] = {}
 
     def def_of(loc: int) -> int:
-        t_def = last_def.get(loc)
-        if t_def is None:
-            t_def = -1
-            if golden_index is not None and loc < 0:
-                t_def = golden_index.last_def_before(loc, start)
-            last_def[loc] = t_def
-        return t_def
+        return last_def.get(loc, -1)
 
     def op_slocs(t: int):
-        if t >= start:
-            return ops[t - start], slocs[t - start]
-        return faulty.field(t, R_OP), faulty.field(t, R_SLOCS)
+        return ops[t], slocs[t]
 
-    for t, op, dloc, srcs in zip(range(start, stop), ops, dlocs, slocs):
+    for t, op, dloc, srcs in zip(range(n), ops, dlocs, slocs):
         if op == oc.STORE or op == oc.MOV:
             vloc = srcs[0]
-            if vloc is not None and dloc is not None:
-                t_def = def_of(vloc)
-                if t_def >= 0:
-                    def_op, def_srcs = op_slocs(t_def)
-                    if def_op in oc.ACCUM_CANDIDATES:
-                        if op == oc.MOV:
-                            hit = dloc in (def_srcs or ())
-                        else:
-                            hit = _walk(op_slocs, def_of, t_def, dloc)
-                        if hit:
-                            updates.setdefault(dloc, []).append(t)
+            if vloc is not None and dloc is not None and \
+                    accumulator_hit(op, dloc, vloc, def_of, op_slocs):
+                updates.setdefault(dloc, []).append(t)
         if dloc is not None and dloc < 0:
             last_def[dloc] = t
     return updates
 
 
-def _walk(op_slocs, def_of, t_def: int, target_loc: int,
-          depth: int = 6) -> bool:
-    """Depth-limited def-chain walk over the *current* latest defs.
-
-    Sound for the straight-line accumulator idiom (load -> adds ->
-    store all adjacent), which is the shape the frontend emits for
-    ``u[i] = u[i] + ...``.
-    """
-    stack = [(t_def, depth)]
-    seen = set()
-    while stack:
-        t, d = stack.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        op, srcs = op_slocs(t)
-        if op == oc.LOAD and srcs and srcs[0] == target_loc:
-            return True
-        if d == 0:
-            continue
-        for sloc in srcs:
-            if sloc is not None and sloc < 0:
-                prev = def_of(sloc)
-                if 0 <= prev < t:  # only walk defs that happened earlier
-                    stack.append((prev, d - 1))
-    return False
-
-
 def detect_repeated_additions(ff: Trace, faulty: Trace, acl: ACLResult,
                               region_of: Callable[[int], Optional[str]],
-                              ff_index: TraceIndex, min_updates: int = 2
+                              min_updates: int = 2
                               ) -> list[PatternInstance]:
     """Pattern 2: corrupted accumulators whose error magnitude shrinks.
 
@@ -189,16 +133,13 @@ def detect_repeated_additions(ff: Trace, faulty: Trace, acl: ACLResult,
     fault-free run; a (weakly) decreasing error-magnitude series is the
     RA signature (Table II's behaviour in MG).
 
-    Only updates in ``[acl.start, acl.aligned)`` can count: nothing is
-    corrupted before the ACL's first record, and values are compared
-    only while the runs are aligned.  The accumulator scan covers just
-    that window, taking earlier register defs from the golden
-    ``ff_index``.
+    Only updates in ``[acl.start, acl.aligned)`` at or after the
+    location's first birth can count: it is not corrupted before that,
+    and values are compared only while the runs are aligned.  The ACL
+    pass collects exactly those updates (``acl.updates``).
     """
-    updates = find_accumulator_updates(faulty, acl.start, acl.aligned,
-                                       ff_index)
     out = []
-    for loc, times in updates.items():
+    for loc, times in acl.updates.items():
         corrupted_times = [t for t in times if acl.corrupted_at(loc, t)]
         if len(corrupted_times) < min_updates:
             continue
@@ -249,18 +190,14 @@ def detect_repeated_additions(ff: Trace, faulty: Trace, acl: ACLResult,
 
 
 def detect_all(ff: Trace, faulty: Trace, acl: ACLResult,
-               instances: Sequence[RegionInstance], ff_index: TraceIndex
+               instances: Sequence[RegionInstance]
                ) -> list[PatternInstance]:
-    """Run every detector; returns all pattern instances found.
-
-    ``ff_index`` is the golden trace's :class:`TraceIndex`.
-    """
+    """Run every detector; returns all pattern instances found."""
     region_of = region_locator(instances)
     out: list[PatternInstance] = []
     out.extend(detect_overwriting(acl, region_of))
     out.extend(detect_masking_patterns(acl, region_of))
     out.extend(detect_dcl(acl, region_of))
-    out.extend(detect_repeated_additions(ff, faulty, acl, region_of,
-                                         ff_index))
+    out.extend(detect_repeated_additions(ff, faulty, acl, region_of))
     out.sort(key=lambda p: p.time)
     return out

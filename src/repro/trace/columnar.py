@@ -477,8 +477,9 @@ class SplicedRecords(Sequence):
     def ints(self, field: int, lo: int, hi: int) -> np.ndarray:
         """Integer field ``field`` (op, fn, pc or line) of records
         ``[lo, hi)`` as an array."""
-        tail = np.array(list(map(_GETTERS[field], self._suffix(lo, hi))),
-                        dtype=np.int64)
+        suffix = self._suffix(lo, hi)
+        tail = np.fromiter(map(_GETTERS[field], suffix), dtype=np.int64,
+                           count=len(suffix))
         if lo >= self.base:
             return tail
         return np.concatenate(

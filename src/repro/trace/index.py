@@ -54,6 +54,12 @@ class LocPositions(Mapping):
             return self.pos[:0]
         return self.pos[self.off[r]:self.off[r + 1]]
 
+    def between(self, loc: int, a: int, b: int) -> np.ndarray:
+        """The positions of ``loc`` in ``[a, b)``."""
+        lst = self.positions(loc)
+        i, j = lst.searchsorted((a, b))
+        return lst[i:j]
+
     def __getitem__(self, loc: int) -> list:
         r = self.row(loc)
         if r < 0:
@@ -128,6 +134,9 @@ class TraceIndex:
         self.writes = LocPositions(wl[by_time], wt[by_time], n,
                                    is_def[by_time])
         self.n = n
+        #: ``writes`` restricted to the flagged defs: positions and row
+        #: offsets, built on the first :meth:`last_def_before`
+        self._defs: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # -- read queries ---------------------------------------------------------
     def last_read_in(self, loc: int, a: int, b: int) -> Optional[int]:
@@ -163,15 +172,20 @@ class TraceIndex:
 
     def last_def_before(self, loc: int, t: int) -> int:
         """Last record before ``t`` whose own destination is ``loc``
-        (CALL-parameter writes excluded), or -1."""
+        (CALL-parameter writes excluded), or -1: a binary search in the
+        location's row of defs."""
         r = self.writes.row(loc)
         if r < 0:
             return -1
-        lo, hi = self.writes.off[r], self.writes.off[r + 1]
-        lst = self.writes.pos[lo:hi]
+        if self._defs is None:
+            flags = self.writes.flags
+            before = np.zeros(len(flags) + 1, dtype=np.int64)
+            np.cumsum(flags, out=before[1:])
+            self._defs = self.writes.pos[flags], before[self.writes.off]
+        pos, off = self._defs
+        lst = pos[off[r]:off[r + 1]]
         i = int(lst.searchsorted(t))
-        hits = np.flatnonzero(self.writes.flags[lo:lo + i])
-        return int(lst[hits[-1]]) if hits.size else -1
+        return int(lst[i - 1]) if i else -1
 
     # -- batched queries ------------------------------------------------------
     def first_read_at_or_after_many(self, locs, t) -> np.ndarray:

@@ -170,12 +170,14 @@ class OracleTraceIndex:
         from repro.ir.function import SLOT_LIMIT
         reads: dict = {}
         writes: dict = {}
+        defs: dict = {}
         for t, rec in enumerate(records):
             for sloc in rec[3]:
                 if sloc is not None:
                     reads.setdefault(sloc, []).append(t)
             if rec[1] is not None:
                 writes.setdefault(rec[1], []).append(t)
+                defs.setdefault(rec[1], []).append(t)
             if rec[0] == oc.CALL:
                 uid, _callee, nargs = rec[8]
                 rbase = -(uid * SLOT_LIMIT) - 1
@@ -183,6 +185,7 @@ class OracleTraceIndex:
                     writes.setdefault(rbase - i, []).append(t)
         self.reads = reads
         self.writes = writes
+        self.defs = defs     # a record's own destination only
         self.n = len(records)
 
     def last_read_in(self, loc, a, b):
@@ -214,6 +217,14 @@ class OracleTraceIndex:
 
     def write_count(self, loc):
         return len(self.writes.get(loc, ()))
+
+    def last_def_before(self, loc, t):
+        last = -1
+        for d in self.defs.get(loc, ()):
+            if d >= t:
+                break
+            last = d
+        return last
 
 
 def oracle_classify_io(records, index, instance):

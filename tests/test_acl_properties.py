@@ -16,19 +16,28 @@ program, the ACL result must satisfy its structural contract:
 
 The windowed scans of a traced analysis each match a full-scan oracle:
 
-* the accumulator scan over ``[injection, aligned)``, seeded from the
-  golden index, equals ``find_accumulator_updates`` over the whole
-  faulty trace restricted to that window;
+* the accumulator updates the ACL pass collects equal
+  ``find_accumulator_updates`` over the whole faulty trace restricted
+  to ``[injection, aligned)`` and to each location's first birth, and
+  give the same Repeated Additions instances as every update in that
+  window;
 * the region split seeded with the golden instances up to the
   divergence equals the full ``split_instances``;
 * each death's ``read`` flag, and the end-of-trace ``dead``/``end``
   deaths, equal the faulty trace's ``TraceIndex`` read queries;
-* the pass over a columnar golden trace, which stops once nothing is
-  left corrupted past the aligned window, equals the full tuple scan
-  (``oracle_build_acl``) field for field, hybrid and taint-only.
+* the pass over a columnar golden trace, which visits only the events
+  of the aligned window and stops once nothing is left corrupted past
+  it, equals the full tuple scan (``oracle_build_acl``) field for
+  field, hybrid and taint-only; pinned programs reach the event rule's
+  edge cases (a freed stack cell read again, a redirected write, a
+  ``loc``-mode flip, ``-0.0``, a moved stack pointer, dense and sparse
+  windows).
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from helpers import oracle_build_acl
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -41,10 +50,11 @@ from repro.ir.function import Function
 from repro.ir.instructions import reg
 from repro.ir.module import Module
 from repro.ir.types import F64, I64
-from repro.patterns.detect import find_accumulator_updates
+from repro.patterns.detect import (detect_repeated_additions,
+                                   find_accumulator_updates)
 from repro.regions.model import detect_regions, split_instances
 from repro.trace.columnar import GoldenTrace
-from repro.trace.events import R_DLOC, R_OP, R_SLOCS, Trace
+from repro.trace.events import R_DLOC, R_DVAL, R_OP, R_SLOCS, Trace
 from repro.trace.index import TraceIndex
 from repro.vm import FaultPlan, Interpreter
 
@@ -129,10 +139,90 @@ def _golden(module):
     return module, ff, TraceIndex(GoldenTrace.from_records(ff.records))
 
 
+# In the value-aligned window the ACL pass visits only event records
+# (see ``build_acl``); these programs put the rule's edge cases in reach.
+FREE_SRC = """
+def fill(x: float) -> float:
+    tmp = alloca_f64(2)
+    tmp[0] = x * 2.0
+    return tmp[1]
+
+def peek() -> float:
+    tmp = alloca_f64(2)
+    return tmp[0]
+
+def main() -> float:
+    s = fill(g)
+    s = s + peek()
+    return s
+"""
+
+REDIRECT_SRC = """
+def main() -> float:
+    k = n
+    a[k] = 5.0
+    t = a[0] + a[1] + a[2]
+    return t
+"""
+
+DENSE_SRC = """
+def main() -> float:
+    x = g
+    for i in range(8):
+        x = x * 1.5
+        x = x + 0.25
+        x = x * 0.5
+        x = x - 0.125
+        x = x * 1.25
+        x = x + 0.5
+    return x
+"""
+
+SPARSE_SRC = """
+def main() -> float:
+    y = g * 2.0
+    s = 0.0
+    for i in range(40):
+        s = s + float(i)
+    return s + y
+"""
+
+ZERO_SRC = """
+def main() -> float:
+    y = g * 0.0
+    z = 1.0 / y
+    return z
+"""
+
+ALLOCA_SRC = """
+def main() -> float:
+    k = n
+    tmp = alloca_f64(k)
+    buf = alloca_f64(2)
+    buf[0] = 1.5
+    return buf[0]
+"""
+
+
+def _event_program(src):
+    pb = ProgramBuilder("e")
+    pb.scalar("g", F64, 3.0)
+    pb.scalar("n", I64, 1)
+    pb.array("a", F64, (4,))
+    pb.func_source(src)
+    return _golden(pb.build())
+
+
 _PROGRAMS = {"loops": (_MODULE, _FF,
                        TraceIndex(GoldenTrace.from_records(_FF.records))),
              "calls": _golden(_call_module()),
-             "self": _golden(_self_update_module())}
+             "self": _golden(_self_update_module()),
+             "free": _event_program(FREE_SRC),
+             "redirect": _event_program(REDIRECT_SRC),
+             "dense": _event_program(DENSE_SRC),
+             "sparse": _event_program(SPARSE_SRC),
+             "zero": _event_program(ZERO_SRC),
+             "alloca": _event_program(ALLOCA_SRC)}
 _MODEL = detect_regions(_MODULE, "main", "r")
 _GOLDEN_INSTANCES = split_instances(_FF.records, _MODEL)
 
@@ -278,6 +368,36 @@ _MODES = st.sampled_from(["result", "loc"])
 _BITS = st.integers(min_value=0, max_value=63)
 
 
+def _ra_image(ff, faulty, acl):
+    return [(p.time, p.line, p.fn, p.pc, p.loc, repr(p.details))
+            for p in detect_repeated_additions(ff, faulty, acl,
+                                               lambda _t: None)]
+
+
+def _assert_updates_equal_full_scan(ff, faulty, acl):
+    """The ACL pass's accumulator updates are the full scan's updates in
+    ``[start, aligned)`` at or after each location's first birth, and
+    the RA instances they give equal those from every full-scan update
+    in that window."""
+    lo, hi = acl.start, acl.aligned
+    assert hi == (acl.divergence if acl.divergence is not None
+                  else min(len(ff), len(faulty)))
+    first_birth = {}
+    for loc, t in acl.births:
+        first_birth.setdefault(loc, t)
+    window, born = {}, {}
+    for loc, times in find_accumulator_updates(faulty).items():
+        times = [t for t in times if lo <= t < hi]
+        if times:
+            window[loc] = times
+        times = [t for t in times if t >= first_birth.get(loc, hi)]
+        if times:
+            born[loc] = times
+    assert acl.updates == born
+    assert _ra_image(ff, faulty, acl) == \
+        _ra_image(ff, faulty, replace(acl, updates=window))
+
+
 @given(_SITES, _BITS, _MODES, st.booleans())
 @example(("calls", 8), 3, "result", False)    # window opens inside bump
 @example(("calls", 12), 3, "result", False)   # chain def before window
@@ -285,18 +405,10 @@ _BITS = st.integers(min_value=0, max_value=63)
 def test_windowed_accumulator_updates_equal_full_scan(site, bit, mode,
                                                       taint_only):
     program, trigger = site
-    _module, ff, ff_index = _PROGRAMS[program]
+    ff = _PROGRAMS[program][1]
     faulty, rec = _faulty_run(trigger, bit, mode, program)
-    acl = _windowed_acl(faulty, rec, program, taint_only)
-    lo, hi = acl.start, acl.aligned
-    assert hi == (acl.divergence if acl.divergence is not None
-                  else min(len(ff), len(faulty)))
-    oracle = {}
-    for loc, times in find_accumulator_updates(faulty).items():
-        window = [t for t in times if lo <= t < hi]
-        if window:
-            oracle[loc] = window
-    assert find_accumulator_updates(faulty, lo, hi, ff_index) == oracle
+    _assert_updates_equal_full_scan(
+        ff, faulty, _windowed_acl(faulty, rec, program, taint_only))
 
 
 def _split_image(instances):
@@ -395,3 +507,113 @@ def test_early_exit_equals_full_scan(site, bit, mode, taint_only):
     for start in (0, rec.dyn_index if rec.fired else len(faulty)):
         got = build_acl(_COLUMNAR[program], faulty, start=start, **kwargs)
         assert (_acl_fields(got), got.aligned) == want
+
+
+# ------------------------------------------------------- the event rule
+def _event_fraction(ff, acl) -> float:
+    """Share of the aligned window whose golden record reads or writes
+    a location born in it (a lower bound on the event count)."""
+    born = {loc for loc, _t in acl.births}
+    window = range(acl.start, acl.aligned)
+    hits = sum(1 for t in window if ff.records[t][R_DLOC] in born
+               or born.intersection(ff.records[t][R_SLOCS]))
+    return hits / max(1, len(window))
+
+
+def _event_case(program, trigger, bit, mode, taint_only):
+    """The event walk over a columnar golden equals the full tuple scan
+    field for field, and its accumulator updates the full scan's."""
+    module, ff, index = _PROGRAMS[program]
+    faulty, rec = _faulty_run(trigger, bit, mode, program)
+    assert rec.fired
+    kwargs = dict(injected_loc=rec.loc, injected_time=rec.dyn_index,
+                  taint_only=taint_only)
+    want = oracle_build_acl(ff, faulty, **kwargs)
+    got = build_acl(GoldenTrace.from_records(ff.records, module), faulty,
+                    start=rec.dyn_index, index=index, **kwargs)
+    assert (_acl_fields(got), got.aligned) == \
+        (_acl_fields(want), want.aligned)
+    _assert_updates_equal_full_scan(ff, faulty, got)
+    if mode == "result":
+        # told nothing of the flip, the pass visits every aligned record
+        blind = build_acl(ff, faulty, taint_only=taint_only)
+        assert _acl_fields(blind) == _acl_fields(
+            oracle_build_acl(ff, faulty, taint_only=taint_only))
+    return ff, faulty, got
+
+
+@pytest.mark.parametrize("taint_only", [False, True])
+def test_event_rule_freed_cell_read_by_a_later_call(taint_only):
+    """fill's stack cell tmp[0] is corrupted, freed at fill's RET, and
+    read by peek's LOAD at the same address before anything writes
+    it."""
+    ff, faulty, acl = _event_case("free", 3, 7, "result", taint_only)
+    store, peek_load = faulty.records[4], faulty.records[11]
+    cell = store[R_DLOC]
+    assert store[R_OP] == oc.STORE and peek_load[R_OP] == oc.LOAD
+    assert peek_load[R_SLOCS][0] == cell
+    assert (cell, 7, "free") in [(d.loc, d.time, d.cause)
+                                 for d in acl.deaths]
+
+
+@pytest.mark.parametrize("taint_only", [False, True])
+def test_event_rule_redirected_write(taint_only):
+    """A flipped index sends ``a[k] = 5.0`` to a[0] instead of a[1]:
+    both cells are born at the STORE (hybrid)."""
+    ff, faulty, acl = _event_case("redirect", 0, 0, "result", taint_only)
+    store_f, store_g = faulty.records[3], ff.records[3]
+    assert store_f[R_OP] == oc.STORE and store_f[R_DLOC] != store_g[R_DLOC]
+    if not taint_only:
+        assert {(store_f[R_DLOC], 3), (store_g[R_DLOC], 3)} <= \
+            set(acl.births)
+
+
+@pytest.mark.parametrize("taint_only", [False, True])
+@pytest.mark.parametrize("trigger,bit", [(0, 1), (0, 63), (4, 62)])
+def test_event_rule_loc_mode_flip(trigger, bit, taint_only):
+    """A "loc"-mode flip corrupts the trigger's destination before the
+    trigger executes; the trigger record is the first event."""
+    _ff, _faulty, acl = _event_case("redirect", trigger, bit, "loc",
+                                    taint_only)
+    assert acl.births[0][1] == trigger
+
+
+@pytest.mark.parametrize("taint_only", [False, True])
+@pytest.mark.parametrize("bit", [0, 30, 52, 62])
+def test_event_rule_dense_window(bit, taint_only):
+    """x is read and rewritten by most records of the loop."""
+    ff, _faulty, acl = _event_case("dense", 6, bit, "result", taint_only)
+    if not taint_only:
+        assert _event_fraction(ff, acl) > 0.6
+
+
+@pytest.mark.parametrize("taint_only", [False, True])
+@pytest.mark.parametrize("bit", [0, 30, 52, 62])
+def test_event_rule_sparse_window(bit, taint_only):
+    """y is written once and read only by the return."""
+    ff, _faulty, acl = _event_case("sparse", 1, bit, "result", taint_only)
+    if not taint_only:
+        assert 0 < _event_fraction(ff, acl) < 0.05
+
+
+@pytest.mark.parametrize("taint_only", [False, True])
+def test_event_rule_signed_zero(taint_only):
+    """A sign-bit flip turns y's 0.0 into -0.0, which ``same_value``
+    equates with 0.0; the division by y still differs from golden."""
+    _ff, faulty, acl = _event_case("zero", 1, 63, "result", taint_only)
+    fdiv = faulty.records[3]
+    assert fdiv[R_OP] == oc.FDIV and fdiv[R_DVAL] == float("-inf")
+    if not taint_only:
+        assert (fdiv[R_DLOC], 3) in acl.births
+
+
+@pytest.mark.parametrize("taint_only", [False, True])
+def test_event_rule_moved_stack_pointer(taint_only):
+    """A flipped alloca size moves the stack pointer, so the next
+    ALLOCA, whose own size is a constant, returns another address."""
+    ff, faulty, acl = _event_case("alloca", 0, 1, "result", taint_only)
+    second = faulty.records[3]
+    assert second[R_OP] == oc.ALLOCA and second[R_SLOCS] == (None,)
+    assert second[R_DVAL] != ff.records[3][R_DVAL]
+    if not taint_only:
+        assert (second[R_DLOC], 3) in acl.births

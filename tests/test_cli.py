@@ -75,6 +75,26 @@ class TestTraceRegionsIO:
         assert "loc " in out
 
 
+class TestTrackerClosed:
+    @pytest.mark.parametrize("argv", [
+        ("trace", "kmeans"),
+        ("rates", "kmeans"),
+        ("--seed", "7", "inject", "kmeans", "k_d", "--kind", "internal"),
+    ])
+    def test_command_closes_its_tracker(self, capsys, monkeypatch, argv):
+        from repro.core import FlipTracker
+        closed = []
+        close = FlipTracker.close
+
+        def spy(self):
+            closed.append(self)
+            close(self)
+        monkeypatch.setattr(FlipTracker, "close", spy)
+        code, _out = run(capsys, *argv)
+        assert code == 0
+        assert len(closed) == 1 and isinstance(closed[0], FlipTracker)
+
+
 class TestInjectAndACL:
     def test_inject_reports_manifestation(self, capsys):
         code, out = run(capsys, "--seed", "7", "inject", "kmeans", "k_d",

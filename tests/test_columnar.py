@@ -34,6 +34,7 @@ from repro.core import FlipTracker
 from repro.core.fliptracker import GoldenArtifacts
 from repro.frontend import ProgramBuilder
 from repro.ir import opcodes as oc
+from repro.ir.function import SLOT_LIMIT
 from repro.ir.types import I64
 from repro.regions.model import split_instances
 from repro.regions.variables import classify_io
@@ -275,7 +276,8 @@ def test_record_views_share_one_access_api():
 
 # ------------------------------------------------------------- oracles
 _INDEX_QUERIES = ("last_read_in", "has_read_in", "first_read_at_or_after",
-                  "read_count", "next_write_at_or_after", "write_count")
+                  "read_count", "next_write_at_or_after", "write_count",
+                  "last_def_before")
 
 
 def _io_image(io):
@@ -326,6 +328,33 @@ def test_column_passes_equal_tuple_oracles(name):
         for inst in instances + [ft.whole_program_instance()]:
             assert _io_image(classify_io(golden, index, inst)) == \
                 _io_image(oracle_classify_io(records, oracle, inst)), inst
+
+
+@pytest.mark.parametrize("name", ["kmeans", "cg"])
+def test_last_def_before_equals_linear_oracle(name):
+    """Every location a CALL writes as a callee parameter (slot 0 is
+    also the CALL's destination; the other slots are not) and a sample
+    of the rest, just before, at and after each of its writes."""
+    with FlipTracker(REGISTRY.build(name)) as ft:
+        records = list(ft.fault_free_trace())
+        index, oracle = ft.trace_index(), OracleTraceIndex(records)
+    params = set()
+    for rec in records:
+        if rec[0] == oc.CALL:
+            uid, _callee, nargs = rec[8]
+            params.update(-(uid * SLOT_LIMIT) - 1 - i for i in range(nargs))
+    others = sorted(set(oracle.writes) - params)
+    locs = sorted(params) + others[::max(1, len(others) // 100)]
+    param_only = 0   # probes whose last write is a parameter write
+    for loc in locs + [10 ** 9]:
+        writes = oracle.writes.get(loc, [])
+        for w in writes[::max(1, len(writes) // 20)] + [0, len(records)]:
+            for t in (w - 1, w, w + 1):
+                want = oracle.last_def_before(loc, t)
+                assert index.last_def_before(loc, t) == want, (loc, t)
+                param_only += max([-1] + [x for x in writes if x < t]) \
+                    != want
+    assert param_only
 
 
 def test_call_rule_in_classify_io():

@@ -10,9 +10,7 @@ from repro.patterns.base import PATTERNS, PatternInstance
 from repro.patterns.detect import (detect_all, find_accumulator_updates,
                                    region_locator)
 from repro.regions.model import detect_regions, split_instances
-from repro.trace.columnar import GoldenTrace
 from repro.trace.events import R_DLOC, R_OP, Trace
-from repro.trace.index import TraceIndex
 from repro.vm import FaultPlan, Interpreter
 
 
@@ -40,8 +38,7 @@ def analyze(src, picker, arrays=(), scalars=(), region_fn=None):
                     injected_time=rec.dyn_index if rec.fired else None)
     model = detect_regions(module, region_fn or "main", "r")
     instances = split_instances(faulty.records, model)
-    patterns = detect_all(ff, faulty, acl, instances,
-                          TraceIndex(GoldenTrace.from_records(ff.records)))
+    patterns = detect_all(ff, faulty, acl, instances)
     return patterns, acl, fi
 
 
