@@ -257,17 +257,18 @@ def _walk(op_slocs, def_of, t_def: int, target_loc: int,
     return False
 
 
-def build_acl(ff: Trace, faulty: Trace,
+def build_acl(ff: GoldenTrace, faulty: Trace,
               injected_loc: Optional[int] = None,
               injected_time: Optional[int] = None,
-              taint_only: bool = False, start: int = 0,
-              index: Optional[TraceIndex] = None) -> ACLResult:
+              taint_only: bool = False, start: int = 0, *,
+              index: TraceIndex) -> ACLResult:
     """Run the hybrid corrupted-location pass (see module docstring).
 
     Parameters
     ----------
     ff, faulty:
-        Matching fault-free and faulty traces of the same program/input.
+        Matching fault-free and faulty traces of the same program/input;
+        the fault-free one in columnar form.
     injected_loc, injected_time:
         Where/when the fault fired (from the VM's
         :class:`~repro.vm.fault.FaultRecord`).  Required for
@@ -290,8 +291,7 @@ def build_acl(ff: Trace, faulty: Trace,
         differs (no birth, no masking, no death) and no write is
         redirected.  Skipping it changes no field of the result.
     index:
-        The :class:`~repro.trace.index.TraceIndex` of ``ff``; built
-        here when not given.
+        The :class:`~repro.trace.index.TraceIndex` of ``ff``.
 
     **Events.**  In the value-aligned window ``[start, aligned)`` the
     pass visits only event records: the injection, a RET while
@@ -353,11 +353,6 @@ def build_acl(ff: Trace, faulty: Trace,
     else:
         suffix, base = view, 0
     g = ff.records
-    if start < aligned:
-        if not isinstance(g, GoldenTrace):
-            g = GoldenTrace.from_records(g)
-        if index is None:
-            index = TraceIndex(g)
 
     corrupted: dict[int, int] = {}   # loc -> birth time
     births: list[tuple[int, int]] = []
@@ -385,13 +380,7 @@ def build_acl(ff: Trace, faulty: Trace,
     def def_before(loc: int, t: int) -> int:
         """Latest def of register ``loc`` before ``t``, golden's and so
         the faulty run's (the runs are aligned before ``t``)."""
-        if loc >= 0:
-            return -1
-        # a def is usually a few records back
-        for d in range(t - 1, max(t - 8, base) - 1, -1):
-            if suffix[d - base][R_DLOC] == loc:
-                return d
-        return index.last_def_before(loc, t)
+        return index.last_def_before(loc, t) if loc < 0 else -1
 
     def watch(loc: int, t: int) -> None:
         if loc in watched:

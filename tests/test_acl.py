@@ -7,6 +7,7 @@ from repro.acl.table import build_acl, same_value
 from repro.frontend import ProgramBuilder
 from repro.ir import opcodes as oc
 from repro.ir.types import F64, I64
+from repro.trace.columnar import GoldenTrace
 from repro.trace.events import R_DLOC, R_OP, Trace
 from repro.trace.index import TraceIndex
 from repro.vm import FaultPlan, Interpreter
@@ -26,7 +27,7 @@ def run_pair(src, fault_picker, arrays=(), scalars=()):
     module = build()
     clean = Interpreter(module, trace=True)
     clean.run()
-    ff = Trace(clean.records, module)
+    ff = GoldenTrace.from_records(clean.records, module)
     plan = fault_picker(ff)
     faulty_i = Interpreter(module, trace=True, fault=plan)
     try:
@@ -37,7 +38,8 @@ def run_pair(src, fault_picker, arrays=(), scalars=()):
     rec = faulty_i.fault_record
     acl = build_acl(ff, faulty,
                     injected_loc=rec.loc if rec.fired else None,
-                    injected_time=rec.dyn_index if rec.fired else None)
+                    injected_time=rec.dyn_index if rec.fired else None,
+                    index=TraceIndex(ff))
     return ff, faulty, acl, faulty_i
 
 
@@ -344,7 +346,7 @@ def main() -> int:
         taint = build_acl(ff, faulty,
                           injected_loc=interp.fault_record.loc,
                           injected_time=interp.fault_record.dyn_index,
-                          taint_only=True)
+                          taint_only=True, index=TraceIndex(ff))
         # the >> masks bit 0: the hybrid records the masking...
         assert any(True for _ in hybrid.maskings)
         # ...taint records none, and keeps the shift result tainted
@@ -359,5 +361,5 @@ def main() -> int:
         taint = build_acl(ff, faulty,
                           injected_loc=interp.fault_record.loc,
                           injected_time=interp.fault_record.dyn_index,
-                          taint_only=True)
+                          taint_only=True, index=TraceIndex(ff))
         assert taint.peak >= 1  # the seeded dest is tracked by fiat

@@ -135,8 +135,7 @@ def _self_update_module():
 def _golden(module):
     clean = Interpreter(module, trace=True)
     clean.run()
-    ff = Trace(clean.records, module)
-    return module, ff, TraceIndex(GoldenTrace.from_records(ff.records))
+    return module, Trace(clean.records, module)
 
 
 # In the value-aligned window the ACL pass visits only event records
@@ -213,8 +212,7 @@ def _event_program(src):
     return _golden(pb.build())
 
 
-_PROGRAMS = {"loops": (_MODULE, _FF,
-                       TraceIndex(GoldenTrace.from_records(_FF.records))),
+_PROGRAMS = {"loops": (_MODULE, _FF),
              "calls": _golden(_call_module()),
              "self": _golden(_self_update_module()),
              "free": _event_program(FREE_SRC),
@@ -223,12 +221,16 @@ _PROGRAMS = {"loops": (_MODULE, _FF,
              "sparse": _event_program(SPARSE_SRC),
              "zero": _event_program(ZERO_SRC),
              "alloca": _event_program(ALLOCA_SRC)}
+# build_acl reads the golden trace in columnar form, with its index
+_COLUMNAR = {name: GoldenTrace.from_records(ff.records, module)
+             for name, (module, ff) in _PROGRAMS.items()}
+_INDEX = {name: TraceIndex(g) for name, g in _COLUMNAR.items()}
 _MODEL = detect_regions(_MODULE, "main", "r")
 _GOLDEN_INSTANCES = split_instances(_FF.records, _MODEL)
 
 
 def _faulty_run(trigger: int, bit: int, mode: str, program: str = "loops"):
-    module, ff, _index = _PROGRAMS[program]
+    module, ff = _PROGRAMS[program]
     loc = ff.records[trigger][R_DLOC] if mode == "loc" else None
     plan = FaultPlan(trigger=trigger, mode=mode, bit=bit, loc=loc)
     interp = Interpreter(module, trace=True, fault=plan,
@@ -240,22 +242,27 @@ def _faulty_run(trigger: int, bit: int, mode: str, program: str = "loops"):
     return Trace(interp.records, module), interp.fault_record
 
 
+def _acl(program: str, faulty, **kwargs):
+    """:func:`build_acl` against ``program``'s golden run."""
+    return build_acl(_COLUMNAR[program], faulty, index=_INDEX[program],
+                     **kwargs)
+
+
 def _windowed_acl(faulty, rec, program: str = "loops",
                   taint_only: bool = False):
     """The ACL as a traced analysis builds it: from the injection."""
-    return build_acl(_PROGRAMS[program][1], faulty,
-                     injected_loc=rec.loc if rec.fired else None,
-                     injected_time=rec.dyn_index if rec.fired else None,
-                     taint_only=taint_only,
-                     start=rec.dyn_index if rec.fired else len(faulty))
+    return _acl(program, faulty,
+                injected_loc=rec.loc if rec.fired else None,
+                injected_time=rec.dyn_index if rec.fired else None,
+                taint_only=taint_only,
+                start=rec.dyn_index if rec.fired else len(faulty))
 
 
 def _acl_for(trigger: int, bit: int):
     faulty, rec = _faulty_run(trigger, bit, "result")
-    return build_acl(_FF, faulty,
-                     injected_loc=rec.loc if rec.fired else None,
-                     injected_time=rec.dyn_index if rec.fired else None), \
-        rec
+    return _acl("loops", faulty,
+                injected_loc=rec.loc if rec.fired else None,
+                injected_time=rec.dyn_index if rec.fired else None), rec
 
 
 @given(st.sampled_from(_DEF_SITES), st.integers(min_value=0, max_value=63))
@@ -319,8 +326,8 @@ def test_scan_from_injection_equals_full_scan(trigger, bit, mode,
                   injected_time=rec.dyn_index if rec.fired else None,
                   taint_only=taint_only)
     start = rec.dyn_index if rec.fired else len(faulty.records)
-    full = build_acl(_FF, faulty, **kwargs)
-    assert _acl_fields(build_acl(_FF, faulty, start=start, **kwargs)) \
+    full = _acl("loops", faulty, **kwargs)
+    assert _acl_fields(_acl("loops", faulty, start=start, **kwargs)) \
         == _acl_fields(full)
     assert _FF.first_divergence(faulty, start) == full.divergence
 
@@ -363,7 +370,7 @@ _SITES = st.one_of(*(
     st.tuples(st.just(name),
               st.sampled_from([t for t, r in enumerate(ff.records)
                                if r[R_DLOC] is not None]))
-    for name, (_m, ff, _i) in _PROGRAMS.items()))
+    for name, (_m, ff) in _PROGRAMS.items()))
 _MODES = st.sampled_from(["result", "loc"])
 _BITS = st.integers(min_value=0, max_value=63)
 
@@ -485,9 +492,6 @@ def test_pinned_examples_reach_the_edge_cases():
                and d.read for d in acl.deaths)
 
 
-_COLUMNAR = {name: GoldenTrace.from_records(ff.records, module)
-             for name, (module, ff, _index) in _PROGRAMS.items()}
-
 
 @given(_SITES, _BITS, _MODES, st.booleans())
 @example(("loops", 10), 0, "result", False)   # diverges, then masked
@@ -505,7 +509,7 @@ def test_early_exit_equals_full_scan(site, bit, mode, taint_only):
     full = oracle_build_acl(ff, faulty, **kwargs)
     want = _acl_fields(full), full.aligned
     for start in (0, rec.dyn_index if rec.fired else len(faulty)):
-        got = build_acl(_COLUMNAR[program], faulty, start=start, **kwargs)
+        got = _acl(program, faulty, start=start, **kwargs)
         assert (_acl_fields(got), got.aligned) == want
 
 
@@ -523,20 +527,19 @@ def _event_fraction(ff, acl) -> float:
 def _event_case(program, trigger, bit, mode, taint_only):
     """The event walk over a columnar golden equals the full tuple scan
     field for field, and its accumulator updates the full scan's."""
-    module, ff, index = _PROGRAMS[program]
+    ff = _PROGRAMS[program][1]
     faulty, rec = _faulty_run(trigger, bit, mode, program)
     assert rec.fired
     kwargs = dict(injected_loc=rec.loc, injected_time=rec.dyn_index,
                   taint_only=taint_only)
     want = oracle_build_acl(ff, faulty, **kwargs)
-    got = build_acl(GoldenTrace.from_records(ff.records, module), faulty,
-                    start=rec.dyn_index, index=index, **kwargs)
+    got = _acl(program, faulty, start=rec.dyn_index, **kwargs)
     assert (_acl_fields(got), got.aligned) == \
         (_acl_fields(want), want.aligned)
     _assert_updates_equal_full_scan(ff, faulty, got)
     if mode == "result":
         # told nothing of the flip, the pass visits every aligned record
-        blind = build_acl(ff, faulty, taint_only=taint_only)
+        blind = _acl(program, faulty, taint_only=taint_only)
         assert _acl_fields(blind) == _acl_fields(
             oracle_build_acl(ff, faulty, taint_only=taint_only))
     return ff, faulty, got

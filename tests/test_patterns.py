@@ -10,7 +10,9 @@ from repro.patterns.base import PATTERNS, PatternInstance
 from repro.patterns.detect import (detect_all, find_accumulator_updates,
                                    region_locator)
 from repro.regions.model import detect_regions, split_instances
+from repro.trace.columnar import GoldenTrace
 from repro.trace.events import R_DLOC, R_OP, Trace
+from repro.trace.index import TraceIndex
 from repro.vm import FaultPlan, Interpreter
 
 
@@ -24,7 +26,7 @@ def analyze(src, picker, arrays=(), scalars=(), region_fn=None):
     module = pb.build()
     clean = Interpreter(module, trace=True)
     clean.run()
-    ff = Trace(clean.records, module)
+    ff = GoldenTrace.from_records(clean.records, module)
     plan = picker(ff)
     fi = Interpreter(module, trace=True, fault=plan)
     try:
@@ -35,7 +37,8 @@ def analyze(src, picker, arrays=(), scalars=(), region_fn=None):
     rec = fi.fault_record
     acl = build_acl(ff, faulty,
                     injected_loc=rec.loc if rec.fired else None,
-                    injected_time=rec.dyn_index if rec.fired else None)
+                    injected_time=rec.dyn_index if rec.fired else None,
+                    index=TraceIndex(ff))
     model = detect_regions(module, region_fn or "main", "r")
     instances = split_instances(faulty.records, model)
     patterns = detect_all(ff, faulty, acl, instances)

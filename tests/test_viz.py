@@ -119,7 +119,9 @@ class TestACLChart:
         from repro.acl.table import build_acl
         from repro.frontend import ProgramBuilder
         from repro.ir.types import F64
+        from repro.trace.columnar import GoldenTrace
         from repro.trace.events import Trace
+        from repro.trace.index import TraceIndex
         from repro.vm import FaultPlan, Interpreter
         pb = ProgramBuilder("t")
         pb.array("a", F64, (4,))
@@ -133,14 +135,14 @@ class TestACLChart:
         module = pb.build()
         clean = Interpreter(module, trace=True)
         clean.run()
-        ff = Trace(clean.records, module)
+        ff = GoldenTrace.from_records(clean.records, module)
         plan = FaultPlan(trigger=2, mode="loc", bit=40,
                          loc=module.arrays["a"].base)
         fi = Interpreter(module, trace=True, fault=plan)
         fi.run()
         acl = build_acl(ff, Trace(fi.records, module),
                         injected_loc=module.arrays["a"].base,
-                        injected_time=2)
+                        injected_time=2, index=TraceIndex(ff))
         out = acl_chart(acl, title="toy")
         assert "toy" in out
         assert "█" in out
