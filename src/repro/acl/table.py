@@ -53,16 +53,15 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
 
 from repro.ir import opcodes as oc
 from repro.ir.function import SLOT_LIMIT
-from repro.trace.columnar import (GoldenTrace, SplicedRecords, decode_locs,
-                                  records_view)
-from repro.trace.events import (R_DLOC, R_DVAL, R_EXTRA, R_FN, R_LINE, R_OP,
-                                R_PC, R_SLOCS, R_SVALS, Trace)
+from repro.trace.columnar import GoldenTrace, decode_locs
+from repro.trace.events import R_DLOC, R_DVAL, R_EXTRA, R_SLOCS, R_SVALS, Trace
 from repro.trace.index import TraceIndex
 
 
@@ -347,11 +346,13 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
     aligned = div if div is not None else min(frecs_n, len(ff))
     # under taint_only the taint walk handles every record
     aligned_until = 0 if taint_only else aligned
-    view = records_view(faulty.records)
-    if isinstance(view, SplicedRecords):
-        suffix, base = view.suffix, view.base
-    else:
-        suffix, base = view, 0
+    # the faulty records: raw suffix records from `base` on, read with
+    # the static table
+    view = faulty.records
+    suffix, base = view.suffix, view.base
+    table = ff.table
+    ops, lines, fns, pcs, nsrcs = (table.ops, table.lines, table.fns,
+                                   table.pcs, table.nsrcs)
     g = ff.records
 
     corrupted: dict[int, int] = {}   # loc -> birth time
@@ -374,8 +375,9 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
     sp_moved = False
 
     def op_slocs(t: int):
-        rec = suffix[t - base] if t >= base else view[t]
-        return rec[R_OP], rec[R_SLOCS]
+        rec = suffix[t - base] if t >= base else view.raw(t)
+        sid = rec[0]
+        return ops[sid], rec[3:3 + 2 * nsrcs[sid]:2]
 
     def def_before(loc: int, t: int) -> int:
         """Latest def of register ``loc`` before ``t``, golden's and so
@@ -391,12 +393,12 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
                 for p in rows.between(loc, t + 1, chunk_hi).tolist():
                     heappush(added, p)
 
-    def kill(loc: int, time: int, cause: str, rec=None) -> None:
+    def kill(loc: int, time: int, cause: str, sid=None) -> None:
         birth = corrupted.pop(loc)
         read = last_read.get(loc, -1) >= birth
-        if rec is not None:
-            deaths.append(DeathEvent(loc, time, cause, rec[R_OP], rec[R_LINE],
-                                     rec[R_FN], rec[R_PC], birth, read))
+        if sid is not None:
+            deaths.append(DeathEvent(loc, time, cause, ops[sid], lines[sid],
+                                     fns[sid], pcs[sid], birth, read))
         else:
             deaths.append(DeathEvent(loc, time, cause, birth=birth,
                                      read=read))
@@ -421,14 +423,16 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
                          and injected_time is not None)
 
     def visit(t: int, rec, ff_dloc, ff_dval) -> None:
-        """Process record ``t``; ``ff_dloc``/``ff_dval`` are golden's
-        inside the aligned window."""
+        """Process raw record ``t``; ``ff_dloc``/``ff_dval`` are
+        golden's inside the aligned window."""
         nonlocal pending_injection, sp_moved
         in_window = t < aligned_until
-        op = rec[R_OP]
-        slocs = rec[R_SLOCS]
+        sid = rec[0]
+        op = ops[sid]
+        end = 3 + 2 * nsrcs[sid]    # the payload's index, if any
+        slocs = rec[3:end:2]
         if op == ALLOCA and in_window and not sp_moved and \
-                not _identical(rec[R_SVALS][0], g.field(t, R_SVALS)[0]):
+                not _identical(rec[4], g.field(t, R_SVALS)[0]):
             sp_moved = True
             rest = g.op[t + 1:chunk_hi] == ALLOCA
             for p in (np.flatnonzero(rest) + t + 1).tolist():
@@ -444,35 +448,32 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
                     last_read[sloc] = t
 
         if op == RET:
-            extra = rec[R_EXTRA]
-            if extra is not None:
-                dead_uid, stack_lo, stack_hi = extra
-                for loc in _frame_locs(corrupted, dead_uid, stack_lo,
-                                       stack_hi):
-                    kill(loc, t, "free", rec)
+            dead_uid, stack_lo, stack_hi = rec[end]
+            for loc in _frame_locs(corrupted, dead_uid, stack_lo, stack_hi):
+                kill(loc, t, "free", sid)
 
         elif op == CBR and corrupted_src and in_window:
             # corrupted condition, same branch direction: the conditional
             # masked the fault (Pattern 3 signature)
-            if same_value(rec[R_DVAL], ff_dval):
-                maskings.append(MaskEvent(t, op, rec[R_LINE], rec[R_FN],
-                                          rec[R_PC]))
+            if same_value(rec[2], ff_dval):
+                maskings.append(MaskEvent(t, op, lines[sid], fns[sid],
+                                          pcs[sid]))
 
         elif op == EMIT and in_window:
             svals_differ = any(not same_value(a, b) for a, b in
-                               zip(rec[R_SVALS], g.field(t, R_SVALS)))
+                               zip(rec[4:end:2], g.field(t, R_SVALS)))
             if (corrupted_src or svals_differ) and \
-                    rec[R_EXTRA] == g.field(t, R_EXTRA):
+                    rec[end] == g.field(t, R_EXTRA):
                 # corrupted value, identical formatted output: the format
                 # precision truncated the corruption away (Pattern 5)
-                maskings.append(MaskEvent(t, op, rec[R_LINE], rec[R_FN],
-                                          rec[R_PC]))
+                maskings.append(MaskEvent(t, op, lines[sid], fns[sid],
+                                          pcs[sid]))
 
-        dloc = rec[R_DLOC]
+        dloc = rec[1]
         if dloc is not None:
             if in_window:
                 if dloc == ff_dloc:
-                    dval = rec[R_DVAL]
+                    dval = rec[2]
                     is_corrupt = not same_value(dval, ff_dval)
                     if not is_corrupt and dloc not in watched and \
                             not _identical(dval, ff_dval):
@@ -491,17 +492,17 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
                 is_corrupt = corrupted_src or (
                     t == injected_time and dloc == injected_loc)
             if corrupted_src and not is_corrupt and in_window:
-                maskings.append(MaskEvent(t, op, rec[R_LINE], rec[R_FN],
-                                          rec[R_PC]))
+                maskings.append(MaskEvent(t, op, lines[sid], fns[sid],
+                                          pcs[sid]))
             if is_corrupt:
                 birth_loc(dloc, t, slocs)
             elif dloc in corrupted:
-                kill(dloc, t, "masked" if corrupted_src else "overwrite", rec)
+                kill(dloc, t, "masked" if corrupted_src else "overwrite", sid)
 
         if op == CALL:
-            uid, _callee, nargs = rec[R_EXTRA]
+            uid, _callee, nargs = rec[end]
             rbase = -(uid * SLOT_LIMIT) - 1
-            svals = rec[R_SVALS]
+            svals = rec[4:end:2]
             ffvals = g.field(t, R_SVALS) if in_window else ()
             for i in range(nargs):
                 ploc = rbase - i
@@ -518,7 +519,7 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
                 if arg_corrupt:
                     birth_loc(ploc, t, slocs)
                 elif ploc in corrupted:
-                    kill(ploc, t, "overwrite", rec)
+                    kill(ploc, t, "overwrite", sid)
 
         if t < aligned and dloc in born and (op == STORE or op == MOV):
             vloc = slocs[0]
@@ -565,7 +566,7 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
                 t = heappop(added)
                 if t != last:
                     last = t
-                    visit(t, suffix[t - base] if t >= base else view[t],
+                    visit(t, suffix[t - base] if t >= base else view.raw(t),
                           g.field(t, R_DLOC), g.field(t, R_DVAL))
             elif i < n:
                 t = ts[i]
@@ -573,7 +574,7 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
                 # only while something is corrupted
                 if t != last and (corrupted or not ret_only[i]):
                     last = t
-                    visit(t, suffix[t - base] if t >= base else view[t],
+                    visit(t, suffix[t - base] if t >= base else view.raw(t),
                           ff_dlocs[i], ff_dvals[i])
                 i += 1
             else:
@@ -581,22 +582,26 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
         lo = hi
     chunk_hi = 0
 
-    # the taint walk past it
+    # the taint walk past it, over the raw suffix in place
     lo = max(start, aligned_until)
+    walk = islice(suffix, lo - base, None) if lo >= base else \
+        chain(map(view.raw, range(lo, base)), suffix)
     corrupted_locs = corrupted.keys()
-    for t, rec in enumerate(view.window(lo), lo):
+    for t, rec in enumerate(walk, lo):
         if t >= aligned and t != injected_time:
             if not corrupted and not pending_injection and \
                     (injected_time is None or t > injected_time):
                 # a birth needs a corrupted source or the injection
                 # record: nothing later changes any field
                 break
-            # a record that is not a RET or CALL and neither reads nor
-            # writes a corrupted location changes nothing
-            op = rec[R_OP]
-            if op != RET and op != CALL and \
-                    rec[R_DLOC] not in corrupted and \
-                    corrupted_locs.isdisjoint(rec[R_SLOCS]):
+            # a record with no payload (not a CALL, RET or EMIT: odd
+            # length) that neither writes nor reads a corrupted location
+            # (dloc, then the slocs at odd indices) changes nothing
+            n = len(rec)
+            if n & 1 and rec[1] not in corrupted and \
+                    (n < 5 or rec[3] not in corrupted) and \
+                    (n < 7 or rec[5] not in corrupted) and \
+                    (n < 9 or corrupted_locs.isdisjoint(rec[7::2])):
                 continue
         visit(t, rec, None, None)
 

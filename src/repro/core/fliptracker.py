@@ -554,9 +554,8 @@ class FlipTracker:
             crashed = True
         except (TypeError, ValueError, OverflowError, MemoryError):
             crashed = True
-        records = interp.records
-        if interp.record_base:
-            records = SplicedRecords(ff, interp.record_base, records)
+        records = SplicedRecords(interp.records, ff.table, ff,
+                                 interp.record_base)
         faulty = Trace(records, self.program.module,
                        TraceMeta(program=self.program.name, faulty=True,
                                  fault_desc=interp.fault_record.describe()))

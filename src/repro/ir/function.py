@@ -5,8 +5,10 @@ then *finalized* into a flat, pre-decoded code array the interpreter
 executes directly: branch labels become program-counter ints, and every
 instruction becomes the 5-tuple ``(op, dest, srcs, aux, line)``.
 
-The flat form also gives each static instruction a stable id — its pc —
-which the analyses use to align faulty and fault-free executions.
+The flat form also gives each static instruction a stable position —
+its pc; a module's static table (:func:`repro.trace.events.static_table`)
+turns ``(function, pc)`` into the static-instruction id that keys trace
+records.
 """
 
 from __future__ import annotations
@@ -123,10 +125,6 @@ class Function:
                         f"{self.name} calls undefined function {aux!r}"
                     )
                 self.code[i] = (op, dest, srcs, functions[aux], line)
-
-    def static_id(self, pc: int) -> int:
-        """Globally unique id of the static instruction at ``pc``."""
-        return (self.index << 20) | pc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Function {self.name}({', '.join(self.params)}) {len(self.blocks)} blocks>"

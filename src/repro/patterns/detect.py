@@ -15,8 +15,8 @@ from repro.acl.table import ACLResult, accumulator_hit, same_value
 from repro.ir import opcodes as oc
 from repro.patterns.base import PatternInstance
 from repro.regions.model import RegionInstance
-from repro.trace.events import (R_DLOC, R_DVAL, R_LINE, R_FN, R_OP, R_PC,
-                                R_SLOCS, Trace)
+from repro.trace.events import (R_DLOC, R_FN, R_LINE, R_OP, R_PC, R_SLOCS,
+                                Trace)
 
 
 def region_locator(instances: Sequence[RegionInstance]
@@ -148,9 +148,8 @@ def detect_repeated_additions(ff: Trace, faulty: Trace, acl: ACLResult,
                        for t in times if t > corrupted_times[-1])
         mags = []
         abs_errs = []
-        for t in corrupted_times:
-            v_f = faulty.field(t, R_DVAL)
-            v_c = ff.field(t, R_DVAL)
+        for v_f, v_c in zip(faulty.records.dvals_at(corrupted_times),
+                            ff.records.dvals_at(corrupted_times)):
             if same_value(v_c, v_f):
                 mags.append(0.0)
                 abs_errs.append(0.0)

@@ -25,8 +25,6 @@ from repro.ir import opcodes as oc
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.regions.cfg import CFG, Loop
-from repro.trace.columnar import records_view
-from repro.trace.events import R_FN, R_OP, R_PC
 
 
 @dataclass(frozen=True)
@@ -154,13 +152,13 @@ def split_instances(records: Sequence, model: RegionModel,
     while R was current.  A RET of the region function closes the
     current instance.
 
-    The split reads only the ``fn``, ``pc`` and ``op`` columns: the
-    records of the region function are picked out at once, and only
-    the records where the current region changes (plus the function's
-    RETs) are visited one by one.
+    The split reads only the static-instruction ids (the access API of
+    :mod:`repro.trace.columnar`): the records of the region function
+    are picked out at once, and only the records where the current
+    region changes (plus the function's RETs) are visited one by one.
 
     ``golden`` are the instances of another trace whose records match
-    ``records`` in fn, pc and op — all the split reads — before
+    ``records`` in static id — all the split reads — before
     ``aligned`` (a faulty trace and its golden one, up to their
     divergence).  The instances opened before ``aligned`` are then the
     golden ones up to the last such instance, whose opening record
@@ -173,12 +171,15 @@ def split_instances(records: Sequence, model: RegionModel,
     start = golden[last].start if last >= 0 else 0
     per_region_count: dict[int, int] = {
         inst.region.rid: inst.index + 1 for inst in instances}
-    view = records_view(records)
-    n = len(view)
-    sel = start + np.flatnonzero(
-        view.ints(R_FN, start, n) == model.fn.index)
-    rid = _region_of_pc(model)[view.ints_at(R_PC, sel)]
-    is_ret = view.ints_at(R_OP, sel) == oc.RET
+    n = len(records)
+    table = records.table
+    fn_lo = table.base[model.fn.index]
+    sid = records.sids(start, n)
+    sel = np.flatnonzero((sid >= fn_lo) & (sid < fn_lo + len(model.fn.code)))
+    sid = sid[sel]
+    sel += start
+    rid = _region_of_pc(model)[sid - fn_lo]
+    is_ret = table.op[sid] == oc.RET
     # the region current before each selected record: the previous
     # one's, or none after a RET
     cur_before = np.full(len(sel), -1, dtype=np.int64)
@@ -243,17 +244,16 @@ def split_iterations(records: Sequence, fn: Function, loop: Loop,
     ``[lo, hi)`` restricts the scan to one dynamic execution of the
     loop (one region instance).
     """
-    view = records_view(records)
     if hi is None:
-        hi = len(view)
-    here = view.ints(R_FN, lo, hi) == fn.index
+        hi = len(records)
     labels = fn.block_of_pc
     in_loop = np.array([label in loop.blocks for label in labels])
     in_body = np.array([label in loop.blocks and label != loop.header
                         for label in labels])
     # pc within the loop's function (0 for records of other functions)
-    local_pc = np.zeros(len(here), dtype=np.int64)
-    local_pc[here] = view.ints_at(R_PC, lo + np.flatnonzero(here))
+    local_pc = records.sids(lo, hi) - records.table.base[fn.index]
+    here = (local_pc >= 0) & (local_pc < len(labels))
+    local_pc[~here] = 0
     hits = np.flatnonzero(here & (local_pc == fn.pc_of_block[loop.header]))
     if not hits.size:
         return []

@@ -1,8 +1,9 @@
 """Columnar golden traces.
 
 The golden (fault-free) trace is read by every analysis but never
-changes, so it is stored as columns instead of a list of 9-tuples
-(:mod:`repro.trace.events` documents the record schema):
+changes, so it is stored as columns instead of a list of records
+(:mod:`repro.trace.events` documents the raw record, the static table
+and the decoded 9-tuple):
 
 ============  ==========================================================
 ``op``        uint8 opcode
@@ -18,8 +19,7 @@ changes, so it is stored as columns instead of a list of 9-tuples
               constant
 ``stag``      uint8 value tag per slot
 ``sbits``     int64 value bits per slot
-``extra``     dict ``t -> payload`` for the records whose ``extra`` is
-              not ``None`` (CALL, RET, EMIT)
+``extra``     dict ``t -> payload`` for the CALL, RET and EMIT records
 ``bigints``   list of the ints that do not fit in int64
 ============  ==========================================================
 
@@ -31,24 +31,26 @@ shift right by 0 of a negative int yields its unsigned image, and
 :data:`T_BIG` and its bits index the ``bigints`` side list.  Encoding a
 value of any other type raises ``ValueError``.
 
-:meth:`GoldenTrace.extend` encodes one chunk of tuples at a time, so the
-golden run never holds more than :data:`CHUNK` records as tuples.
-Indexing and iteration decode the exact 9-tuples back for cold callers;
-the analyses read whole windows as column lists instead.
+:meth:`GoldenTrace.extend` encodes one chunk of raw records at a time,
+so the golden run never holds more than :data:`CHUNK` records as
+tuples.  ``op``, ``fn``, ``pc``, ``line`` and the slot counts are
+gathered from the module's static table by id; the record values are
+read from one flattened list of the chunk.  Indexing and iteration
+decode the exact 9-tuples for cold callers; the analyses read whole
+windows as column lists instead.
 
-A warm-started traced run executes only the suffix after its ladder
-rung, and its records are :class:`SplicedRecords`: the golden prefix
-seen through the columns plus the run's own suffix list.  Both classes
-offer the same access API (``window``, ``column``, ``ints``,
-``ints_at``, ``field``, ``last_write``), and :func:`records_view` gives
-it to a plain tuple list as well.
+A faulty traced run's records are :class:`SplicedRecords`: the golden
+prefix before its ladder rung (none for a cold run), seen through the
+columns, plus the run's own raw suffix, read together with the static
+table.  Both classes offer the same access API (``sids``, ``column``,
+``ints``, ``field``, ``dvals_at``, ``last_write``, ``raw``).
 """
 
 from __future__ import annotations
 
 import gzip
 import pickle
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -57,7 +59,9 @@ import numpy as np
 from repro.ir import opcodes as oc
 from repro.ir.function import SLOT_LIMIT
 from repro.trace.events import (R_DLOC, R_DVAL, R_EXTRA, R_FN, R_LINE, R_OP,
-                                R_PC, R_SLOCS, R_SVALS, Trace, TraceMeta)
+                                R_PC, R_SLOCS, R_SVALS, StaticTable, Trace,
+                                TraceMeta, decode_record, encode_record,
+                                static_table)
 
 #: records per encoded chunk (the golden run's tuple list never grows
 #: past it)
@@ -69,7 +73,7 @@ NO_LOC = int(np.iinfo(np.int64).min)
 T_NONE, T_INT, T_FLOAT, T_BOOL, T_BIG = range(5)
 
 _FLOAT_EXACT = float(1 << 53)
-_GETTERS = [itemgetter(i) for i in range(9)]
+_SID, _DLOC, _DVAL = (itemgetter(i) for i in range(3))
 _TAG_OF = {type(None): T_NONE, int: T_INT, float: T_FLOAT, bool: T_BOOL}
 _INT_COLUMNS = {R_OP: "op", R_FN: "fn", R_PC: "pc", R_LINE: "line"}
 
@@ -163,75 +167,94 @@ def decode_values(tags: np.ndarray, bits: np.ndarray,
     return out
 
 
-def _encode_chunk(records: Sequence, t0: int, bigints: list) -> dict:
-    """Columns of one chunk of tuples starting at record ``t0``."""
-    def col(field: int) -> list:
-        return list(map(_GETTERS[field], records))
+def _gather(items: Sequence, idx: np.ndarray) -> Sequence:
+    """``items`` at the positions ``idx``."""
+    idx = idx.tolist()
+    if len(idx) > 1:
+        return itemgetter(*idx)(items)
+    return [items[i] for i in idx]
 
-    slocs, svals = col(R_SLOCS), col(R_SVALS)
-    slen = list(map(len, slocs))
-    if slen != list(map(len, svals)):
-        raise ValueError("records' slocs and svals differ in length")
-    cols = {"op": np.array(col(R_OP), dtype=np.uint8),
-            "fn": np.array(col(R_FN), dtype=np.int32),
-            "pc": np.array(col(R_PC), dtype=np.int32),
-            "line": np.array(col(R_LINE), dtype=np.int32),
-            "slen": np.array(slen, dtype=np.int64),
-            "dloc": encode_locs(col(R_DLOC)),
-            "sloc": encode_locs(list(chain.from_iterable(slocs)))}
-    cols["dtag"], cols["dbits"] = encode_values(col(R_DVAL), bigints)
-    cols["stag"], cols["sbits"] = encode_values(
-        list(chain.from_iterable(svals)), bigints)
-    # payloads sit on CALL/RET/EMIT records; scan them, and every record
-    # only when some other record carries one
-    extras = col(R_EXTRA)
-    at = np.flatnonzero(np.isin(cols["op"], _EXTRA_OPS)).tolist()
-    found = {t0 + i: extras[i] for i in at if extras[i] is not None}
-    if len(found) != len(extras) - extras.count(None):
-        found = {t: e for t, e in enumerate(extras, t0) if e is not None}
-    cols["extra"] = found
+
+def _encode_chunk(records: Sequence, t0: int, bigints: list,
+                  table: StaticTable) -> dict:
+    """Columns of one chunk of raw records starting at record ``t0``."""
+    n = len(records)
+    sid = np.fromiter(map(_SID, records), dtype=np.int64, count=n)
+    nsrc = table.nsrc[sid]
+    lens = np.fromiter(map(len, records), dtype=np.int64, count=n)
+    # 1 where a payload ends the record
+    tail = lens - 3 - 2 * nsrc
+    if n and (tail.min() < 0 or tail.max() > 1):
+        raise ValueError("records do not match their static instructions")
+    # slot j (record i's k-th source) sits in the flattened chunk at
+    # off[i] + 3 + 2k, that is (off[i] + 3 - 2 * first[i]) + 2j
+    off = np.cumsum(lens) - lens
+    first = np.cumsum(nsrc) - nsrc
+    at = np.repeat(off + 3 - 2 * first, nsrc) + 2 * np.arange(
+        int(nsrc.sum()), dtype=np.int64)
+    flat = list(chain.from_iterable(records))
+    cols = {"op": table.op[sid], "fn": table.fn[sid], "pc": table.pc[sid],
+            "line": table.line[sid], "slen": nsrc,
+            "dloc": encode_locs(list(map(_DLOC, records))),
+            "sloc": encode_locs(_gather(flat, at))}
+    cols["dtag"], cols["dbits"] = encode_values(list(map(_DVAL, records)),
+                                                bigints)
+    cols["stag"], cols["sbits"] = encode_values(_gather(flat, at + 1),
+                                                bigints)
+    cols["extra"] = {t0 + i: records[i][-1]
+                     for i in np.flatnonzero(tail).tolist()}
     return cols
 
 
-_EXTRA_OPS = (oc.CALL, oc.RET, oc.EMIT)
 _ARRAYS = ("op", "fn", "pc", "line", "dloc", "dtag", "dbits", "sloc",
            "stag", "sbits")
+_DTYPES = (np.uint8, np.int32, np.int32, np.int32, np.int64, np.uint8,
+           np.int64, np.int64, np.uint8, np.int64)
 
 
 class GoldenTrace(Trace):
     """A fault-free trace stored as columns (see module docstring).
 
-    Fill it with :meth:`extend` (one chunk of record tuples at a time)
+    Fill it with :meth:`extend` (one chunk of raw records at a time)
     and :meth:`seal` it; after that it is read-only.  It is its own
     ``records`` sequence: ``trace[t]`` and iteration yield the exact
-    9-tuples, and :meth:`column` returns a window of one field as a
-    list.
+    decoded 9-tuples, and :meth:`column` returns a window of one field
+    as a list.  ``table`` defaults to the module's static table.
     """
 
-    def __init__(self, module, meta: Optional[TraceMeta] = None):
+    def __init__(self, module, meta: Optional[TraceMeta] = None, *,
+                 table: Optional[StaticTable] = None):
         self.module = module
         self.meta = meta or TraceMeta()
         self.extra: dict = {}
         self.bigints: list = []
         self._parts: Optional[list] = []
         self._n = 0
+        self._table = table
 
     @classmethod
     def from_records(cls, records: Sequence, module=None,
-                     meta: Optional[TraceMeta] = None) -> "GoldenTrace":
-        """Encode a whole record list (chunk by chunk) and seal it."""
-        trace = cls(module, meta)
+                     meta: Optional[TraceMeta] = None, *,
+                     table: Optional[StaticTable] = None) -> "GoldenTrace":
+        """Encode a whole raw record list (chunk by chunk) and seal it."""
+        trace = cls(module, meta, table=table)
         for lo in range(0, len(records), CHUNK):
             trace.extend(records[lo:lo + CHUNK])
         return trace.seal()
 
+    @property
+    def table(self) -> StaticTable:
+        if self._table is None:
+            self._table = static_table(self.module)
+        return self._table
+
     def extend(self, records: Sequence) -> None:
-        """Encode and append one chunk of record tuples."""
+        """Encode and append one chunk of raw records."""
         if self._parts is None:
             raise ValueError("a sealed GoldenTrace is read-only")
         if not records:
             return
-        cols = _encode_chunk(records, self._n, self.bigints)
+        cols = _encode_chunk(records, self._n, self.bigints, self.table)
         self.extra.update(cols.pop("extra"))
         self._parts.append(cols)
         self._n += len(records)
@@ -240,7 +263,8 @@ class GoldenTrace(Trace):
         """Concatenate the chunks into the final columns."""
         parts, self._parts = self._parts, None
         if not parts:
-            parts = [_encode_chunk([], 0, self.bigints)]
+            parts = [{name: np.zeros(0, dtype=dtype) for name, dtype in
+                      zip(_ARRAYS + ("slen",), _DTYPES + (np.int64,))}]
         # one column at a time, freeing its chunks as it goes, so the
         # seal never holds two copies of the whole trace
         for name in _ARRAYS:
@@ -260,6 +284,7 @@ class GoldenTrace(Trace):
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._parts = None
+        self._table = None
         self.module = None
 
     def save(self, path: str) -> None:
@@ -338,9 +363,14 @@ class GoldenTrace(Trace):
         ``[lo, hi)`` as an array."""
         return getattr(self, _INT_COLUMNS[field])[lo:max(lo, hi)]
 
-    def ints_at(self, field: int, ts: np.ndarray) -> np.ndarray:
-        """Integer field ``field`` of the records at positions ``ts``."""
-        return getattr(self, _INT_COLUMNS[field])[ts]
+    def sids(self, lo: int, hi: int) -> np.ndarray:
+        """Static ids of records ``[lo, hi)``."""
+        hi = max(lo, hi)
+        return self.table.sids_of(self.fn[lo:hi], self.pc[lo:hi])
+
+    def raw(self, t: int) -> tuple:
+        """The raw record ``t``."""
+        return encode_record(self.table, self[t])
 
     def field(self, t: int, field: int):
         """Field ``field`` of record ``t``."""
@@ -360,7 +390,7 @@ class GoldenTrace(Trace):
                          for k in range(a, b))
         if field == R_EXTRA:
             return self.extra.get(t)
-        return int(self.ints_at(field, t))
+        return int(getattr(self, _INT_COLUMNS[field])[t])
 
     def last_write(self, loc: int, t: int) -> tuple:
         """``(found, value)`` of the last write of ``loc`` before ``t``."""
@@ -414,22 +444,24 @@ class GoldenTrace(Trace):
 
 
 class SplicedRecords(Sequence):
-    """Records ``golden[:base] + suffix``, with :class:`GoldenTrace`'s
-    access API.
+    """Records ``golden[:base]`` followed by the raw records ``suffix``,
+    with :class:`GoldenTrace`'s access API.
 
     A warm-started traced run restored a ladder rung and executed only
     the suffix; its prefix is the golden trace's, read through the
-    columns.  With no prefix (``golden=None``, ``base=0``) it serves a
-    plain tuple list (see :func:`records_view`).
+    columns.  A cold run has no prefix (``golden=None``, ``base=0``).
+    Indexing and iteration decode 9-tuples; the access API reads the
+    raw suffix together with ``table``, the module's static table.
     """
 
-    __slots__ = ("golden", "base", "suffix")
+    __slots__ = ("suffix", "table", "golden", "base")
 
-    def __init__(self, golden: Optional[GoldenTrace], base: int,
-                 suffix: list):
+    def __init__(self, suffix: list, table: StaticTable,
+                 golden: Optional[GoldenTrace] = None, base: int = 0):
+        self.suffix = suffix
+        self.table = table
         self.golden = golden
         self.base = base
-        self.suffix = suffix
 
     def __len__(self) -> int:
         return self.base + len(self.suffix)
@@ -445,56 +477,56 @@ class SplicedRecords(Sequence):
             raise IndexError("trace index out of range")
         if t < self.base:
             return self.golden[t]
-        return self.suffix[t - self.base]
+        return decode_record(self.table, self.suffix[t - self.base])
 
     def __iter__(self) -> Iterator:
+        decoded = map(decode_record, repeat(self.table), self.suffix)
         if not self.base:
-            return iter(self.suffix)
-        return chain(self.golden.iter_range(0, self.base), self.suffix)
+            return decoded
+        return chain(self.golden.iter_range(0, self.base), decoded)
 
     # -- access API ----------------------------------------------------------
     def _suffix(self, lo: int, hi: int) -> list:
-        """The suffix records among ``[lo, hi)``."""
+        """The raw suffix records among ``[lo, hi)``."""
         base = self.base
         return self.suffix[max(lo - base, 0):max(hi - base, 0)]
 
     def window(self, lo: int, hi: Optional[int] = None) -> list:
-        """Records ``[lo, hi)`` as a tuple list; only golden-prefix
-        records are decoded."""
+        """Records ``[lo, hi)`` as a list of decoded 9-tuples."""
         hi = len(self) if hi is None else min(hi, len(self))
+        tail = [decode_record(self.table, rec)
+                for rec in self._suffix(lo, hi)]
         if lo >= self.base:
-            return self._suffix(lo, hi)
-        return self.golden.window(lo, min(hi, self.base)) + \
-            self._suffix(lo, hi)
+            return tail
+        return self.golden.window(lo, min(hi, self.base)) + tail
+
+    def raw(self, t: int) -> tuple:
+        """The raw record ``t``."""
+        if t >= self.base:
+            return self.suffix[t - self.base]
+        return self.golden.raw(t)
+
+    def sids(self, lo: int, hi: int) -> np.ndarray:
+        """Static ids of records ``[lo, hi)``."""
+        base = self.base
+        a = max(lo - base, 0)
+        b = max(min(hi, len(self)) - base, a)
+        tail = np.fromiter(map(_SID, islice(self.suffix, a, b)),
+                           dtype=np.int64, count=b - a)
+        if lo >= base:
+            return tail
+        return np.concatenate((self.golden.sids(lo, min(hi, base)), tail))
 
     def column(self, field: int, lo: int, hi: int) -> list:
         """Field ``field`` of records ``[lo, hi)`` as a list."""
-        tail = list(map(_GETTERS[field], self._suffix(lo, hi)))
-        if lo >= self.base:
-            return tail
-        return self.golden.column(field, lo, min(hi, self.base)) + tail
+        if field in _INT_COLUMNS:
+            return self.ints(field, lo, hi).tolist()
+        return [rec[field] for rec in self.window(lo, hi)]
 
     def ints(self, field: int, lo: int, hi: int) -> np.ndarray:
         """Integer field ``field`` (op, fn, pc or line) of records
         ``[lo, hi)`` as an array."""
-        suffix = self._suffix(lo, hi)
-        tail = np.fromiter(map(_GETTERS[field], suffix), dtype=np.int64,
-                           count=len(suffix))
-        if lo >= self.base:
-            return tail
-        return np.concatenate(
-            (self.golden.ints(field, lo, min(hi, self.base)), tail))
-
-    def ints_at(self, field: int, ts: np.ndarray) -> np.ndarray:
-        """Integer field ``field`` of the records at positions ``ts``."""
-        out = np.empty(len(ts), dtype=np.int64)
-        prefix = ts < self.base
-        if prefix.any():
-            out[prefix] = self.golden.ints_at(field, ts[prefix])
-        suffix = self.suffix
-        out[~prefix] = [suffix[t][field]
-                        for t in (ts[~prefix] - self.base).tolist()]
-        return out
+        return getattr(self.table, _INT_COLUMNS[field])[self.sids(lo, hi)]
 
     def field(self, t: int, field: int):
         """Field ``field`` of record ``t``."""
@@ -502,7 +534,13 @@ class SplicedRecords(Sequence):
             t += len(self)
         if t < self.base:
             return self.golden.field(t, field)
-        return self.suffix[t - self.base][field]
+        return decode_record(self.table, self.suffix[t - self.base])[field]
+
+    def dvals_at(self, ts: Sequence[int]) -> list:
+        """``dval`` of the records at positions ``ts``."""
+        base, suffix = self.base, self.suffix
+        return [suffix[t - base][R_DVAL] if t >= base
+                else self.golden.field(t, R_DVAL) for t in ts]
 
     def last_write(self, loc: int, t: int) -> tuple:
         """``(found, value)`` of the last write of ``loc`` before ``t``."""
@@ -513,12 +551,3 @@ class SplicedRecords(Sequence):
         if self.base:
             return self.golden.last_write(loc, min(t, self.base))
         return False, None
-
-
-def records_view(records):
-    """``records`` with the access API: a :class:`GoldenTrace` or
-    :class:`SplicedRecords` as it is, a tuple list as a
-    :class:`SplicedRecords` with no golden prefix."""
-    if isinstance(records, (GoldenTrace, SplicedRecords)):
-        return records
-    return SplicedRecords(None, 0, records)

@@ -50,6 +50,7 @@ from typing import Optional
 
 from repro.ir import opcodes as oc
 from repro.ir.module import Module
+from repro.trace.events import static_table
 from repro.vm import bitops
 from repro.vm.errors import ComputeTrap, HangError, MemoryFault, VMError
 from repro.vm.fault import FaultPlan
@@ -203,9 +204,11 @@ def _tup(items: list) -> str:
 class _FunctionLowering:
     """Emits one ``_body_<index>`` function for one finalized Function."""
 
-    def __init__(self, fn, trace: bool, pool: _Pool, lines: list):
+    def __init__(self, fn, trace: bool, pool: _Pool, lines: list,
+                 sid_base: int):
         self.fn = fn
         self.trace = trace
+        self.sid_base = sid_base
         self.pool = pool
         self.lines = lines
         self.indent = 0
@@ -240,12 +243,29 @@ class _FunctionLowering:
             self._temps[i] = expr
         return expr
 
+    def reg(self, slot: int) -> str:
+        """Name of register ``slot``'s location, computed once per
+        segment (records of one segment share the int)."""
+        name = self._locs.get(slot)
+        if name is None:
+            name = self._locs[slot] = f"_l{slot}"
+            self.w(f"{name} = rb - {slot}")
+        return name
+
     def sloc(self, src) -> str:
         is_const, payload = src
-        return "None" if is_const else f"rb - {payload}"
+        return "None" if is_const else self.reg(payload)
 
-    def slocs_tup(self, srcs) -> str:
-        return _tup([self.sloc(s) for s in srcs])
+    def record(self, pc: int, dloc: str, dval: str, pairs: list,
+               payload: Optional[str] = None) -> None:
+        """Append the flat record of the instruction at ``pc``:
+        ``pairs`` are ``(sloc, sval)`` expressions, in source order."""
+        items = [str(self.sid_base + pc), dloc, dval]
+        for sloc, sval in pairs:
+            items += (sloc, sval)
+        if payload is not None:
+            items.append(payload)
+        self.w(f"recs.append(({', '.join(items)}))")
 
     # -------------------------------------------------------- lowering
     def lower(self) -> frozenset:
@@ -302,6 +322,7 @@ class _FunctionLowering:
 
     def _segment(self, entry: int, seg: list) -> None:
         length = len(seg)
+        self._locs: dict = {}
         self.w(f"if dyn + {length} > limit:")
         self.indent += 1
         self.w(f"frame.pc = {entry}")
@@ -314,10 +335,9 @@ class _FunctionLowering:
     # Record shapes below mirror interp.py's ``_loop`` exactly — any
     # divergence is a parity-suite failure, not a style choice.
     def _instr(self, pc: int, ins, k: int, length: int) -> None:  # noqa: C901
-        op, dest, srcs, aux, line = ins
+        op, dest, srcs, aux, _line = ins
         t = self.trace
         self._temps: dict = {}
-        fnidx = self.fn.index
         trap_dyn = f"vm.dyn_count = dyn + {k}" if k else "vm.dyn_count = dyn"
 
         def commit(res_expr: str) -> None:
@@ -326,11 +346,9 @@ class _FunctionLowering:
                 if res_expr != "_r":
                     self.w(f"_r = {res_expr}")
                 self.w(f"regs[{dest}] = _r")
-                svals = _tup([self.operand(i, s, False)
-                              for i, s in enumerate(srcs)])
-                self.w(f"recs.append(({op}, rb - {dest}, _r, "
-                       f"{self.slocs_tup(srcs)}, {svals}, {line}, "
-                       f"{fnidx}, {pc}, None))")
+                self.record(pc, self.reg(dest), "_r",
+                            [(self.sloc(s), self.operand(i, s, False))
+                             for i, s in enumerate(srcs)])
             else:
                 self.w(f"regs[{dest}] = {res_expr}")
 
@@ -462,9 +480,8 @@ class _FunctionLowering:
             self.indent -= 1
             if t:
                 self.w(f"regs[{dest}] = _r")
-                self.w(f"recs.append(({op}, rb - {dest}, _r, "
-                       f"({a}, {self.sloc(srcs[0])}), (_r, {a}), "
-                       f"{line}, {fnidx}, {pc}, None))")
+                self.record(pc, self.reg(dest), "_r",
+                            [(a, "_r"), (self.sloc(srcs[0]), a)])
 
         elif op == oc.STORE:
             a = self.operand(0, srcs[0], True)
@@ -479,9 +496,8 @@ class _FunctionLowering:
             self.w(f'raise _MemoryFault({a}, "store out of segment")')
             self.indent -= 1
             if t:
-                self.w(f"recs.append(({op}, {a}, {b}, "
-                       f"({self.sloc(srcs[1])}, {self.sloc(srcs[0])}), "
-                       f"({b}, {a}), {line}, {fnidx}, {pc}, None))")
+                self.record(pc, a, b, [(self.sloc(srcs[1]), b),
+                                       (self.sloc(srcs[0]), a)])
 
         elif op == oc.ALLOCA:
             a = self.operand(0, srcs[0], True)
@@ -505,9 +521,7 @@ class _FunctionLowering:
             self.w(f"dyn += {length}")
             if t:
                 self.w(f"_t = True if {a} else False")
-                self.w(f"recs.append(({op}, None, _t, "
-                       f"({self.sloc(srcs[0])},), ({a},), {line}, "
-                       f"{fnidx}, {pc}, None))")
+                self.record(pc, "None", "_t", [(self.sloc(srcs[0]), a)])
                 self.w(f"pc = {tpc} if _t else {fpc}")
             else:
                 self.w(f"pc = {tpc} if {a} else {fpc}")
@@ -516,8 +530,7 @@ class _FunctionLowering:
         elif op == oc.BR:
             self.w(f"dyn += {length}")
             if t:
-                self.w(f"recs.append(({op}, None, None, (), (), {line}, "
-                       f"{fnidx}, {pc}, None))")
+                self.record(pc, "None", "None", [])
             self.w(f"pc = {aux}")
             self.w("continue")
 
@@ -531,10 +544,9 @@ class _FunctionLowering:
             self.w("vm.sp = sp")
             self.w(f"_nf = vm._push(_fn{callee.index}, {args_tup}, {dest})")
             if t:
-                self.w(f"recs.append(({op}, _nf.rbase, None, "
-                       f"{self.slocs_tup(srcs)}, {args_tup}, {line}, "
-                       f"{fnidx}, {pc}, "
-                       f"(_nf.uid, {callee.index}, {len(srcs)})))")
+                self.record(pc, "_nf.rbase", "None",
+                            list(zip(map(self.sloc, srcs), arg_exprs)),
+                            f"(_nf.uid, {callee.index}, {len(srcs)})")
             self.w("return 1")
 
         elif op == oc.RET:
@@ -544,8 +556,8 @@ class _FunctionLowering:
                 self.w(f"_rv = {a}")
             else:
                 self.w("_rv = None")
-            slocs = f"({self.sloc(srcs[0])},)" if n else "()"
-            svals = "(_rv,)" if n else "()"
+            pairs = [(self.sloc(srcs[0]), "_rv")] if n and t else []
+            payload = "(_dead.uid, _dead.stack_mark, _hi)"
             self.w(f"vm.dyn_count = dyn + {length}")
             self.w("_dead = vm.frames.pop()")
             self.w("_hi = sp")
@@ -565,9 +577,7 @@ class _FunctionLowering:
                 self.w("_c.regs[_s] = _rv")
                 self.w("_dl = _c.rbase - _s")
                 self.indent -= 1
-                self.w(f"recs.append(({op}, _dl, _rv, {slocs}, {svals}, "
-                       f"{line}, {fnidx}, {pc}, "
-                       f"(_dead.uid, _dead.stack_mark, _hi)))")
+                self.record(pc, "_dl", "_rv", pairs, payload)
             else:
                 self.w("if _s is not None:")
                 self.indent += 1
@@ -576,9 +586,7 @@ class _FunctionLowering:
             self.w("return 1")
             self.indent -= 1
             if t:
-                self.w(f"recs.append(({op}, None, _rv, {slocs}, {svals}, "
-                       f"{line}, {fnidx}, {pc}, "
-                       f"(_dead.uid, _dead.stack_mark, _hi)))")
+                self.record(pc, "None", "_rv", pairs, payload)
             self.w("vm.finished = True")
             self.w("vm.result = _rv")
             self.w("return 0")
@@ -601,15 +609,13 @@ class _FunctionLowering:
                 self.w(f"_t = {fmt}")
             self.w("vm.output.append(_t)")
             if t:
-                self.w(f"recs.append(({op}, None, None, "
-                       f"{self.slocs_tup(srcs)}, _vs, {line}, "
-                       f"{fnidx}, {pc}, _t))")
+                self.record(pc, "None", "None",
+                            list(zip(map(self.sloc, srcs), val_exprs)), "_t")
 
         elif op in (oc.NOP, oc.MPI_BARRIER):
             # record-only no-ops (comm is always None on the compiled path)
             if t:
-                self.w(f"recs.append(({op}, None, None, (), (), {line}, "
-                       f"{fnidx}, {pc}, None))")
+                self.record(pc, "None", "None", [])
 
         elif op in (oc.MPI_SEND, oc.MPI_RECV):
             name = "MPI_SEND" if op == oc.MPI_SEND else "MPI_RECV"
@@ -632,11 +638,13 @@ def _lower_module(module: Module, trace: bool) -> CompiledModule:
     lines: list = []
     fns = sorted(module.functions.values(), key=lambda f: f.index)
     entries = []
+    sid_base = static_table(module).base
     for i, fn in enumerate(fns):
         if fn.index != i:
             raise UnsupportedProgram(
                 f"non-contiguous function index {fn.index} for {fn.name}")
-        entries.append(_FunctionLowering(fn, trace, pool, lines).lower())
+        entries.append(_FunctionLowering(fn, trace, pool, lines,
+                                         sid_base[i]).lower())
     source = "\n".join(lines)
     ns = dict(_HELPERS)
     ns.update(pool.ns)

@@ -6,10 +6,12 @@ in the paper's pipeline.  One object executes one process (MPI rank).
 Key observables (all of which the analyses consume):
 
 * **dynamic instruction stream** — when ``trace=True`` every executed
-  instruction appends a 9-tuple record
-  ``(op, dloc, dval, slocs, svals, line, fnidx, pc, extra)`` where
-  locations are ints: heap addresses are >= 0 and register locations are
-  encoded as ``-(frame_uid * SLOT_LIMIT + slot) - 1``;
+  instruction appends one flat record
+  ``(sid, dloc, dval, sloc0, sval0, sloc1, sval1, ..., [payload])``
+  keyed by its static-instruction id (:mod:`repro.trace.events` has
+  the schema and the static table); locations are ints: heap addresses
+  are >= 0 and register locations are encoded as
+  ``-(frame_uid * SLOT_LIMIT + slot) - 1``;
 * **fault application** — a :class:`~repro.vm.fault.FaultPlan` fires at a
   chosen dynamic instruction, flipping either a location's current value
   (input-location injections) or an instruction result (internal);
@@ -31,6 +33,7 @@ from typing import Any, Optional
 from repro.ir import opcodes as oc
 from repro.ir.function import SLOT_LIMIT
 from repro.ir.module import Module
+from repro.trace.events import static_table
 from repro.vm import bitops
 from repro.vm.errors import (ComputeTrap, HangError, MemoryFault, VMError,
                              WouldBlock)
@@ -42,6 +45,14 @@ _M64 = bitops.MASK64
 def reg_loc(frame_uid: int, slot: int) -> int:
     """Encode a register location as a negative int key."""
     return -(frame_uid * SLOT_LIMIT + slot) - 1
+
+
+def _src_pairs(srcs, vals, rbase: int) -> tuple:
+    """The flat ``(sloc, sval)`` pairs of a record's sources."""
+    out: list = []
+    for (c, p), v in zip(srcs, vals):
+        out += (None if c else rbase - p, v)
+    return tuple(out)
 
 
 def decode_reg_loc(loc: int) -> tuple[int, int]:
@@ -142,6 +153,8 @@ class Interpreter:
         self.sp = module.stack_base
         self.frames: list[Frame] = []
         self.records: Optional[list] = [] if trace else None
+        #: static id of pc 0 of each function (traced runs)
+        self._sid_base = static_table(module).base if trace else None
         #: records of the run before ``records[0]`` (a warm-started
         #: traced run holds only the records after its ladder rung)
         self.record_base = 0
@@ -331,6 +344,7 @@ class Interpreter:
     def _loop(self, budget: Optional[int]) -> str:  # noqa: C901
         mem = self.mem
         recs = self.records
+        sid_base = self._sid_base
         fault = self.fault
         dyn = self.dyn_count
         sp = self.sp
@@ -371,7 +385,8 @@ class Interpreter:
                 code = frame.fn.code
                 regs = frame.regs
                 rbase = frame.rbase
-                fnidx = frame.fn.index
+                if recs is not None:
+                    sbase = sid_base[frame.fn.index]
                 pc = frame.pc
 
                 while True:
@@ -381,7 +396,7 @@ class Interpreter:
                             raise HangError(dyn)
                         return "budget"
 
-                    op, dest, srcs, aux, line = code[pc]
+                    op, dest, srcs, aux, _line = code[pc]
 
                     # -- fault pre-hook ('loc' mode fires before execution)
                     # 'loc' commits here (the flip mutates state now, and
@@ -432,9 +447,9 @@ class Interpreter:
                         regs[dest] = res
                         dyn += 1
                         if recs is not None:
-                            recs.append((op, rbase - dest, res,
-                                         (v0, None if c0 else rbase - p0),
-                                         (res, v0), line, fnidx, pc, None))
+                            recs.append((sbase + pc, rbase - dest, res,
+                                         v0, res,
+                                         None if c0 else rbase - p0, v0))
                         pc += 1
                         continue
 
@@ -452,10 +467,9 @@ class Interpreter:
                             raise MemoryFault(v0, "store out of segment")
                         dyn += 1
                         if recs is not None:
-                            recs.append((op, v0, v1,
-                                         (None if c1 else rbase - p1,
-                                          None if c0 else rbase - p0),
-                                         (v1, v0), line, fnidx, pc, None))
+                            recs.append((sbase + pc, v0, v1,
+                                         None if c1 else rbase - p1, v1,
+                                         None if c0 else rbase - p0, v0))
                         pc += 1
                         continue
 
@@ -465,17 +479,15 @@ class Interpreter:
                         npc = aux[0] if taken else aux[1]
                         dyn += 1
                         if recs is not None:
-                            recs.append((op, None, taken,
-                                         (None if c0 else rbase - p0,),
-                                         (v0,), line, fnidx, pc, None))
+                            recs.append((sbase + pc, None, taken,
+                                         None if c0 else rbase - p0, v0))
                         pc = npc
                         continue
 
                     if op == 37:  # BR
                         dyn += 1
                         if recs is not None:
-                            recs.append((op, None, None, (), (), line,
-                                         fnidx, pc, None))
+                            recs.append((sbase + pc, None, None))
                         pc = aux
                         continue
 
@@ -624,11 +636,10 @@ class Interpreter:
                         self.sp = sp
                         new = push(callee, args, dest)
                         if recs is not None:
-                            slocs = tuple(None if c else rbase - p
-                                          for (c, p) in srcs)
-                            recs.append((op, new.rbase, None, slocs, args,
-                                         line, fnidx, pc,
-                                         (new.uid, callee.index, len(args))))
+                            recs.append((sbase + pc, new.rbase, None)
+                                        + _src_pairs(srcs, args, rbase)
+                                        + ((new.uid, callee.index,
+                                            len(args)),))
                         break  # switch to callee frame
 
                     elif op == 40:  # RET
@@ -645,21 +656,21 @@ class Interpreter:
                                 caller.regs[dead.ret_slot] = retval
                                 dloc = caller.rbase - dead.ret_slot
                             if recs is not None:
-                                recs.append((op, dloc, retval,
-                                             ((None if c0 else rbase - p0,)
-                                              if n else ()),
-                                             ((retval,) if n else ()),
-                                             line, fnidx, pc,
-                                             (dead.uid, stack_lo, stack_hi)))
+                                recs.append(
+                                    (sbase + pc, dloc, retval,
+                                     None if c0 else rbase - p0, retval,
+                                     (dead.uid, stack_lo, stack_hi)) if n
+                                    else (sbase + pc, dloc, retval,
+                                          (dead.uid, stack_lo, stack_hi)))
                             break  # resume caller
                         # entry function returned
                         if recs is not None:
-                            recs.append((op, None, retval,
-                                         ((None if c0 else rbase - p0,)
-                                          if n else ()),
-                                         ((retval,) if n else ()),
-                                         line, fnidx, pc,
-                                         (dead.uid, stack_lo, stack_hi)))
+                            recs.append(
+                                (sbase + pc, None, retval,
+                                 None if c0 else rbase - p0, retval,
+                                 (dead.uid, stack_lo, stack_hi)) if n
+                                else (sbase + pc, None, retval,
+                                      (dead.uid, stack_lo, stack_hi)))
                         self.finished = True
                         self.result = retval
                         self.dyn_count = dyn
@@ -696,18 +707,16 @@ class Interpreter:
                         out_append(text)
                         dyn += 1
                         if recs is not None:
-                            slocs = tuple(None if c else rbase - p
-                                          for (c, p) in srcs)
-                            recs.append((op, None, None, slocs, vals2, line,
-                                         fnidx, pc, text))
+                            recs.append((sbase + pc, None, None)
+                                        + _src_pairs(srcs, vals2, rbase)
+                                        + (text,))
                         pc += 1
                         continue
 
                     elif op == 56:  # NOP
                         dyn += 1
                         if recs is not None:
-                            recs.append((op, None, None, (), (), line,
-                                         fnidx, pc, None))
+                            recs.append((sbase + pc, None, None))
                         pc += 1
                         continue
 
@@ -728,8 +737,7 @@ class Interpreter:
                                 return "blocked"
                         dyn += 1
                         if recs is not None:
-                            recs.append((op, None, None, (), (), line,
-                                         fnidx, pc, None))
+                            recs.append((sbase + pc, None, None))
                         pc += 1
                         continue
                     elif op == 59:  # MPI_SEND dst, tag, value
@@ -738,10 +746,8 @@ class Interpreter:
                         self.comm.send(self.rank, vals[0], vals[1], vals[2])
                         dyn += 1
                         if recs is not None:
-                            slocs = tuple(None if c else rbase - p
-                                          for (c, p) in srcs)
-                            recs.append((op, None, None, slocs, tuple(vals),
-                                         line, fnidx, pc, None))
+                            recs.append((sbase + pc, None, None)
+                                        + _src_pairs(srcs, vals, rbase))
                         pc += 1
                         continue
                     elif op == 60:  # MPI_RECV src, tag
@@ -793,21 +799,17 @@ class Interpreter:
                     dyn += 1
                     if recs is not None:
                         if n == 2:
-                            slocs = (None if c0 else rbase - p0,
-                                     None if c1 else rbase - p1)
-                            svals = (v0, v1)
+                            recs.append((sbase + pc, rbase - dest, res,
+                                         None if c0 else rbase - p0, v0,
+                                         None if c1 else rbase - p1, v1))
                         elif n == 1:
-                            slocs = (None if c0 else rbase - p0,)
-                            svals = (v0,)
+                            recs.append((sbase + pc, rbase - dest, res,
+                                         None if c0 else rbase - p0, v0))
                         elif n == 0:
-                            slocs = ()
-                            svals = ()
+                            recs.append((sbase + pc, rbase - dest, res))
                         else:
-                            slocs = tuple(None if c else rbase - p
-                                          for (c, p) in srcs)
-                            svals = tuple(vals)
-                        recs.append((op, rbase - dest, res, slocs, svals,
-                                     line, fnidx, pc, None))
+                            recs.append((sbase + pc, rbase - dest, res)
+                                        + _src_pairs(srcs, vals, rbase))
                     pc += 1
 
             self.finished = True

@@ -154,6 +154,59 @@ def rung_image(rung) -> tuple:
             snap.fault_state, snap.ftrig, snap.finished, snap.result)
 
 
+# ------------------------------------------------------------ NOP kernel
+NOP_SOURCE = """
+def work(n: int) -> None:
+    for i in range(n):
+        a[i] = a[i] * 0.5 + 1.0
+
+def main() -> None:
+    for i in range(64):
+        a[i] = float(i)
+    for it in range(12):
+        work(64)
+    s = 0.0
+    for i in range(64):
+        s = s + a[i]
+    if s > 10.0:
+        verified = 1
+"""
+
+
+def nop_program(monkeypatch):
+    """The kernel above with a NOP opening every basic block and
+    following every CALL: NOPs run at the entry, at callee entry, at
+    branch targets and on return."""
+    from repro.apps.base import Program
+    from repro.frontend import ProgramBuilder
+    from repro.ir import opcodes as oc
+    from repro.ir.function import Function
+    from repro.ir.instructions import Instr
+    from repro.ir.types import F64, I64
+    finalize = Function.finalize
+
+    def finalize_with_nops(fn):
+        for block in fn.blocks:
+            line = block.instrs[0].line
+            padded = [Instr(oc.NOP, None, (), None, line, I64)]
+            for instr in block.instrs:
+                padded.append(instr)
+                if instr.op == oc.CALL:
+                    padded.append(Instr(oc.NOP, None, (), None, line, I64))
+            block.instrs[:] = padded
+        finalize(fn)
+
+    pb = ProgramBuilder("nops")
+    pb.array("a", F64, (64,))
+    pb.scalar("verified", I64, 0)
+    pb.func_source(NOP_SOURCE)
+    with monkeypatch.context() as patch:
+        patch.setattr(Function, "finalize", finalize_with_nops)
+        module = pb.build()
+    return Program(name="nops", module=module, region_fn="main",
+                   region_prefix="n", main_fn="main")
+
+
 # -------------------------------------------------------------- oracles
 # Record-by-record references for the columnar golden passes: the
 # tuple-list versions the vectorized code replaced, kept only as test

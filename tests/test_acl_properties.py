@@ -222,7 +222,7 @@ _PROGRAMS = {"loops": (_MODULE, _FF),
              "zero": _event_program(ZERO_SRC),
              "alloca": _event_program(ALLOCA_SRC)}
 # build_acl reads the golden trace in columnar form, with its index
-_COLUMNAR = {name: GoldenTrace.from_records(ff.records, module)
+_COLUMNAR = {name: GoldenTrace.from_records(ff.records.suffix, module)
              for name, (module, ff) in _PROGRAMS.items()}
 _INDEX = {name: TraceIndex(g) for name, g in _COLUMNAR.items()}
 _MODEL = detect_regions(_MODULE, "main", "r")
@@ -444,7 +444,8 @@ def test_read_flags_equal_index_queries(site, bit, mode, taint_only):
     program, trigger = site
     faulty, rec = _faulty_run(trigger, bit, mode, program)
     acl = _windowed_acl(faulty, rec, program, taint_only)
-    index = TraceIndex(GoldenTrace.from_records(faulty.records))
+    index = TraceIndex(GoldenTrace.from_records(faulty.records.suffix,
+                                                faulty.module))
     n = len(faulty)
     for d in acl.deaths:
         assert d.read == index.has_read_in(d.loc, d.birth, d.time + 1)

@@ -1,11 +1,12 @@
 """The columnar golden trace: codec, residency and the passes over it.
 
-* **Codec round trip.**  Hypothesis-generated records decode to the same
-  values *and types*: ints at the int64 limits, ``True`` vs ``1``,
-  ``-0.0``, NaN payloads, infinities, ``None``, empty and three-slot
-  ``slocs`` with constant (``None``) sources, and the CALL/RET/EMIT
-  ``extra`` payloads, and ints past int64 (the VM's unwrapped
-  results); values of other types are rejected.
+* **Codec round trip.**  Hypothesis-generated flat records (over a
+  synthetic static table) decode to the same values *and types*: ints
+  at the int64 limits, ``True`` vs ``1``, ``-0.0``, NaN payloads,
+  infinities, ``None``, empty and three-slot sources with constant
+  (``None``) locations, and the CALL/RET/EMIT payloads, and ints past
+  int64 (the VM's unwrapped results); values of other types are
+  rejected.
 * **Golden fidelity.**  Every record of the kmeans, cg and lulesh
   goldens decodes, type-exact, to the tuple a plain traced run appends,
   on both exec tiers; the columns stay under 80 bytes per record; the
@@ -20,6 +21,7 @@
 
 import math
 import struct
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -39,9 +41,9 @@ from repro.ir.types import I64
 from repro.regions.model import split_instances
 from repro.regions.variables import classify_io
 from repro.trace import columnar
-from repro.trace.columnar import (CHUNK, GoldenTrace, SplicedRecords,
-                                  records_view)
-from repro.trace.events import Trace, value_at
+from repro.trace.columnar import CHUNK, GoldenTrace, SplicedRecords
+from repro.trace.events import (StaticTable, Trace, decode_record,
+                                static_table, value_at)
 from repro.trace.index import TraceIndex
 
 
@@ -52,6 +54,24 @@ def _exact(value):
     if type(value) is float:
         return ("float", struct.pack("<d", value))
     return (type(value).__name__, value)
+
+
+def _flatten(records):
+    """Flat records and a synthetic static table for 9-tuples: one id
+    per distinct ``(op, fn, pc, line, source count)``."""
+    keys: dict = {}
+    flat = []
+    for op, dloc, dval, slocs, svals, line, fn, pc, extra in records:
+        sid = keys.setdefault((op, fn, pc, line, len(slocs)), len(keys))
+        flat.append((sid, dloc, dval)
+                    + tuple(chain.from_iterable(zip(slocs, svals)))
+                    + (() if extra is None else (extra,)))
+    return flat, StaticTable(*(zip(*keys) if keys else ((),) * 5))
+
+
+def _encode(records) -> GoldenTrace:
+    flat, table = _flatten(records)
+    return GoldenTrace.from_records(flat, table=table)
 
 
 def _nan(payload: int) -> float:
@@ -98,7 +118,7 @@ def _record(draw):
 @given(st.lists(_record(), max_size=40))
 @settings(max_examples=150, deadline=None)
 def test_codec_round_trip_is_type_exact(records):
-    golden = GoldenTrace.from_records(records)
+    golden = _encode(records)
     assert len(golden) == len(records)
     want = [_exact(rec) for rec in records]
     assert [_exact(rec) for rec in golden] == want
@@ -114,7 +134,7 @@ def test_codec_round_trip_is_type_exact(records):
 def test_codec_rejects_values_a_trace_cannot_hold(value):
     record = (oc.FADD, -1, value, (), (), 1, 0, 0, None)
     with pytest.raises(ValueError):
-        GoldenTrace.from_records([record])
+        _encode([record])
 
 
 def test_codec_keeps_ints_past_int64():
@@ -124,7 +144,7 @@ def test_codec_keeps_ints_past_int64():
     records = [(oc.LSHR, -1, v, (-2, None), (v, 0), 1, 0, t, None)
                for t, v in enumerate(wide)] + \
         [(oc.FADD, -3, 1.5, (), (), 2, 0, 9, None)]
-    golden = GoldenTrace.from_records(records)
+    golden = _encode(records)
     assert [_exact(rec) for rec in golden] == [_exact(r) for r in records]
     assert golden.column(2, 0, len(records)) == wide + [1.5]
     assert golden.field(1, 2) == (1 << 64) - 1
@@ -157,7 +177,9 @@ def test_golden_run_of_unwrapped_ints(tier):
     program = _wide_int_program()
     golden = GoldenArtifacts(program, exec_tier=tier).fault_free_trace()
     plain = program.run_fault_free(trace=True, exec_tier=tier).records
-    assert [_exact(r) for r in golden] == [_exact(r) for r in plain]
+    table = static_table(program.module)
+    assert [_exact(r) for r in golden] == \
+        [_exact(decode_record(table, r)) for r in plain]
     dvals = set(golden.column(2, 0, len(golden)))
     assert (-8) & ((1 << 64) - 1) in dvals and 1 << 63 in dvals
 
@@ -168,7 +190,7 @@ def test_codec_chunks_and_slices(monkeypatch):
     monkeypatch.setattr(columnar, "CHUNK", 3)
     records = [(oc.FADD, -t - 1, t * 0.5, (None, -t), (1.0, t), t, 0, t,
                 None) for t in range(10)]
-    golden = GoldenTrace.from_records(records)
+    golden = _encode(records)
     assert list(golden) == records
     assert golden[2:7] == records[2:7]
     assert golden[-1] == records[-1]
@@ -197,11 +219,13 @@ def test_golden_decodes_to_the_traced_records(name, tier):
     golden = bundle.fault_free_trace()
     plain_run = program.run_fault_free(trace=True, exec_tier=tier)
     plain = plain_run.records
+    table = static_table(program.module)
     assert len(golden) == len(plain) == plain_run.dyn_count
     for lo in range(0, len(plain), 4 * CHUNK):
         hi = min(lo + 4 * CHUNK, len(plain))
         assert [_exact(r) for r in golden.iter_range(lo, hi)] == \
-            [_exact(r) for r in plain[lo:hi]]
+            [_exact(decode_record(table, r)) for r in plain[lo:hi]]
+        assert [golden.raw(t) for t in range(lo, hi, 97)] == plain[lo:hi:97]
     assert golden.nbytes <= 80 * len(golden)
 
 
@@ -230,48 +254,63 @@ def test_golden_bundle_holds_no_record_list(monkeypatch):
 def test_spliced_records_read_as_one_sequence():
     program = REGISTRY.build("kmeans")
     golden = GoldenArtifacts(program).fault_free_trace()
-    suffix = list(golden.iter_range(500, 520))
-    spliced = SplicedRecords(golden, 500, suffix)
+    suffix = [golden.raw(t) for t in range(500, 520)]
+    spliced = SplicedRecords(suffix, golden.table, golden, 500)
     assert len(spliced) == 520
     assert list(spliced) == list(golden.iter_range(0, 520))
-    assert spliced[499] == golden[499] and spliced[500] is suffix[0]
-    assert spliced[-1] is suffix[-1]
+    assert spliced[499] == golden[499] and spliced[500] == golden[500]
+    assert spliced.raw(500) is suffix[0] and spliced.raw(499) == \
+        golden.raw(499)
+    assert spliced[-1] == golden[519]
     assert spliced[495:505] == golden[495:505]
     faulty = Trace(spliced, program.module)
     assert faulty.field(10, 2) == golden.field(10, 2)
     assert faulty.column(6, 498, 503) == golden.column(6, 498, 503)
 
 
+def _last_write(records, loc, t):
+    """Linear reference for ``last_write`` over decoded records."""
+    for rec in reversed(records[:t]):
+        if rec[1] == loc:
+            return True, rec[2]
+    return False, None
+
+
 def test_record_views_share_one_access_api():
-    """A golden trace, a spliced view of it and a plain tuple list answer
-    every access the same way."""
+    """A golden trace, a spliced view of it and a cold run's records
+    answer every access the same way."""
     program = REGISTRY.build("kmeans")
     golden = GoldenArtifacts(program).fault_free_trace()
-    records = list(golden.iter_range(0, 3000))
-    views = [GoldenTrace.from_records(records), records_view(records),
-             SplicedRecords(golden, 1200, records[1200:])]
-    assert records_view(views[0]) is views[0]
-    assert records_view(views[2]) is views[2]
-    ts = np.array([0, 5, 1199, 1200, 2999], dtype=np.int64)
+    table = golden.table
+    raw = [golden.raw(t) for t in range(3000)]
+    records = [decode_record(table, rec) for rec in raw]
+    assert records == golden[:3000]
+    views = [GoldenTrace.from_records(raw, program.module),
+             SplicedRecords(raw, table),
+             SplicedRecords(raw[1200:], table, golden, 1200)]
+    sids = [rec[0] for rec in raw]
+    ts = [0, 5, 1199, 1200, 2999]
     locs = sorted({r[1] for r in records if r[1] is not None})[::25]
     for view in views:
         assert len(view) == len(records)
         for lo, hi in ((0, 3000), (1100, 1300), (1200, 1250), (2990, 4000)):
             assert view.window(lo, hi) == records[lo:hi]
+            assert view.sids(lo, hi).tolist() == sids[lo:hi]
             for field in range(9):
                 assert view.column(field, lo, hi) == \
                     [r[field] for r in records[lo:hi]]
             for field in (0, 5, 6, 7):
                 assert view.ints(field, lo, hi).tolist() == \
                     [r[field] for r in records[lo:hi]]
-        for field in (0, 5, 6, 7):
-            assert view.ints_at(field, ts).tolist() == \
-                [records[t][field] for t in ts.tolist()]
+        assert view.dvals_at(np.array(ts)) == [records[t][2] for t in ts]
         for t in (0, 1199, 1200, 2999, -1):
             assert [view.field(t, f) for f in range(9)] == list(records[t])
+        for t in ts:
+            assert view.raw(t) == raw[t]
         for loc in locs:
             for t in (0, 1000, 1200, 1201, 3000):
-                assert view.last_write(loc, t) == value_at(records, loc, t)
+                assert view.last_write(loc, t) == \
+                    value_at(view, loc, t) == _last_write(records, loc, t)
 
 
 # ------------------------------------------------------------- oracles
@@ -369,7 +408,7 @@ def test_call_rule_in_classify_io():
                 None),
                (oc.FADD, -2, 1.0, (base - 2, None), (9.5, 1.0), 4, 0, 2,
                 None)]
-    golden = GoldenTrace.from_records(records)
+    golden = _encode(records)
     index = TraceIndex(golden)
     from repro.regions.model import CodeRegion, RegionInstance
     inst = RegionInstance(CodeRegion(0, "r", "straight", "f", frozenset(),

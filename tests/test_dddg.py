@@ -76,7 +76,8 @@ class TestBuildDDDG:
 
     def test_roots_match_classify_io_inputs(self):
         d = build_dddg(self.trace.records, self.loop)
-        golden = GoldenTrace.from_records(self.trace.records)
+        golden = GoldenTrace.from_records(self.trace.records.suffix,
+                                          self.module)
         io = classify_io(golden, TraceIndex(golden), self.loop)
         # every DDDG root location is a classified input of the instance
         for root in d.roots():
@@ -84,7 +85,8 @@ class TestBuildDDDG:
 
     def test_outputs_respect_future_reads(self):
         d = build_dddg(self.trace.records, self.loop)
-        golden = GoldenTrace.from_records(self.trace.records)
+        golden = GoldenTrace.from_records(self.trace.records.suffix,
+                                          self.module)
         index = TraceIndex(golden)
         outs = d.outputs(lambda loc: index.has_read_in(
             loc, self.loop.end, index.n))
@@ -180,7 +182,7 @@ class TestCompareInstance:
         _, faulty, _ = build_traced(src, arrays, scalars, fault=plan)
         model = detect_regions(module, "main", "r")
         ff_insts = split_instances(ff.records, model)
-        golden = GoldenTrace.from_records(ff.records)
+        golden = GoldenTrace.from_records(ff.records.suffix, module)
         return compare_run(golden, TraceIndex(golden), ff_insts,
                            faulty.records, model)
 

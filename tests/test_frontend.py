@@ -259,6 +259,6 @@ class TestLineNumbers:
         module = pb.build()
         interp = Interpreter(module, trace=True)
         interp.run()
-        from repro.trace.events import R_LINE
-        lines = {r[R_LINE] for r in interp.records}
+        from repro.trace.events import R_LINE, Trace
+        lines = {r[R_LINE] for r in Trace(interp.records, module)}
         assert {102, 103, 104} <= lines

@@ -26,21 +26,17 @@ import threading
 
 import pytest
 
-from helpers import oracle_recovery_context, oracle_warm_ladder, rung_image
+from helpers import (nop_program, oracle_recovery_context, oracle_warm_ladder,
+                     rung_image)
 
 from repro.acl.online import build_recovery_context
 from repro.apps import ALL_APPS, REGISTRY
-from repro.apps.base import Program
 import repro.golden
 from repro.core import FlipTracker
 from repro.engine.keys import program_fingerprint
 from repro import warmstart
-from repro.frontend import ProgramBuilder
 from repro.ir import opcodes as oc
-from repro.ir.function import Function
-from repro.ir.instructions import Instr
-from repro.ir.types import F64, I64
-from repro.trace.events import R_DLOC
+from repro.trace.events import R_DLOC, static_table
 from repro.vm.fault import FaultPlan
 from repro.vm.exec_tier import ENV_VAR
 from repro.vm.interp import Interpreter
@@ -78,52 +74,6 @@ def test_capture_matches_oracle_every_app(name, tier_env):
 
 
 # ------------------------------------------------------------ NOP kernel
-NOP_SOURCE = """
-def work(n: int) -> None:
-    for i in range(n):
-        a[i] = a[i] * 0.5 + 1.0
-
-def main() -> None:
-    for i in range(64):
-        a[i] = float(i)
-    for it in range(12):
-        work(64)
-    s = 0.0
-    for i in range(64):
-        s = s + a[i]
-    if s > 10.0:
-        verified = 1
-"""
-
-
-def nop_program(monkeypatch) -> Program:
-    """The kernel above with a NOP opening every basic block and
-    following every CALL: NOPs run at the entry, at callee entry, at
-    branch targets and on return."""
-    finalize = Function.finalize
-
-    def finalize_with_nops(fn):
-        for block in fn.blocks:
-            line = block.instrs[0].line
-            padded = [Instr(oc.NOP, None, (), None, line, I64)]
-            for instr in block.instrs:
-                padded.append(instr)
-                if instr.op == oc.CALL:
-                    padded.append(Instr(oc.NOP, None, (), None, line, I64))
-            block.instrs[:] = padded
-        finalize(fn)
-
-    pb = ProgramBuilder("nops")
-    pb.array("a", F64, (64,))
-    pb.scalar("verified", I64, 0)
-    pb.func_source(NOP_SOURCE)
-    with monkeypatch.context() as patch:
-        patch.setattr(Function, "finalize", finalize_with_nops)
-        module = pb.build()
-    return Program(name="nops", module=module, region_fn="main",
-                   region_prefix="n", main_fn="main")
-
-
 @pytest.mark.parametrize("tier", ["interp", "compiled"])
 def test_nop_kernel_records_every_instruction(monkeypatch, tier):
     program = nop_program(monkeypatch)
@@ -131,7 +81,8 @@ def test_nop_kernel_records_every_instruction(monkeypatch, tier):
     got = program.run_fault_free(trace=True, exec_tier=tier)
     assert getattr(got, "exec_tier", "interp") == tier
     assert got.dyn_count == len(got.records)
-    assert any(rec[0] == oc.NOP for rec in got.records)
+    ops = static_table(program.module).ops
+    assert any(ops[rec[0]] == oc.NOP for rec in got.records)
     assert got.records == want.records
 
 

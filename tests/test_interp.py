@@ -297,7 +297,8 @@ def main() -> float:
         # find a dynamic store of 1.0 into the array and flip its sign bit
         from repro.trace.events import R_DLOC, R_OP
         from repro.ir import opcodes as oc
-        target = next(t for t, r in enumerate(clean.records)
+        from repro.trace.events import Trace
+        target = next(t for t, r in enumerate(Trace(clean.records, module))
                       if r[R_OP] == oc.STORE and r[R_DLOC] == 0)
         plan = FaultPlan(trigger=target, mode="result", bit=63)
         faulty = Interpreter(module, fault=plan)

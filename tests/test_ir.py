@@ -140,11 +140,6 @@ class TestFunctionFinalize:
         with pytest.raises(ValueError):
             fn.new_block("b")
 
-    def test_static_id(self):
-        m, fn, _ = make_trivial()
-        m.finalize("main")
-        assert fn.static_id(0) == (fn.index << 20) | 0
-
 
 class TestBuilder:
     def test_emit_after_terminator_rejected(self):

@@ -8,7 +8,7 @@ from repro.parallel.demo import (N_LOCAL, build_any_source,
 from repro.ir import opcodes as oc
 from repro.parallel.overhead import measure_tracing_overhead
 from repro.parallel.scheduler import RankScheduler
-from repro.trace.events import R_OP
+from repro.trace.events import R_OP, Trace
 from repro.vm.errors import MPIDeadlock, WouldBlock
 from repro.vm.fault import FaultPlan
 from repro.vm.interp import Interpreter
@@ -161,7 +161,7 @@ class TestBlockedFaultRearm:
         # count equals dyn_count (no NOPs), so record index == dyn index.
         traced = RankScheduler(lambda r: m, 2, trace=True,
                                quantum=1_000_000).run()
-        recs = traced.ranks[0].records
+        recs = Trace(traced.ranks[0].records, m)
         assert len(recs) == traced.ranks[0].dyn_count
         trigger = next(i for i, r in enumerate(recs)
                        if r[R_OP] == oc.MPI_ALLREDUCE)

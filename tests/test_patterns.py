@@ -244,7 +244,8 @@ def main() -> float:
         interp = Interpreter(module, trace=True)
         interp.run()
         model = detect_regions(module, "work", "w")
-        instances = split_instances(interp.records, model)
+        instances = split_instances(Trace(interp.records, module).records,
+                                    model)
         locate = region_locator(instances)
         inst = next(i for i in instances if i.region.kind == "loop")
         assert locate(inst.start) == inst.region.name

@@ -14,6 +14,7 @@ from repro.regions.model import (detect_regions, main_loop_iterations,
                                  split_instances)
 from repro.regions.variables import classify_io
 from repro.trace.columnar import GoldenTrace
+from repro.trace.events import Trace
 from repro.trace.index import TraceIndex
 from repro.vm import Interpreter
 
@@ -166,7 +167,8 @@ class TestRegions:
         model = detect_regions(module, "work", "w")
         interp = Interpreter(module, trace=True)
         interp.run()
-        instances = split_instances(interp.records, model)
+        records = Trace(interp.records, module).records
+        instances = split_instances(records, model)
         loop_regions = [r for r in model.regions if r.kind == "loop"]
         for region in loop_regions:
             mine = [i for i in instances if i.region.name == region.name]
@@ -178,7 +180,8 @@ class TestRegions:
         model = detect_regions(module, "work", "w")
         interp = Interpreter(module, trace=True)
         interp.run()
-        instances = split_instances(interp.records, model)
+        records = Trace(interp.records, module).records
+        instances = split_instances(records, model)
         for a, b in zip(instances, instances[1:]):
             assert a.end <= b.start
 
@@ -186,7 +189,8 @@ class TestRegions:
         module = toy_program()
         interp = Interpreter(module, trace=True)
         interp.run()
-        iters = main_loop_iterations(interp.records, module, "main")
+        records = Trace(interp.records, module).records
+        iters = main_loop_iterations(records, module, "main")
         assert len(iters) == 3
         # iterations tile the loop span contiguously
         for a, b in zip(iters, iters[1:]):
@@ -201,8 +205,9 @@ class TestRegionIO:
         model = detect_regions(module, "work", "w")
         interp = Interpreter(module, trace=True)
         interp.run()
-        instances = split_instances(interp.records, model)
-        golden = GoldenTrace.from_records(interp.records)
+        records = Trace(interp.records, module).records
+        instances = split_instances(records, model)
+        golden = GoldenTrace.from_records(interp.records, module)
         index = TraceIndex(golden)
         first_loop = next(i for i in instances
                           if i.region.kind == "loop" and i.index == 0)
@@ -224,7 +229,7 @@ class TestRegionIO:
         region = CodeRegion(-2, "whole", "straight", "main", frozenset(),
                             0, 0)
         inst = RegionInstance(region, 0, len(interp.records), 0)
-        golden = GoldenTrace.from_records(interp.records)
+        golden = GoldenTrace.from_records(interp.records, module)
         io = classify_io(golden, TraceIndex(golden), inst)
         assert not io.outputs
         assert io.internals

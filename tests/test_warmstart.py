@@ -31,6 +31,7 @@ from repro.core import FlipTracker
 from repro.faults.campaign import execute_plan, run_plan
 from repro.parallel.comm import SimComm
 from repro.trace.columnar import SplicedRecords
+from repro.trace.events import static_table
 from repro.trace.events import R_DLOC
 from repro.vm.fault import FaultPlan
 from repro.vm.interp import Interpreter
@@ -243,9 +244,8 @@ def test_warm_equals_cold_every_app(name):
 
 # ------------------------------------------------------- traced runs
 def _traced_image(interp, golden=None) -> tuple:
-    records = interp.records
-    if interp.record_base:
-        records = SplicedRecords(golden, interp.record_base, records)
+    records = SplicedRecords(interp.records, static_table(PROGRAM.module),
+                             golden, interp.record_base)
     return (repr(list(records)),) + final_image(interp)
 
 
