@@ -14,7 +14,6 @@ import math
 
 from conftest import tracker
 
-from repro.trace.events import value_at
 from repro.util.tables import format_table
 from repro.vm.fault import FaultPlan
 
@@ -31,8 +30,8 @@ def _run():
     ff = ft.fault_free_trace()
     rows = []
     for i, inst in enumerate(iters):
-        _f1, v_corr = value_at(analysis.faulty.records, loc, inst.end)
-        _f2, v_orig = value_at(ff.records, loc, inst.end)
+        _f1, v_corr = analysis.faulty.records.last_write(loc, inst.end)
+        _f2, v_orig = ff.records.last_write(loc, inst.end)
         if v_orig == v_corr:
             mag = 0.0
         elif v_orig == 0:

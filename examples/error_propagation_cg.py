@@ -14,7 +14,6 @@ Run:  python examples/error_propagation_cg.py
 import math
 
 from repro import REGISTRY, FlipTracker
-from repro.trace.events import value_at
 from repro.vm.fault import FaultPlan
 
 
@@ -47,8 +46,8 @@ def main() -> None:
     for i, inst in enumerate(iters):
         if inst.end <= plan.trigger:
             continue
-        _ok, v_f = value_at(analysis.faulty.records, z3, inst.end)
-        _ok, v_c = value_at(ff.records, z3, inst.end)
+        _ok, v_f = analysis.faulty.records.last_write(z3, inst.end)
+        _ok, v_c = ff.records.last_write(z3, inst.end)
         print(f"  after iteration {i + 1}: correct={v_c:+.12e} "
               f"corrupted={v_f:+.12e} magnitude={magnitude(v_c, v_f):.3e}")
 

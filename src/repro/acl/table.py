@@ -61,7 +61,8 @@ import numpy as np
 from repro.ir import opcodes as oc
 from repro.ir.function import SLOT_LIMIT
 from repro.trace.columnar import GoldenTrace, decode_locs
-from repro.trace.events import R_DLOC, R_DVAL, R_EXTRA, R_SLOCS, R_SVALS, Trace
+from repro.trace.events import (R_DLOC, R_DVAL, R_EXTRA, R_OP, R_SLOCS,
+                                R_SVALS, Trace)
 from repro.trace.index import TraceIndex
 
 
@@ -311,10 +312,11 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
     field.  The one state no location holds is the stack pointer: once
     an ALLOCA's size differs from golden, every later ALLOCA is an
     event.  Event positions come a chunk of :data:`EVENT_CHUNK` golden
-    records at a time from the golden ``dloc``/``sloc``/``op``
-    columns; a location first watched inside a chunk adds the rest of
-    its chunk's positions from ``index``.  Faulty records are indexed,
-    and golden values decoded, only at events.
+    records at a time from the golden ``dloc``/``sloc`` columns and
+    the ops of the golden static ids; a location first watched inside
+    a chunk adds the rest of its chunk's positions from ``index``.
+    Faulty records are indexed, and golden values decoded, only at
+    events.
 
     Past that window (everywhere, under ``taint_only``) the pass is a
     taint walk over every record.  Once nothing is corrupted, the
@@ -390,7 +392,7 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
         watched.add(loc)
         if t + 1 < chunk_hi:
             for rows in (index.reads, index.writes):
-                for p in rows.between(loc, t + 1, chunk_hi).tolist():
+                for p in rows.between(loc, t + 1, chunk_hi):
                     heappush(added, p)
 
     def kill(loc: int, time: int, cause: str, sid=None) -> None:
@@ -434,7 +436,7 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
         if op == ALLOCA and in_window and not sp_moved and \
                 not _identical(rec[4], g.field(t, R_SVALS)[0]):
             sp_moved = True
-            rest = g.op[t + 1:chunk_hi] == ALLOCA
+            rest = g.ints(R_OP, t + 1, chunk_hi) == ALLOCA
             for p in (np.flatnonzero(rest) + t + 1).tolist():
                 heappush(added, p)
         if pending_injection and t == injected_time:
@@ -546,9 +548,10 @@ def build_acl(ff: GoldenTrace, faulty: Trace,
             soff = g.soff[lo:hi + 1]
             slots = np.flatnonzero(_hits(g.sloc[soff[0]:soff[-1]], warr))
             mask[soff.searchsorted(soff[0] + slots, "right") - 1] = True
-            rets = g.op[lo:hi] == RET
+            ops_w = g.ints(R_OP, lo, hi)
+            rets = ops_w == RET
             if sp_moved:
-                mask |= g.op[lo:hi] == ALLOCA
+                mask |= ops_w == ALLOCA
             if lo <= injected_time < hi:
                 mask[injected_time - lo] = True
             rets &= ~mask

@@ -24,6 +24,7 @@ from repro.ir import opcodes as oc
 from repro.regions.model import RegionInstance
 from repro.regions.variables import RegionIO, location_width
 from repro.trace.columnar import NO_LOC, GoldenTrace
+from repro.trace.events import R_FN, R_OP, R_PC
 from repro.util.rng import DeterministicRNG
 from repro.vm.fault import FaultPlan
 
@@ -66,7 +67,8 @@ def input_site_population(io: RegionIO, module) -> int:
 
 def _targetable(g: GoldenTrace, a: int, b: int) -> np.ndarray:
     """Records of ``[a, b)`` whose result a "result"-mode plan can flip."""
-    return (g.dloc[a:b] != NO_LOC) & ~np.isin(g.op[a:b], _UNTARGETABLE_OPS)
+    return (g.dloc[a:b] != NO_LOC) & \
+        ~np.isin(g.ints(R_OP, a, b), _UNTARGETABLE_OPS)
 
 
 def internal_site_population(g: GoldenTrace,
@@ -109,10 +111,10 @@ def sample_internal_plan(g: GoldenTrace, io: RegionIO, module,
     for _ in range(max_tries):
         t = rng.randint(a, b - 1)
         dloc = int(g.dloc[t])
-        if dloc == NO_LOC or int(g.op[t]) in _UNTARGETABLE or \
+        if dloc == NO_LOC or g.field(t, R_OP) in _UNTARGETABLE or \
                 dloc not in internals:
             continue
-        width = result_width(module, int(g.fn[t]), int(g.pc[t]))
+        width = result_width(module, g.field(t, R_FN), g.field(t, R_PC))
         bit = rng.randint(0, width - 1)
         plan = FaultPlan(trigger=t, mode="result", bit=bit, width=width)
         info = SiteInfo(inst.region.name, inst.index, "internal",
@@ -168,7 +170,7 @@ def stratified_probe_plans(g: GoldenTrace, io: RegionIO, module,
     if defs:
         step = max(1, len(defs) // n_sites)
         for t in defs[::step][:n_sites]:
-            width = result_width(module, int(g.fn[t]), int(g.pc[t]))
+            width = result_width(module, g.field(t, R_FN), g.field(t, R_PC))
             for bit in bits:
                 if bit >= width:
                     continue

@@ -26,6 +26,7 @@ import numpy as np
 from repro.ir import opcodes as oc
 from repro.patterns.detect import find_accumulator_updates
 from repro.trace.columnar import NO_LOC, GoldenTrace
+from repro.trace.events import R_OP
 
 #: formats that drop mantissa precision when printed (e.g. "%12.6e")
 _PRECISION_FMT = re.compile(r"%[-0-9.]*[efg]")
@@ -57,7 +58,7 @@ def compute_rates(g: GoldenTrace) -> PatternRates:
     if n == 0:
         return PatternRates(0, 0, 0, 0, 0, 0, 0)
 
-    op = g.op
+    op = g.ints(R_OP, 0, n)
     cond = np.isin(op, list(oc.CMP_OPS))
     shift = np.isin(op, list(oc.SHIFT_OPS)) & ~cond
     trunc = np.isin(op, list(oc.TRUNC_OPS)) & ~cond & ~shift
@@ -67,7 +68,9 @@ def compute_rates(g: GoldenTrace) -> PatternRates:
     # (only precision-limited float formats can cut corruption off)
     fns = list(g.module.functions.values())
     truncs = int(trunc.sum())
-    for fn, pc in zip(g.fn[emits].tolist(), g.pc[emits].tolist()):
+    emit_sids = g.sid[emits]
+    for fn, pc in zip(g.table.fn[emit_sids].tolist(),
+                      g.table.pc[emit_sids].tolist()):
         fmt = fns[fn].instr_at[pc].aux
         if isinstance(fmt, str) and _PRECISION_FMT.search(fmt):
             truncs += 1

@@ -6,10 +6,7 @@ changes, so it is stored as columns instead of a list of records
 and the decoded 9-tuple):
 
 ============  ==========================================================
-``op``        uint8 opcode
-``fn``        int32 function index
-``pc``        int32 static pc
-``line``      int32 source line
+``sid``       int32 static-instruction id
 ``dloc``      int64 destination, :data:`NO_LOC` for ``None``
 ``dtag``      uint8 value tag of ``dval`` (:data:`T_NONE` ...)
 ``dbits``     int64 value bits of ``dval`` (floats bit-exact)
@@ -33,11 +30,11 @@ value of any other type raises ``ValueError``.
 
 :meth:`GoldenTrace.extend` encodes one chunk of raw records at a time,
 so the golden run never holds more than :data:`CHUNK` records as
-tuples.  ``op``, ``fn``, ``pc``, ``line`` and the slot counts are
-gathered from the module's static table by id; the record values are
-read from one flattened list of the chunk.  Indexing and iteration
-decode the exact 9-tuples for cold callers; the analyses read whole
-windows as column lists instead.
+tuples.  A record stores only its static id: ``op``, ``fn``, ``pc``,
+``line`` and the slot count live in the module's static table.  The
+record values are read from one flattened list of the chunk.  Indexing
+and iteration decode the exact 9-tuples for cold callers; the analyses
+read whole windows as column lists instead.
 
 A faulty traced run's records are :class:`SplicedRecords`: the golden
 prefix before its ladder rung (none for a cold run), seen through the
@@ -60,8 +57,7 @@ from repro.ir import opcodes as oc
 from repro.ir.function import SLOT_LIMIT
 from repro.trace.events import (R_DLOC, R_DVAL, R_EXTRA, R_FN, R_LINE, R_OP,
                                 R_PC, R_SLOCS, R_SVALS, StaticTable, Trace,
-                                TraceMeta, decode_record, encode_record,
-                                static_table)
+                                TraceMeta, decode_record, static_table)
 
 #: records per encoded chunk (the golden run's tuple list never grows
 #: past it)
@@ -179,7 +175,7 @@ def _encode_chunk(records: Sequence, t0: int, bigints: list,
                   table: StaticTable) -> dict:
     """Columns of one chunk of raw records starting at record ``t0``."""
     n = len(records)
-    sid = np.fromiter(map(_SID, records), dtype=np.int64, count=n)
+    sid = np.fromiter(map(_SID, records), dtype=np.int32, count=n)
     nsrc = table.nsrc[sid]
     lens = np.fromiter(map(len, records), dtype=np.int64, count=n)
     # 1 where a payload ends the record
@@ -193,8 +189,7 @@ def _encode_chunk(records: Sequence, t0: int, bigints: list,
     at = np.repeat(off + 3 - 2 * first, nsrc) + 2 * np.arange(
         int(nsrc.sum()), dtype=np.int64)
     flat = list(chain.from_iterable(records))
-    cols = {"op": table.op[sid], "fn": table.fn[sid], "pc": table.pc[sid],
-            "line": table.line[sid], "slen": nsrc,
+    cols = {"sid": sid, "slen": nsrc,
             "dloc": encode_locs(list(map(_DLOC, records))),
             "sloc": encode_locs(_gather(flat, at))}
     cols["dtag"], cols["dbits"] = encode_values(list(map(_DVAL, records)),
@@ -206,13 +201,24 @@ def _encode_chunk(records: Sequence, t0: int, bigints: list,
     return cols
 
 
-_ARRAYS = ("op", "fn", "pc", "line", "dloc", "dtag", "dbits", "sloc",
-           "stag", "sbits")
-_DTYPES = (np.uint8, np.int32, np.int32, np.int32, np.int64, np.uint8,
-           np.int64, np.int64, np.uint8, np.int64)
+_ARRAYS = ("sid", "dloc", "dtag", "dbits", "sloc", "stag", "sbits")
+_DTYPES = (np.int32, np.int64, np.uint8, np.int64, np.int64, np.uint8,
+           np.int64)
 
 
-class GoldenTrace(Trace):
+class _StaticFields:
+    """Reads the static fields of records through their ids and the
+    static table ``self.table``; both record containers share it."""
+
+    __slots__ = ()
+
+    def ints(self, field: int, lo: int, hi: int) -> np.ndarray:
+        """Integer field ``field`` (op, fn, pc or line) of records
+        ``[lo, hi)`` as an array."""
+        return getattr(self.table, _INT_COLUMNS[field])[self.sids(lo, hi)]
+
+
+class GoldenTrace(Trace, _StaticFields):
     """A fault-free trace stored as columns (see module docstring).
 
     Fill it with :meth:`extend` (one chunk of raw records at a time)
@@ -317,10 +323,7 @@ class GoldenTrace(Trace):
         t = idx + self._n if idx < 0 else idx
         if not 0 <= t < self._n:
             raise IndexError("trace index out of range")
-        return (int(self.op[t]), self.field(t, R_DLOC), self.field(t, R_DVAL),
-                self.field(t, R_SLOCS), self.field(t, R_SVALS),
-                int(self.line[t]), int(self.fn[t]), int(self.pc[t]),
-                self.extra.get(t))
+        return decode_record(self.table, self.raw(t))
 
     def __iter__(self) -> Iterator:
         return self.iter_range(0, self._n)
@@ -358,19 +361,17 @@ class GoldenTrace(Trace):
             return [get(t) for t in range(lo, hi)]
         return self.ints(field, lo, hi).tolist()
 
-    def ints(self, field: int, lo: int, hi: int) -> np.ndarray:
-        """Integer field ``field`` (op, fn, pc or line) of records
-        ``[lo, hi)`` as an array."""
-        return getattr(self, _INT_COLUMNS[field])[lo:max(lo, hi)]
-
     def sids(self, lo: int, hi: int) -> np.ndarray:
         """Static ids of records ``[lo, hi)``."""
-        hi = max(lo, hi)
-        return self.table.sids_of(self.fn[lo:hi], self.pc[lo:hi])
+        return self.sid[lo:max(lo, hi)]
 
     def raw(self, t: int) -> tuple:
         """The raw record ``t``."""
-        return encode_record(self.table, self[t])
+        pairs = chain.from_iterable(zip(self.field(t, R_SLOCS),
+                                        self.field(t, R_SVALS)))
+        rec = (int(self.sid[t]), self.field(t, R_DLOC),
+               self.field(t, R_DVAL), *pairs)
+        return rec + (self.extra[t],) if t in self.extra else rec
 
     def field(self, t: int, field: int):
         """Field ``field`` of record ``t``."""
@@ -390,7 +391,7 @@ class GoldenTrace(Trace):
                          for k in range(a, b))
         if field == R_EXTRA:
             return self.extra.get(t)
-        return int(getattr(self, _INT_COLUMNS[field])[t])
+        return int(getattr(self.table, _INT_COLUMNS[field])[self.sid[t]])
 
     def last_write(self, loc: int, t: int) -> tuple:
         """``(found, value)`` of the last write of ``loc`` before ``t``."""
@@ -424,7 +425,8 @@ class GoldenTrace(Trace):
         """The callee-parameter writes of the CALLs in ``[lo, hi)``:
         arrays ``(t, i, loc)`` of the CALL record, the parameter slot
         and its register location, in execution order."""
-        calls = (lo + np.flatnonzero(self.op[lo:hi] == oc.CALL)).tolist()
+        calls = (lo + np.flatnonzero(self.ints(R_OP, lo, hi) == oc.CALL)
+                 ).tolist()
         extra = self.extra
         nargs = np.array([extra[t][2] for t in calls], dtype=np.int64)
         rbase = np.array([-(extra[t][0] * SLOT_LIMIT) - 1 for t in calls],
@@ -434,16 +436,8 @@ class GoldenTrace(Trace):
             np.cumsum(nargs) - nargs, nargs)
         return ct, slot, np.repeat(rbase, nargs) - slot
 
-    # -- convenience -------------------------------------------------------
-    def lines_touched(self) -> set[int]:
-        return set(np.unique(self.line).tolist())
 
-    def count_ops(self) -> dict[int, int]:
-        ops, counts = np.unique(self.op, return_counts=True)
-        return dict(zip(ops.tolist(), counts.tolist()))
-
-
-class SplicedRecords(Sequence):
+class SplicedRecords(Sequence, _StaticFields):
     """Records ``golden[:base]`` followed by the raw records ``suffix``,
     with :class:`GoldenTrace`'s access API.
 
@@ -522,11 +516,6 @@ class SplicedRecords(Sequence):
         if field in _INT_COLUMNS:
             return self.ints(field, lo, hi).tolist()
         return [rec[field] for rec in self.window(lo, hi)]
-
-    def ints(self, field: int, lo: int, hi: int) -> np.ndarray:
-        """Integer field ``field`` (op, fn, pc or line) of records
-        ``[lo, hi)`` as an array."""
-        return getattr(self.table, _INT_COLUMNS[field])[self.sids(lo, hi)]
 
     def field(self, t: int, field: int):
         """Field ``field`` of record ``t``."""

@@ -46,14 +46,15 @@ indices are exported as constants:
 Storage: the VM appends raw tuples to a list, and a faulty trace keeps
 them.  The golden trace is stored as columns instead
 (:class:`~repro.trace.columnar.GoldenTrace`): the golden run is encoded
-a chunk at a time, so its tuple list never outgrows one chunk.  A
-faulty :class:`Trace` holds :class:`~repro.trace.columnar.
-SplicedRecords`: the golden prefix before its ladder rung, read
-through the columns, then its own raw suffix.  Both read as the same
-sequence of decoded 9-tuples, and both share one access API (static
-ids, column lists, integer columns, single fields, ``dval`` gathers,
-the last write of a location) that the analyses use instead of
-decoding records.
+a chunk at a time, so its tuple list never outgrows one chunk.  Its
+one static column is the ``sid``, so on both sides a record's ``op``,
+``fn``, ``pc`` and ``line`` live only in the static table.  A faulty
+:class:`Trace` holds :class:`~repro.trace.columnar.SplicedRecords`:
+the golden prefix before its ladder rung, read through the columns,
+then its own raw suffix.  Both read as the same sequence of decoded
+9-tuples, and both share one access API (static ids, column lists,
+integer columns, single fields, ``dval`` gathers, the last write of a
+location) that the analyses use instead of decoding records.
 """
 
 from __future__ import annotations
@@ -84,12 +85,11 @@ class StaticTable:
     """Per-static-instruction fields of a module's records.
 
     ``op``, ``fn``, ``pc``, ``line`` and ``nsrc`` are arrays indexed by
-    static id (the dtypes of the golden columns they are gathered
-    into); ``ops``, ``fns``, ``pcs``, ``lines`` and ``nsrcs`` are the
-    same as lists of Python ints, for per-record reads.  ``base[i]``
-    is the id of pc 0 of function ``i``.  :func:`static_table` builds
-    a module's; a table built directly (``base`` empty) serves
-    synthetic records.
+    static id, for gathers over an id array; ``ops``, ``fns``, ``pcs``,
+    ``lines`` and ``nsrcs`` are the same as lists of Python ints, for
+    per-record reads.  ``base[i]`` is the id of pc 0 of function ``i``.
+    :func:`static_table` builds a module's; a table built directly
+    (``base`` empty) serves synthetic records.
     """
 
     def __init__(self, op: Sequence[int], fn: Sequence[int],
@@ -103,11 +103,6 @@ class StaticTable:
         self.ops, self.fns, self.pcs, self.lines, self.nsrcs = (
             list(op), list(fn), list(pc), list(line), list(nsrc))
         self.base = list(base)
-        self._bases = np.array(self.base, dtype=np.int64)
-
-    def sids_of(self, fn: np.ndarray, pc: np.ndarray) -> np.ndarray:
-        """The static ids of ``(fn, pc)`` column pairs."""
-        return self._bases[fn] + pc
 
 
 def static_table(module: Module) -> StaticTable:
@@ -246,28 +241,13 @@ class Trace:
                    module, payload["meta"])
 
     # -- convenience -----------------------------------------------------------
-    def lines_touched(self) -> set[int]:
-        return {r[R_LINE] for r in self.records}
-
     def count_ops(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for r in self.records:
-            op = r[R_OP]
-            counts[op] = counts.get(op, 0) + 1
-        return counts
+        ops, counts = np.unique(self.records.ints(R_OP, 0, len(self)),
+                                return_counts=True)
+        return dict(zip(ops.tolist(), counts.tolist()))
 
     def describe(self) -> str:
         ops = sorted(self.count_ops().items(), key=lambda kv: -kv[1])
         top = ", ".join(f"{oc.op_name(o)}={n}" for o, n in ops[:8])
         return (f"Trace({self.meta.program}, rank {self.meta.rank}, "
                 f"{len(self.records)} records; {top})")
-
-
-def value_at(records: Sequence, loc: int, t: int):
-    """Value held at ``loc`` just before record index ``t``.
-
-    Finds the last write in a trace's records (the access API);
-    returns ``(found, value)``.  Used to snapshot region inputs/outputs
-    at instance boundaries.
-    """
-    return records.last_write(loc, t)

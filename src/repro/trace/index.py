@@ -42,6 +42,10 @@ class LocPositions(Mapping):
         self.off = np.concatenate(([0], brk, [len(locs)])).astype(np.int64) \
             if len(locs) else np.zeros(1, dtype=np.int64)
         self.n = n
+        #: memoryviews of ``keys``, ``off`` and ``pos``, made on the
+        #: first :meth:`between`
+        self._views: Optional[tuple[memoryview, memoryview,
+                                    memoryview]] = None
 
     def row(self, loc: int) -> int:
         """Row of ``loc``, or -1 when it has no positions."""
@@ -55,11 +59,20 @@ class LocPositions(Mapping):
             return self.pos[:0]
         return self.pos[self.off[r]:self.off[r + 1]]
 
-    def between(self, loc: int, a: int, b: int) -> np.ndarray:
-        """The positions of ``loc`` in ``[a, b)``."""
-        lst = self.positions(loc)
-        i, j = lst.searchsorted((a, b))
-        return lst[i:j]
+    def between(self, loc: int, a: int, b: int) -> list:
+        """The positions of ``loc`` in ``[a, b)``: a binary search in the
+        location's row over memoryviews, which ``bisect`` reads at a
+        fraction of the cost of a numpy call per lookup."""
+        if self._views is None:
+            self._views = (memoryview(self.keys), memoryview(self.off),
+                           memoryview(self.pos))
+        keys, off, pos = self._views
+        r = bisect_left(keys, loc)
+        if r == len(keys) or keys[r] != loc:
+            return []
+        lo, hi = off[r], off[r + 1]
+        return pos[bisect_left(pos, a, lo, hi):
+                   bisect_left(pos, b, lo, hi)].tolist()
 
     def __getitem__(self, loc: int) -> list:
         r = self.row(loc)

@@ -36,7 +36,7 @@ from repro.core import FlipTracker
 from repro.engine.keys import program_fingerprint
 from repro import warmstart
 from repro.ir import opcodes as oc
-from repro.trace.events import R_DLOC, static_table
+from repro.trace.events import R_DLOC, R_OP, static_table
 from repro.vm.fault import FaultPlan
 from repro.vm.exec_tier import ENV_VAR
 from repro.vm.interp import Interpreter
@@ -89,7 +89,8 @@ def test_nop_kernel_records_every_instruction(monkeypatch, tier):
 def test_capture_matches_oracle_with_nops(monkeypatch, tier_env):
     program = nop_program(monkeypatch)
     with FlipTracker(program, workers=1) as ft:
-        assert (ft.fault_free_trace().op == oc.NOP).any()
+        golden = ft.fault_free_trace()
+        assert (golden.ints(R_OP, 0, len(golden)) == oc.NOP).any()
         assert all((inv.entry_dyn, inv.exit_dyn) == (inst.start, inst.end)
                    for inv, inst in zip(ft.recovery_context().invariants,
                                         ft.instances()))

@@ -10,13 +10,18 @@ by a static-instruction id (:mod:`repro.trace.events`):
   ``fn.code[pc]`` and its id is the function's base plus the pc;
 * the decoded 9-tuples and the sealed golden columns hash to the values
   the nested 9-tuple records and their encoder produced (computed from
-  that emitter, CALL/RET/EMIT payloads included);
+  that emitter, CALL/RET/EMIT payloads included; the golden's ``op``,
+  ``fn``, ``pc`` and ``line`` are gathered through its ``sid`` column);
+* a fault-free cold run's records and the golden columns, fresh and
+  reloaded, read as the same static ids, integer fields and raw
+  records;
 * a faulty trace saves as decoded 9-tuples and loads back as the same
   flat records.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 from helpers import nop_program
 
@@ -24,7 +29,8 @@ from repro.apps import ALL_APPS, REGISTRY
 from repro.core.fliptracker import GoldenArtifacts
 from repro.ir import opcodes as oc
 from repro.trace.columnar import SplicedRecords
-from repro.trace.events import Trace, decode_record, static_table
+from repro.trace.events import (R_FN, R_LINE, R_OP, R_PC, Trace,
+                                decode_record, static_table)
 from repro.vm.errors import VMError
 from repro.vm.fault import FaultPlan
 from repro.warmstart import warm_start_interp
@@ -42,12 +48,15 @@ FAULTY_STREAMS = {1000: (87246, "3eb3eedd07a7dede"),
                   40000: (40002, "6a11d3573044dc90")}
 _ARRAYS = ("op", "fn", "pc", "line", "dloc", "dtag", "dbits", "soff",
            "sloc", "stag", "sbits")
+#: the fields a golden reads from the static table by ``sid``
+_STATIC = ("op", "fn", "pc", "line")
 
 
 def _column_hash(golden) -> str:
     h = hashlib.sha256()
     for name in _ARRAYS:
-        a = getattr(golden, name)
+        a = getattr(golden.table, name)[golden.sid] if name in _STATIC \
+            else getattr(golden, name)
         h.update(name.encode())
         h.update(str(a.dtype).encode())
         h.update(a.tobytes())
@@ -130,9 +139,10 @@ def test_static_table_matches_code(name):
         assert (table.ops[sid], table.lines[sid]) == (op, line)
         assert table.base[fn.index] + pc == sid
         assert table.nsrcs[sid] == (2 if op == oc.LOAD else len(srcs))
-    assert table.op.tolist() == table.ops
-    assert table.sids_of(table.fn, table.pc).tolist() == \
-        list(range(len(table.ops)))
+    # the arrays gathered through golden ids equal the per-record lists
+    assert (table.op.tolist(), table.fn.tolist(), table.pc.tolist(),
+            table.line.tolist(), table.nsrc.tolist()) == \
+        (table.ops, table.fns, table.pcs, table.lines, table.nsrcs)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STREAMS))
@@ -162,6 +172,24 @@ def test_decoded_faulty_records_equal_the_nested_tuples(trigger):
 def test_golden_columns_equal_the_nested_tuple_encoding(name):
     golden = GoldenArtifacts(REGISTRY.build(name)).fault_free_trace()
     assert _column_hash(golden) == GOLDEN_COLUMNS[name]
+
+
+def test_golden_reads_as_the_cold_records(tmp_path):
+    program = REGISTRY.build("kmeans")
+    golden = GoldenArtifacts(program).fault_free_trace()
+    path = str(tmp_path / "golden.pkl.gz")
+    golden.save(path)
+    loaded = Trace.load(path, program.module)
+    cold = SplicedRecords(program.run_fault_free(trace=True).records,
+                          static_table(program.module))
+    n = len(cold)
+    for view in (golden, loaded):
+        assert len(view) == n
+        assert np.array_equal(view.sids(0, n), cold.sids(0, n))
+        for field in (R_OP, R_LINE, R_FN, R_PC):
+            assert np.array_equal(view.ints(field, 0, n),
+                                  cold.ints(field, 0, n))
+        assert repr([view.raw(t) for t in range(n)]) == repr(cold.suffix)
 
 
 def test_save_load_round_trips_a_faulty_trace(tmp_path):

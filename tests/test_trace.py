@@ -9,7 +9,7 @@ from repro.frontend import ProgramBuilder
 from repro.ir.types import F64
 from repro.trace.columnar import GoldenTrace
 from repro.trace.events import (R_DLOC, R_DVAL, R_FN, R_OP, R_PC, R_SLOCS,
-                                Trace, TraceMeta, value_at)
+                                Trace, TraceMeta)
 from repro.trace.index import INF, TraceIndex
 from repro.vm import FaultPlan, Interpreter
 
@@ -50,9 +50,9 @@ class TestTraceBasics:
     def test_value_at(self):
         trace, _ = traced_run()
         base = trace.module.arrays["a"].base
-        found, v = value_at(trace.records, base + 3, len(trace))
+        found, v = trace.records.last_write(base + 3, len(trace))
         assert found and v == 6.0
-        found, _ = value_at(trace.records, 10 ** 9, len(trace))
+        found, _ = trace.records.last_write(10 ** 9, len(trace))
         assert not found
 
 

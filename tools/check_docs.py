@@ -5,7 +5,7 @@ Run from the repository root (CI's ``docs`` job does):
 
     PYTHONPATH=src python tools/check_docs.py
 
-Ten checks, all fatal on failure:
+Eleven checks, all fatal on failure:
 
 1. **Link check** — every relative markdown link in ``README.md``,
    ``ROADMAP.md`` and ``docs/*.md`` must point at an existing file;
@@ -48,6 +48,12 @@ Ten checks, all fatal on failure:
     name in ``README.md`` and ``docs/*.md`` (a trailing ``()`` allowed)
     must import as a module or resolve as an attribute of one, so a
     deleted or renamed function cannot stay documented.
+11. **Trace-schema drift check** — the column table of the golden-trace
+    passage in the "Golden artifacts" section of
+    ``docs/architecture.md`` must list exactly the columns a sealed
+    ``repro.trace.columnar.GoldenTrace`` stores (every array in
+    ``_ARRAYS`` plus the CSR offsets and side containers), so a removed
+    column cannot stay documented as one.
 """
 
 from __future__ import annotations
@@ -479,12 +485,50 @@ def check_dotted_names() -> list:
     return errors
 
 
+def check_golden_columns_drift() -> list:
+    sys.path.insert(0, str(REPO / "src"))
+    import numpy as np
+
+    from repro.trace import columnar
+    from repro.trace.events import StaticTable
+
+    arch = (REPO / "docs" / "architecture.md").read_text(encoding="utf-8")
+    section = section_text(arch, "Golden artifacts", "docs/architecture.md")
+    start = section.find("The golden trace is **columnar**")
+    if start == -1:
+        return ["architecture.md Golden artifacts: the columnar golden "
+                "trace passage is missing"]
+    documented = []
+    for line in section[start:].splitlines():
+        stripped = line.strip()
+        if not stripped.startswith("|"):
+            if documented:
+                break       # the end of the passage's table
+            continue
+        cell = stripped.strip("|").split("|")[0].strip()
+        if set(cell) <= {"-", " ", ":"} or cell == "column":
+            continue        # separator and header rows
+        documented.append(cell.strip("`"))
+    # what a sealed GoldenTrace pickles (every array in _ARRAYS among
+    # them), bar the scalars: its length and meta
+    empty = columnar.GoldenTrace(None, table=StaticTable((), (), (), (), ()))
+    stored = {name for name, value in empty.seal().__getstate__().items()
+              if isinstance(value, (np.ndarray, dict, list))}
+    errors = [f"architecture.md golden columns: {name!r} undocumented"
+              for name in sorted(stored - set(documented))]
+    errors += [f"architecture.md golden columns: {name!r} is not a "
+               f"GoldenTrace column" for name in documented
+               if name not in stored]
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_protocol_drift()
               + check_experiment_drift() + check_service_drift()
               + check_profiles_drift() + check_recovery_drift()
               + check_warmstart_drift() + check_exec_tier_drift()
-              + check_backend_drift() + check_dotted_names())
+              + check_backend_drift() + check_dotted_names()
+              + check_golden_columns_drift())
     for error in errors:
         print(f"FAIL: {error}", file=sys.stderr)
     if errors:
